@@ -276,12 +276,15 @@ def shapley_fees(env: BargainingEnv) -> FeeSchedule:
             f"({MAX_SHAPLEY_PLAYERS - 1})"
         )
     n = env.oracle.n
+    firm_masks = [sum(1 << (i - 1) for i in firm) for firm in firms]
+    weights = [1.0 / (players * comb(players - 1, s)) for s in range(players)]
 
-    def worth(firm_subset: tuple[int, ...], with_retailer: bool) -> float:
-        if not with_retailer:
-            return 0.0
-        products = [i for k in firm_subset for i in firms[k]]
-        return env.oracle(Portfolio.from_indices(n, products))
+    def worth(firm_subset: tuple[int, ...]) -> float:
+        """Worth of the firms in ``firm_subset`` together with the intermediary."""
+        mask = 0
+        for k in firm_subset:
+            mask |= firm_masks[k]
+        return env.oracle(Portfolio(n, mask))
 
     indices = range(len(firms))
     fees: dict[frozenset[int], float] = {}
@@ -290,17 +293,15 @@ def shapley_fees(env: BargainingEnv) -> FeeSchedule:
         total = 0.0
         for size in range(len(others) + 1):
             for combo in combinations(others, size):
-                for with_r in (False, True):
-                    s = size + (1 if with_r else 0)
-                    weight = 1.0 / (players * comb(players - 1, s))
-                    gain = worth(combo + (k,), with_r) - worth(combo, with_r)
-                    total += weight * gain
+                # coalitions without the intermediary add a gain of exactly
+                # 0.0, which leaves the sum unchanged, so only those with it
+                # are summed
+                total += weights[size + 1] * (worth(combo + (k,)) - worth(combo))
         fees[firms[k]] = total
     # the intermediary's own value, computed directly (not residually) so
     # that efficiency is a checkable property rather than a construction
     retailer_value = 0.0
     for size in range(len(firms) + 1):
         for combo in combinations(indices, size):
-            weight = 1.0 / (players * comb(players - 1, size))
-            retailer_value += weight * worth(combo, True)  # w(S) = 0 without it
+            retailer_value += weights[size] * worth(combo)  # w(S) = 0 without it
     return FeeSchedule("shapley", fees, retailer_value)

@@ -30,6 +30,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+from .portfolios import GrossKind
 from .reduced_form import ShoppingCostCdf
 
 INVERSION_TOL = 1e-11  # residual ||P(D(p)) - p||_inf target for numeric inversions
@@ -37,13 +38,6 @@ GROSS_TOLERANCE = 1e-10
 MODULARITY_TOLERANCE = 1e-8
 FD_STEP = 1e-5  # first-derivative step factor
 FD2_STEP = 5e-4  # mixed-second-derivative step factor (roundoff/truncation balance)
-
-
-class GrossKind(str, enum.Enum):
-    STRICT_GROSS_COMPLEMENTS = "strict_gross_complements"
-    STRICT_GROSS_SUBSTITUTES = "strict_gross_substitutes"
-    INDEPENDENT = "independent"
-    MIXED = "mixed"
 
 
 class InverseModularityKind(str, enum.Enum):

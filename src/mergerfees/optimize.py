@@ -48,10 +48,16 @@ class OptimizerConfig:
     value_gap: float = 1e-6  # distinct local optima beyond this gap => degenerate
 
     def __post_init__(self):
-        if self.gradient_tol <= 0:
-            raise ValueError("gradient tolerance must be positive")
+        if not self.gradient_tol > 0:
+            raise ValueError(f"gradient_tol must be positive, got {self.gradient_tol}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.multistart < 1:
-            raise ValueError("need at least one start")
+            raise ValueError(f"multistart must be at least 1, got {self.multistart}")
+        if not self.floor >= 0:
+            raise ValueError(f"floor must be >= 0, got {self.floor}")
+        if not self.value_gap >= 0:
+            raise ValueError(f"value_gap must be >= 0, got {self.value_gap}")
 
     def with_seed(self, seed: int) -> "OptimizerConfig":
         return replace(self, seed=seed)

@@ -27,6 +27,13 @@ class PairKind(str, enum.Enum):
     MIXED = "mixed"
 
 
+class GrossKind(str, enum.Enum):
+    STRICT_GROSS_COMPLEMENTS = "strict_gross_complements"
+    STRICT_GROSS_SUBSTITUTES = "strict_gross_substitutes"
+    INDEPENDENT = "independent"
+    MIXED = "mixed"
+
+
 class ModularityKind(str, enum.Enum):
     SUPERMODULAR = "supermodular"
     SUBMODULAR = "submodular"

@@ -15,8 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .portfolios import (
     DEFAULT_TOLERANCE,
+    GrossKind,
     PairKind,
     Portfolio,
     SetFunction,
@@ -312,6 +315,18 @@ class ReducedFormMarket:
             return 0.0
         return self.cdf(x.dot(self.v))
 
+    def traffic_table(self) -> np.ndarray:
+        """Store traffic G(x . v) of all 2^n portfolios, indexed by bitmask.
+
+        Surpluses are built by adding v_k in increasing index order, so each
+        equals ``Portfolio.dot`` bit for bit, and G is the scalar CDF once
+        per portfolio: every entry is the float ``demand`` returns.
+        """
+        surplus = np.zeros(1 << self.n)
+        for k, v_k in enumerate(self.v):
+            surplus[1 << k : 2 << k] = surplus[: 1 << k] + v_k
+        return np.array([self.cdf(s) for s in surplus.tolist()])
+
     def consumer_utility(self, x: Portfolio, xi: float) -> float:
         """max(x . v - xi, 0) for a consumer with shopping cost xi >= 0."""
         if xi < 0:
@@ -391,3 +406,43 @@ class ReducedFormMarket:
         cl_2 = top - g(v1 + v3)
         cl_12 = top - g(v3)
         return LossRatioReport(cl_1, cl_2, cl_12, cl_1 + cl_2 - cl_12)
+
+
+def gross_relations(market: ReducedFormMarket, tolerance: float = 1e-12) -> dict:
+    """Sign of demand changes when the partner product joins the portfolio.
+
+    A carried product's demand is the store traffic, so for pair (i, j) the
+    changes over the 2^(n-2) rest portfolios are T[rest+i+j] - T[rest+i]
+    (demand for i as j joins) and T[rest+i+j] - T[rest+j], all read off one
+    ``traffic_table``: 2^n CDF evaluations for every pair at once.
+    """
+    n = market.n
+    traffic = market.traffic_table()
+    masks = np.arange(1 << n)
+    pairs = {}
+    verdicts = set()
+    for i in range(1, n + 1):
+        bit_i = 1 << (i - 1)
+        for j in range(i + 1, n + 1):
+            bit_j = 1 << (j - 1)
+            rest = masks[(masks & (bit_i | bit_j)) == 0]
+            both = traffic[rest | bit_i | bit_j]
+            diffs = np.concatenate((both - traffic[rest | bit_i], both - traffic[rest | bit_j]))
+            hi, lo = diffs.max(), diffs.min()
+            if lo > tolerance:
+                kind = GrossKind.STRICT_GROSS_COMPLEMENTS
+            elif hi < -tolerance:
+                kind = GrossKind.STRICT_GROSS_SUBSTITUTES
+            elif abs(hi) <= tolerance and abs(lo) <= tolerance:
+                kind = GrossKind.INDEPENDENT
+            else:
+                kind = GrossKind.MIXED
+            pairs[f"{i},{j}"] = kind.value
+            verdicts.add(kind)
+    if verdicts == {GrossKind.STRICT_GROSS_COMPLEMENTS}:
+        overall = GrossKind.STRICT_GROSS_COMPLEMENTS
+    elif verdicts == {GrossKind.INDEPENDENT}:
+        overall = GrossKind.INDEPENDENT
+    else:
+        overall = GrossKind.MIXED
+    return {"overall": overall.value, "pairs": pairs, "tolerance": tolerance}

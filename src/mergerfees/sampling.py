@@ -75,7 +75,9 @@ def random_reduced_form_market(
     if family == "affine":
         cdf = AffineClampedCdf(0.0, total * rng.uniform(1.05, 2.0))
     elif family == "exponential":
-        cdf = ExponentialCdf(rng.uniform(0.05, 3.0 / total))
+        # lam * sum(v) <= 3 keeps G(sum(v)) below saturation; past sum(v) = 60
+        # the lower bound 0.05 would exceed that cap, so there it is 1 / sum(v)
+        cdf = ExponentialCdf(rng.uniform(0.05 if total <= 60.0 else 1.0 / total, 3.0 / total))
     elif family == "power":
         cdf = PowerCdf(rng.uniform(0.5, 3.0), total * rng.uniform(1.05, 2.0))
     elif family == "table":

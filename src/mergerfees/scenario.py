@@ -17,20 +17,25 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .bargaining import BargainingEnv, OwnershipStructure, merger_report, shapley_fees
+from .bargaining import (
+    BargainingEnv,
+    OwnershipStructure,
+    firm_label,
+    merger_report,
+    shapley_fees,
+)
 from .demand_systems import (
     AppendixBDemand,
     DemandModel,
     Eq7Demand,
     EvaluationRegion,
-    GrossKind,
     LinearDemand,
     OneStopDemand,
     gross_relation,
 )
 from .errors import ScenarioError
 from .optimize import OptimizerConfig, OptStatus, profit_oracle
-from .portfolios import DEFAULT_TOLERANCE, classify_pair, rest_portfolios
+from .portfolios import DEFAULT_TOLERANCE, classify_pair
 from .reduced_form import (
     AffineClampedCdf,
     ExponentialCdf,
@@ -39,6 +44,7 @@ from .reduced_form import (
     ShoppingCostCdf,
     StepCdf,
     TableCdf,
+    gross_relations,
 )
 
 SCHEMA_VERSION = 1
@@ -187,6 +193,14 @@ class Scenario:
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"optimizer: {exc}") from exc
 
+    def ownership_structure(self, n: int) -> OwnershipStructure:
+        if self.ownership is None:
+            return OwnershipStructure.singletons(n)
+        try:
+            return OwnershipStructure.from_groups(n, self.ownership)
+        except (IndexError, ValueError) as exc:
+            raise ScenarioError(f"bargaining.ownership: {exc}") from exc
+
     def evaluation_region(self) -> EvaluationRegion | None:
         if self.region is None:
             return None
@@ -259,6 +273,16 @@ def parse_scenario(obj: Any) -> Scenario:
             f"got {len(region['lower'])}"
         )
     scenario.evaluation_region()  # bounds and resolution checks
+    scenario.optimizer_config(0)  # option values
+    ownership = scenario.ownership_structure(built.n)
+    for k in pair:
+        if not 1 <= k <= built.n:
+            raise ScenarioError(f"bargaining.merging_pair: product {k} out of range 1..{built.n}")
+        if len(ownership.firm_of(k)) != 1:
+            raise ScenarioError(
+                f"bargaining.ownership: product {k} of the merging pair must be a "
+                "single-product firm before the merger"
+            )
     return scenario
 
 
@@ -316,46 +340,6 @@ def build_market_or_model(scenario: Scenario) -> ReducedFormMarket | DemandModel
 
 
 # ---------------------------------------------------------------------------
-# Reduced-form gross relations (discrete portfolio version)
-# ---------------------------------------------------------------------------
-
-
-def _reduced_form_gross(market: ReducedFormMarket, tolerance: float = 1e-12) -> dict:
-    """Sign of demand changes when the partner product joins the portfolio."""
-    n = market.n
-    pairs = {}
-    verdicts = set()
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            lo, hi = 0.0, -math.inf
-            worst_lo = math.inf
-            for rest in rest_portfolios(n, i, j):
-                for a, b in ((i, j), (j, i)):
-                    with_b = market.demand(a, rest.with_product(a).with_product(b))
-                    without_b = market.demand(a, rest.with_product(a))
-                    diff = with_b - without_b
-                    hi = max(hi, diff)
-                    worst_lo = min(worst_lo, diff)
-            if worst_lo > tolerance:
-                kind = GrossKind.STRICT_GROSS_COMPLEMENTS
-            elif hi < -tolerance:
-                kind = GrossKind.STRICT_GROSS_SUBSTITUTES
-            elif abs(hi) <= tolerance and abs(worst_lo) <= tolerance:
-                kind = GrossKind.INDEPENDENT
-            else:
-                kind = GrossKind.MIXED
-            pairs[f"{i},{j}"] = kind.value
-            verdicts.add(kind)
-    if verdicts == {GrossKind.STRICT_GROSS_COMPLEMENTS}:
-        overall = GrossKind.STRICT_GROSS_COMPLEMENTS
-    elif verdicts == {GrossKind.INDEPENDENT}:
-        overall = GrossKind.INDEPENDENT
-    else:
-        overall = GrossKind.MIXED
-    return {"overall": overall.value, "pairs": pairs, "tolerance": tolerance}
-
-
-# ---------------------------------------------------------------------------
 # Analysis pipeline
 # ---------------------------------------------------------------------------
 
@@ -371,7 +355,7 @@ def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = Fals
     if isinstance(model, ReducedFormMarket):
         n = model.n
         oracle = model.profit_function()
-        gross = _reduced_form_gross(model)
+        gross = gross_relations(model)
         optimizer_diag = None
     else:
         n = model.n
@@ -383,18 +367,7 @@ def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = Fals
             gross = None
         optimizer_diag = {"config": _config_dict(cfg)}
 
-    for k in pair:
-        if not 1 <= k <= n:
-            raise ScenarioError(
-                f"bargaining.merging_pair: product {k} out of range 1..{n}"
-            )
-
-    ownership = (
-        OwnershipStructure.singletons(n)
-        if scenario.ownership is None
-        else OwnershipStructure.from_groups(n, scenario.ownership)
-    )
-    env = BargainingEnv(scenario.beta, ownership, oracle)
+    env = BargainingEnv(scenario.beta, scenario.ownership_structure(n), oracle)
     report_m = merger_report(env, pair)
 
     i, j = pair
@@ -466,10 +439,10 @@ def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = Fals
             "gap": report_m.gap,
             "sign_identity_residual": report_m.sign_identity_residual,
             "non_merging_pre": {
-                _label(f): v for f, v in sorted(report_m.non_merging_pre.items(), key=lambda kv: sorted(kv[0]))
+                firm_label(f): v for f, v in sorted(report_m.non_merging_pre.items(), key=lambda kv: sorted(kv[0]))
             },
             "non_merging_post": {
-                _label(f): v for f, v in sorted(report_m.non_merging_post.items(), key=lambda kv: sorted(kv[0]))
+                firm_label(f): v for f, v in sorted(report_m.non_merging_post.items(), key=lambda kv: sorted(kv[0]))
             },
             "retailer_net_pre": report_m.pre.retailer_net,
             "retailer_net_post": report_m.post.retailer_net,
@@ -492,10 +465,6 @@ def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = Fals
             "pair_total_post": post.fee_of(i, j),
         }
     return report
-
-
-def _label(firm: frozenset[int]) -> str:
-    return "+".join(str(i) for i in sorted(firm))
 
 
 def _config_dict(cfg: OptimizerConfig) -> dict:

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -252,3 +253,56 @@ def test_shapley_main_effect_direction_matches_nash():
     pre = shapley_fees(env)
     post = shapley_fees(env.merged(1, 2))
     assert post.fee_of(1, 2) > pre.fee_of(1) + pre.fee_of(2)
+
+
+def brute_force_shapley(env):
+    """Reference Shapley value over every coalition, the intermediary included."""
+    firms = env.ownership.firms
+    n = env.oracle.n
+    players = len(firms) + 1
+
+    def worth(subset, with_retailer):
+        if not with_retailer:
+            return 0.0
+        return env.oracle(Portfolio.from_indices(n, [i for k in subset for i in firms[k]]))
+
+    indices = range(len(firms))
+    fees = {}
+    for k in indices:
+        others = [m for m in indices if m != k]
+        total = 0.0
+        for size in range(len(others) + 1):
+            for combo in combinations(others, size):
+                for with_r in (False, True):
+                    weight = 1.0 / (players * math.comb(players - 1, size + with_r))
+                    total += weight * (worth(combo + (k,), with_r) - worth(combo, with_r))
+        fees[firms[k]] = total
+    retailer = 0.0
+    for size in range(len(firms) + 1):
+        for combo in combinations(indices, size):
+            weight = 1.0 / (players * math.comb(players - 1, size))
+            retailer += weight * worth(combo, True)
+    return fees, retailer
+
+
+def random_partition(rng, n):
+    order = [int(i) for i in rng.permutation(np.arange(1, n + 1))]
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+    return [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+
+
+def test_shapley_fees_equal_brute_force_exactly():
+    rng = np.random.default_rng(29)
+    for trial in range(12):
+        n = int(rng.integers(2, 9))
+        if trial % 2:
+            oracle = random_monotone_set_function(rng, n=n)
+        else:
+            family = ALL_FAMILIES[trial // 2 % len(ALL_FAMILIES)]
+            oracle = random_reduced_form_market(rng, family, n=n, strict=False).profit_function()
+        env = BargainingEnv(0.4, OwnershipStructure.from_groups(n, random_partition(rng, n)), oracle)
+        fees = shapley_fees(env)
+        ref_fees, ref_retailer = brute_force_shapley(env)
+        assert fees.fees == ref_fees
+        assert list(fees.fees) == list(ref_fees)
+        assert fees.retailer_net == ref_retailer

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mergerfees.portfolios import PairKind, Portfolio, rest_portfolios, second_difference
+from mergerfees.portfolios import (
+    GrossKind,
+    PairKind,
+    Portfolio,
+    all_portfolios,
+    rest_portfolios,
+    second_difference,
+)
 from mergerfees.reduced_form import (
     AffineClampedCdf,
     ExponentialCdf,
@@ -11,6 +18,7 @@ from mergerfees.reduced_form import (
     ReducedFormMarket,
     StepCdf,
     TableCdf,
+    gross_relations,
     hin_step_cdf,
     saturated_cdf,
 )
@@ -286,3 +294,123 @@ def test_loss_ratio_and_spillover_identities():
             assert 0.0 <= lr.cl_2 <= lr.cl_12
             assert lr.gap * pi3 == pytest.approx(sp.second_difference, abs=1e-12)
             assert sp.second_difference == pytest.approx(-cc.rhs, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Gross relations from the traffic table
+# ---------------------------------------------------------------------------
+
+
+def brute_force_gross(market, tolerance=1e-12):
+    """Reference scan: one ``demand`` call per (pair, rest, order)."""
+    n = market.n
+    pairs = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            diffs = [
+                market.demand(a, rest.with_product(a).with_product(b))
+                - market.demand(a, rest.with_product(a))
+                for rest in rest_portfolios(n, i, j)
+                for a, b in ((i, j), (j, i))
+            ]
+            hi, lo = max(diffs), min(diffs)
+            if lo > tolerance:
+                kind = GrossKind.STRICT_GROSS_COMPLEMENTS
+            elif hi < -tolerance:
+                kind = GrossKind.STRICT_GROSS_SUBSTITUTES
+            elif abs(hi) <= tolerance and abs(lo) <= tolerance:
+                kind = GrossKind.INDEPENDENT
+            else:
+                kind = GrossKind.MIXED
+            pairs[f"{i},{j}"] = kind.value
+    kinds = set(pairs.values())
+    if kinds == {GrossKind.STRICT_GROSS_COMPLEMENTS.value}:
+        overall = GrossKind.STRICT_GROSS_COMPLEMENTS.value
+    elif kinds == {GrossKind.INDEPENDENT.value}:
+        overall = GrossKind.INDEPENDENT.value
+    else:
+        overall = GrossKind.MIXED.value
+    return {"overall": overall, "pairs": pairs, "tolerance": tolerance}
+
+
+def test_traffic_table_is_demand_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for family in ALL_FAMILIES:
+        market = random_reduced_form_market(rng, family, n=6, strict=False)
+        table = market.traffic_table()
+        assert table.shape == (64,)
+        for x in all_portfolios(6):
+            assert table[x.mask] == market.cdf(x.dot(market.v))
+            for i in x.indices():
+                assert table[x.mask] == market.demand(i, x)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_gross_relations_match_brute_force(family):
+    rng = np.random.default_rng(43)
+    for n in range(2, 9):
+        market = random_reduced_form_market(rng, family, n=n, strict=False)
+        assert gross_relations(market) == brute_force_gross(market)
+
+
+def test_gross_relations_step_cdf_with_tied_thresholds():
+    # integer surpluses land exactly on the tied thresholds, so some
+    # partners move demand and others do not: mixed and independent pairs
+    market = ReducedFormMarket(
+        (1.0, 2.0, 1.0, 3.0, 1.0), (1.0, 1.0, 2.0, 1.0, 1.0), StepCdf([3.0, 3.0, 5.0], [0.25, 0.25, 0.5])
+    )
+    got = gross_relations(market)
+    assert got == brute_force_gross(market)
+    assert set(got["pairs"].values()) == {GrossKind.MIXED.value}
+    high = ReducedFormMarket((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), StepCdf([4.0, 4.0]))
+    assert gross_relations(high) == brute_force_gross(high)
+    assert gross_relations(high)["overall"] == GrossKind.INDEPENDENT.value
+
+
+def test_gross_relations_saturated_cdf_is_independent():
+    for n in (2, 3, 6):
+        market = ReducedFormMarket(tuple(range(1, n + 1)), (1.0,) * n, saturated_cdf())
+        got = gross_relations(market)
+        assert got == brute_force_gross(market)
+        assert got["overall"] == GrossKind.INDEPENDENT.value
+        assert set(got["pairs"].values()) == {GrossKind.INDEPENDENT.value}
+
+
+def test_gross_relations_n12_from_sampler():
+    market = random_reduced_form_market(np.random.default_rng(4), "exponential", n=12)
+    assert sum(market.v) > 60.0  # the draw the sampler's large-market branch covers
+    got = gross_relations(market)
+    assert got == brute_force_gross(market)
+    assert got["overall"] == GrossKind.STRICT_GROSS_COMPLEMENTS.value
+
+
+# ---------------------------------------------------------------------------
+# Sampler
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [12, 14, 16])
+def test_exponential_sampler_large_markets(n):
+    rng = np.random.default_rng(n)
+    totals = []
+    for _ in range(5):
+        market = random_reduced_form_market(rng, "exponential", n=n)
+        totals.append(sum(market.v))
+        assert 0 < market.cdf.lam * totals[-1] <= 3.0 + 1e-12
+    assert max(totals) > 60.0
+
+
+def test_exponential_sampler_small_draws_unchanged():
+    # sum(v) <= 60 keeps the original draw lam ~ U(0.05, 3 / sum(v))
+    checked = 0
+    for seed in range(40):
+        for n in (3, 8, 11):
+            market = random_reduced_form_market(np.random.default_rng(seed), "exponential", n=n)
+            ref = np.random.default_rng(seed)
+            v = ref.uniform(0.1, 10.0, size=n)
+            ref.uniform(0.1, 10.0, size=n)
+            total = float(np.sum(v))
+            if total <= 60.0:
+                assert market.cdf.lam == ref.uniform(0.05, 3.0 / total)
+                checked += 1
+    assert checked > 80

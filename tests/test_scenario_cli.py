@@ -232,6 +232,51 @@ def test_cli_analyze_numerical_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bargaining,field",
+    [
+        ({"merging_pair": [1, 4]}, "bargaining.merging_pair"),
+        ({"merging_pair": [0, 2]}, "bargaining.merging_pair"),
+        ({"merging_pair": [1, 2], "ownership": [[1, 3], [2]]}, "bargaining.ownership"),
+        ({"merging_pair": [1, 2], "ownership": [[1], [2]]}, "bargaining.ownership"),
+        ({"merging_pair": [1, 2], "ownership": [[1], [2], [3, 4]]}, "bargaining.ownership"),
+    ],
+)
+def test_cli_bad_merging_pair_fails_before_analysis(tmp_path, capsys, monkeypatch, bargaining, field):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("analysis ran on an invalid scenario")
+
+    monkeypatch.setattr("mergerfees.scenario.gross_relations", no_analysis)
+    raw = reduced_scenario()
+    raw["bargaining"].update(bargaining)
+    path = write_scenario(tmp_path, raw)
+    assert main(["analyze", path, "--shapley"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "options,field",
+    [
+        ({"max_iter": -3, "floor": -1}, "max_iter"),
+        ({"max_iter": 0}, "max_iter"),
+        ({"floor": -1e-9}, "floor"),
+        ({"value_gap": -1.0}, "value_gap"),
+        ({"gradient_tol": 0.0}, "gradient_tol"),
+        ({"multistart": 0}, "multistart"),
+    ],
+)
+def test_cli_invalid_optimizer_option_is_validation_error(tmp_path, capsys, options, field):
+    raw = eq7_scenario()
+    raw["optimizer"] = options
+    path = write_scenario(tmp_path, raw)
+    assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: optimizer:")
+    assert field in err
+
+
 def test_cli_reproduce_all_suites_pass(capsys):
     for suite in ("appendix-a", "appendix-b", "prop1", "hin"):
         assert main(["reproduce", suite]) == 0
