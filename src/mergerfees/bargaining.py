@@ -78,12 +78,14 @@ class OwnershipStructure:
                 return firm
         raise IndexError(f"supplier {i} out of range 1..{self.n}")
 
-    def labels(self) -> list[str]:
-        return [firm_label(f) for f in self.firms]
-
 
 def firm_label(firm: frozenset[int]) -> str:
     return "+".join(str(i) for i in sorted(firm))
+
+
+def labelled_fees(fees: Mapping[frozenset[int], float]) -> dict[str, float]:
+    """Fees keyed by firm label, firms ordered by their sorted suppliers."""
+    return {firm_label(f): v for f, v in sorted(fees.items(), key=lambda kv: sorted(kv[0]))}
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,7 @@ class FeeSchedule:
     def describe(self) -> dict:
         return {
             "protocol": self.protocol,
-            "fees": {firm_label(f): v for f, v in sorted(self.fees.items(), key=lambda kv: sorted(kv[0]))},
+            "fees": labelled_fees(self.fees),
             "retailer_net": self.retailer_net,
             "total_fees": self.total_fees,
         }
@@ -192,27 +194,6 @@ class MergerReport:
             ),
             default=0.0,
         )
-
-    def describe(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "beta": self.beta,
-            "t_pre": self.t_pre,
-            "t_post": self.t_post,
-            "gap": self.gap,
-            "pair_relation": self.pair_relation.kind.value,
-            "second_difference": self.second_difference,
-            "sign_identity_residual": self.sign_identity_residual,
-            "non_merging_fees_pre": {
-                firm_label(f): v for f, v in sorted(self.non_merging_pre.items(), key=lambda kv: sorted(kv[0]))
-            },
-            "non_merging_fees_post": {
-                firm_label(f): v for f, v in sorted(self.non_merging_post.items(), key=lambda kv: sorted(kv[0]))
-            },
-            "max_non_merging_change": self.max_non_merging_change,
-            "retailer_net_pre": self.pre.retailer_net,
-            "retailer_net_post": self.post.retailer_net,
-        }
 
 
 def merger_report(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import ast
 import copy
+import itertools
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, ScenarioError
 from .reproduce import SUITES, run_suite
 from .scenario import (
-    Scenario,
     canonical_json,
     load_scenario,
     parse_scenario,
@@ -200,15 +200,9 @@ def cmd_sweep(args) -> int:
         raise ScenarioError(
             f"sweep would evaluate {total} nodes, above the --max-nodes cap {args.max_nodes}"
         )
-    assignments = []
-    index = [0] * len(grids)
-    for _ in range(total):
-        assignments.append({k: float(g[i]) for k, g, i in zip(keys, grids, index)})
-        for axis in reversed(range(len(grids))):
-            index[axis] += 1
-            if index[axis] < len(grids[axis]):
-                break
-            index[axis] = 0
+    assignments = [
+        {k: float(v) for k, v in zip(keys, node)} for node in itertools.product(*grids)
+    ]
 
     workers = _max_workers()
     if workers > 1 and total > 1:

@@ -28,9 +28,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError
-from .portfolios import GrossKind
+from .portfolios import GROSS_KIND, GrossKind, overall_gross_kind, sign_kind
 from .reduced_form import ShoppingCostCdf
 
 INVERSION_TOL = 1e-11  # residual ||P(D(p)) - p||_inf target for numeric inversions
@@ -78,13 +79,6 @@ class EvaluationRegion:
     def nodes(self) -> Iterator[np.ndarray]:
         for combo in itertools.product(*self.axes()):
             yield np.array(combo)
-
-    def describe(self) -> dict:
-        return {
-            "lower": list(self.lower),
-            "upper": list(self.upper),
-            "resolution": self.resolution,
-        }
 
 
 def _as_vector(x: Sequence[float], n: int, label: str) -> np.ndarray:
@@ -176,16 +170,21 @@ class DemandModel:
         forward: Callable[[np.ndarray], np.ndarray],
         target: np.ndarray,
         start: np.ndarray,
+        jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
         max_iter: int = 80,
     ) -> np.ndarray:
-        """Damped Newton solve forward(x) = target."""
+        """Damped Newton solve forward(x) = target.
+
+        ``jacobian`` gives d forward / dx; central differences of
+        ``forward`` stand in when it is None.
+        """
         x = np.array(start, dtype=float)
         resid = forward(x) - target
         norm = float(np.max(np.abs(resid)))
         for _ in range(max_iter):
             if norm <= INVERSION_TOL:
                 return x
-            jac = _fd_jacobian(forward, x) if not hasattr(self, "_inversion_jacobian") else self._inversion_jacobian(x)
+            jac = _fd_jacobian(forward, x) if jacobian is None else jacobian(x)
             try:
                 step = np.linalg.solve(jac, -resid)
             except np.linalg.LinAlgError as exc:
@@ -245,7 +244,7 @@ def _fd_cross_partial(
 
 
 class LinearDemand(DemandModel):
-    """Inverse demand P(q) = a - B q with positive diagonal B."""
+    """Inverse demand P(q) = a - B q with nonsingular B of positive diagonal."""
 
     kind = "linear"
 
@@ -257,6 +256,10 @@ class LinearDemand(DemandModel):
             raise ValueError(f"B must be {n}x{n}, got {B.shape}")
         if np.any(np.diag(B) <= 0):
             raise ValueError("B must have a positive diagonal")
+        try:
+            np.linalg.inv(B)  # demand and its Jacobian solve with B
+        except np.linalg.LinAlgError:
+            raise ValueError("B must be nonsingular") from None
         super().__init__(n, costs)
         if np.any(a <= self.costs):
             raise ValueError("intercepts must exceed unit costs")
@@ -515,13 +518,10 @@ class AppendixBDemand(DemandModel):
             ]
         )
 
-    def _inversion_jacobian(self, q):
-        return self.inverse_jacobian(q)
-
     def demand(self, p):
         p = _as_vector(p, 3, "p")
         start = np.maximum(1.0 - p, -0.5)
-        return self._invert(self.inverse_demand, p, start=start)
+        return self._invert(self.inverse_demand, p, start=start, jacobian=self.inverse_jacobian)
 
     def demand_jacobian(self, p):
         p = _as_vector(p, 3, "p")
@@ -615,8 +615,6 @@ class OneStopDemand(DemandModel):
                 break
         else:
             raise ConvergenceError("required store traffic is unattainable under this CDF")
-        from scipy.optimize import brentq
-
         theta = float(brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16))
         if abs(residual(theta)) > 1e-9:
             raise ConvergenceError("traffic equation residual too large (discontinuous CDF?)")
@@ -670,10 +668,9 @@ class CustomDemand(DemandModel):
         return np.asarray(self._inverse(q), dtype=float)
 
     def demand(self, p):
-        p = _as_vector(p, self.n, "p")
-        if self._demand is not None:
-            return np.asarray(self._demand(p), dtype=float)
-        return self._invert(self.inverse_demand, p, start=self._demand_start(p))
+        if self._demand is None:
+            return super().demand(p)
+        return np.asarray(self._demand(_as_vector(p, self.n, "p")), dtype=float)
 
     def inverse_jacobian(self, q):
         q = _as_vector(q, self.n, "q")
@@ -787,24 +784,10 @@ def gross_relation(
             )
         hi = max(acc, key=lambda s: s.value)
         lo = min(acc, key=lambda s: s.value)
-        if hi.value < -tolerance:
-            kind = GrossKind.STRICT_GROSS_COMPLEMENTS
-        elif lo.value > tolerance:
-            kind = GrossKind.STRICT_GROSS_SUBSTITUTES
-        elif abs(hi.value) <= tolerance and abs(lo.value) <= tolerance:
-            kind = GrossKind.INDEPENDENT
-        else:
-            kind = GrossKind.MIXED
+        # a negative cross-price slope means complements, so the slopes enter negated
+        kind = GROSS_KIND[sign_kind(-hi.value, -lo.value, tolerance)]
         pairs[key] = PairGrossRelation(key[0], key[1], kind, lo, hi)
-    kinds = {rel.kind for rel in pairs.values()}
-    if kinds == {GrossKind.STRICT_GROSS_COMPLEMENTS}:
-        overall = GrossKind.STRICT_GROSS_COMPLEMENTS
-    elif kinds == {GrossKind.STRICT_GROSS_SUBSTITUTES}:
-        overall = GrossKind.STRICT_GROSS_SUBSTITUTES
-    elif kinds == {GrossKind.INDEPENDENT}:
-        overall = GrossKind.INDEPENDENT
-    else:
-        overall = GrossKind.MIXED
+    overall = overall_gross_kind(rel.kind for rel in pairs.values())
     return GrossRelationReport(pairs, overall, tolerance, region, tuple(failures))
 
 
@@ -833,29 +816,6 @@ class InverseModularityReport:
     @property
     def weakly_submodular(self) -> bool:
         return self.kind in (InverseModularityKind.WEAKLY_SUBMODULAR, InverseModularityKind.BOTH)
-
-    def describe(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "weakly_supermodular": self.weakly_supermodular,
-            "weakly_submodular": self.weakly_submodular,
-            "tolerance": self.tolerance,
-            "most_negative": {
-                "node": list(self.most_negative.node),
-                "m": self.most_negative.m,
-                "i": self.most_negative.i,
-                "j": self.most_negative.j,
-                "value": self.most_negative.value,
-            },
-            "most_positive": {
-                "node": list(self.most_positive.node),
-                "m": self.most_positive.m,
-                "i": self.most_positive.i,
-                "j": self.most_positive.j,
-                "value": self.most_positive.value,
-            },
-            "skipped": list(self.skipped),
-        }
 
 
 def inverse_modularity(

@@ -30,6 +30,7 @@ from .errors import ConvergenceError, DomainError
 from .portfolios import Portfolio, SetFunction, second_difference
 
 _PENALTY = 1e12
+_EVAL_ERRORS = (DomainError, ConvergenceError, np.linalg.LinAlgError)
 
 
 class OptStatus(str, enum.Enum):
@@ -73,15 +74,6 @@ class OptResult:
     gradient_norm: float  # KKT residual over active coordinates
     status: OptStatus
     starts_used: int
-
-    def describe(self) -> dict:
-        return {
-            "q": [float(x) for x in self.q],
-            "value": self.value,
-            "gradient_norm": self.gradient_norm,
-            "status": self.status.value,
-            "starts_used": self.starts_used,
-        }
 
 
 class _PortfolioObjective:
@@ -129,70 +121,71 @@ def _kkt_residual(g: np.ndarray, z: np.ndarray, lb: np.ndarray, ub: np.ndarray) 
 
 
 def _polish(
-    obj: _PortfolioObjective,
+    value: Callable[[np.ndarray], float],
+    gradient: Callable[[np.ndarray], np.ndarray],
     z: np.ndarray,
+    fz: float,
     lb: np.ndarray,
     ub: np.ndarray,
     tol: float,
     max_steps: int = 30,
-) -> np.ndarray:
-    """Active-set Newton refinement of an L-BFGS-B solution."""
-    k = len(z)
+) -> tuple[np.ndarray, float, bool]:
+    """Damped Newton ascent of ``value`` from z, whose value is fz, in the box [lb, ub].
+
+    Coordinates held at a bound by their slope stay fixed; the Hessian of
+    the others comes from central differences of ``gradient``, and each
+    step is halved until the value does not fall. Infinite bounds make it
+    plain Newton ascent. Returns the last accepted point, its value, and
+    whether its KKT residual reached ``tol``.
+    """
     for _ in range(max_steps):
         try:
-            g = obj.gradient(z)
-        except (DomainError, ConvergenceError, np.linalg.LinAlgError):
-            return z
+            g = gradient(z)
+        except _EVAL_ERRORS:
+            return z, fz, False
         if _kkt_residual(g, z, lb, ub) <= tol:
-            return z
+            return z, fz, True
         free = [
             a
-            for a in range(k)
+            for a in range(len(z))
             if not (z[a] <= lb[a] + 1e-10 and g[a] <= 0)
             and not (z[a] >= ub[a] - 1e-10 and g[a] >= 0)
         ]
-        if not free:
-            return z
         hess = np.zeros((len(free), len(free)))
-        ok = True
         for col, a in enumerate(free):
             h = 1e-6 * max(1.0, abs(z[a]))
             zp, zm = z.copy(), z.copy()
             zp[a] += h
             zm[a] -= h
             try:
-                gp, gm = obj.gradient(zp), obj.gradient(zm)
-            except (DomainError, ConvergenceError, np.linalg.LinAlgError):
-                ok = False
-                break
+                gp, gm = gradient(zp), gradient(zm)
+            except _EVAL_ERRORS:
+                return z, fz, False
             hess[:, col] = (gp[free] - gm[free]) / (2 * h)
-        if not ok:
-            return z
         try:
             step = np.linalg.solve(hess, -g[free])
         except np.linalg.LinAlgError:
-            return z
-        if not np.all(np.isfinite(step)):
-            return z
-        base = obj.value(z)
+            return z, fz, False
+        if not np.isfinite(step).all():
+            return z, fz, False
         scale = 1.0
         for _ in range(25):
             cand = z.copy()
             cand[free] = np.clip(z[free] + scale * step, lb[free], ub[free])
             try:
-                val = obj.value(cand)
-            except (DomainError, ConvergenceError, np.linalg.LinAlgError):
+                val = value(cand)
+            except _EVAL_ERRORS:
                 scale *= 0.5
                 continue
-            if val >= base - 1e-15:
-                if np.max(np.abs(cand - z)) < 1e-15:
-                    return cand
-                z = cand
+            if val >= fz - 1e-15:
+                if np.abs(cand - z).max() < 1e-15:
+                    return cand, val, False
+                z, fz = cand, val
                 break
             scale *= 0.5
         else:
-            return z
-    return z
+            return z, fz, False
+    return z, fz, False
 
 
 def max_profit(
@@ -230,20 +223,20 @@ def max_profit(
             try:
                 obj.value(z)
                 return z
-            except (DomainError, ConvergenceError, np.linalg.LinAlgError):
+            except _EVAL_ERRORS:
                 z = 0.5 * (z + anchor)
         return None
 
     def neg_value(z):
         try:
             return -obj.value(z)
-        except (DomainError, ConvergenceError, np.linalg.LinAlgError):
+        except _EVAL_ERRORS:
             return _PENALTY
 
     def neg_grad(z):
         try:
             return -obj.gradient(z)
-        except (DomainError, ConvergenceError, np.linalg.LinAlgError):
+        except _EVAL_ERRORS:
             return np.zeros(k)
 
     solutions: list[tuple[float, np.ndarray, float]] = []  # (value, z, kkt)
@@ -261,11 +254,11 @@ def max_profit(
             bounds=list(zip(lb, ub)),
             options={"maxiter": cfg.max_iter, "ftol": 1e-15, "gtol": 1e-10},
         )
-        z = _polish(obj, np.clip(res.x, lb, ub), lb, ub, cfg.gradient_tol)
+        z = np.clip(res.x, lb, ub)
         try:
-            val = obj.value(z)
+            z, val, _ = _polish(obj.value, obj.gradient, z, obj.value(z), lb, ub, cfg.gradient_tol)
             kkt = _kkt_residual(obj.gradient(z), z, lb, ub)
-        except (DomainError, ConvergenceError, np.linalg.LinAlgError):
+        except _EVAL_ERRORS:
             continue
         solutions.append((val, z, kkt))
 
@@ -361,56 +354,16 @@ def partial_max(
     starts = [0.5 * choke, 0.25 * choke]
     starts.extend(0.1 * choke + rng.random((2, m)) * choke)
 
+    unbounded = np.full(m, np.inf)
     best: float | None = None
-    for w0 in starts:
-        w = np.asarray(w0, dtype=float)
+    for w in starts:
         try:
             val = value_of(w)
-        except (DomainError, ConvergenceError, np.linalg.LinAlgError):
+        except _EVAL_ERRORS:
             continue
-        converged = False
-        for _ in range(80):
-            try:
-                g = grad_of(w)
-            except (DomainError, ConvergenceError, np.linalg.LinAlgError):
-                break
-            if np.max(np.abs(g)) <= cfg.gradient_tol:
-                converged = True
-                break
-            hess = np.zeros((m, m))
-            bad = False
-            for col in range(m):
-                h = 1e-6 * max(1.0, abs(w[col]))
-                wp, wm = w.copy(), w.copy()
-                wp[col] += h
-                wm[col] -= h
-                try:
-                    hess[:, col] = (grad_of(wp) - grad_of(wm)) / (2 * h)
-                except (DomainError, ConvergenceError, np.linalg.LinAlgError):
-                    bad = True
-                    break
-            if bad:
-                break
-            try:
-                step = np.linalg.solve(hess, -g)
-            except np.linalg.LinAlgError:
-                step = g  # gradient ascent fallback
-            scale = 1.0
-            improved = False
-            for _ in range(30):
-                cand = w + scale * step
-                try:
-                    cand_val = value_of(cand)
-                except (DomainError, ConvergenceError, np.linalg.LinAlgError):
-                    scale *= 0.5
-                    continue
-                if cand_val >= val - 1e-15:
-                    w, val = cand, cand_val
-                    improved = True
-                    break
-                scale *= 0.5
-            if not improved:
-                break
+        _, val, converged = _polish(
+            value_of, grad_of, w, val, -unbounded, unbounded, cfg.gradient_tol, max_steps=80
+        )
         if converged and (best is None or val > best):
             best = val
     if best is None:

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+from .errors import DomainError
 
 MAX_PRODUCTS = 24  # exhaustive enumeration of 2^n portfolios must stay feasible
 
@@ -39,6 +42,38 @@ class ModularityKind(str, enum.Enum):
     SUBMODULAR = "submodular"
     ADDITIVE = "additive"
     NEITHER = "neither"
+
+
+def sign_kind(lo: float, hi: float, tolerance: float = DEFAULT_TOLERANCE) -> PairKind:
+    """Verdict on a set of values spanning [lo, hi], with a dead zone of +-tolerance.
+
+    strict complements: lo > +tolerance (every value positive)
+    strict substitutes: hi < -tolerance (every value negative)
+    additive:           |lo| <= tolerance and |hi| <= tolerance
+    mixed:              anything else
+    """
+    if lo > tolerance:
+        return PairKind.STRICT_COMPLEMENTS
+    if hi < -tolerance:
+        return PairKind.STRICT_SUBSTITUTES
+    if abs(hi) <= tolerance and abs(lo) <= tolerance:
+        return PairKind.ADDITIVE
+    return PairKind.MIXED
+
+
+# a pair verdict read in demand terms: complements raise each other's demand
+GROSS_KIND = {
+    PairKind.STRICT_COMPLEMENTS: GrossKind.STRICT_GROSS_COMPLEMENTS,
+    PairKind.STRICT_SUBSTITUTES: GrossKind.STRICT_GROSS_SUBSTITUTES,
+    PairKind.ADDITIVE: GrossKind.INDEPENDENT,
+    PairKind.MIXED: GrossKind.MIXED,
+}
+
+
+def overall_gross_kind(kinds: Iterable[GrossKind]) -> GrossKind:
+    """The kind every pair shares, or mixed."""
+    distinct = set(kinds)
+    return distinct.pop() if len(distinct) == 1 else GrossKind.MIXED
 
 
 @dataclass(frozen=True)
@@ -92,10 +127,6 @@ class Portfolio:
         bit = 1 << (i - 1)
         return Portfolio(self.n, self.mask | bit if on else self.mask & ~bit)
 
-    def union(self, other: "Portfolio") -> "Portfolio":
-        self._check_same_n(other)
-        return Portfolio(self.n, self.mask | other.mask)
-
     def bits(self) -> tuple[int, ...]:
         return tuple(self.mask >> k & 1 for k in range(self.n))
 
@@ -118,10 +149,6 @@ class Portfolio:
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise IndexError(f"product index {i} out of range 1..{self.n}")
-
-    def _check_same_n(self, other: "Portfolio") -> None:
-        if other.n != self.n:
-            raise ValueError(f"portfolio sizes differ: {self.n} vs {other.n}")
 
     def __str__(self) -> str:
         return "{" + ",".join(map(str, self.indices())) + "}"
@@ -151,7 +178,8 @@ class SetFunction:
     Evaluation must be pure: the cache stores the first computed value per
     bit pattern and is never invalidated. Writes are single-writer-per-key
     in effect because re-computation yields the identical value, so
-    concurrent hypercube scans are safe.
+    concurrent hypercube scans are safe. A value that is not finite raises
+    DomainError naming the portfolio: no verdict or fee can rest on it.
     """
 
     def __init__(self, n: int, fn: Callable[[Portfolio], float], name: str = ""):
@@ -168,6 +196,8 @@ class SetFunction:
         v = self._cache.get(x.mask)
         if v is None:
             v = float(self._fn(x))
+            if not math.isfinite(v):
+                raise DomainError(f"{self.name or 'set function'} is {v} at portfolio {x.key()}")
             self._cache[x.mask] = v
         return v
 
@@ -260,11 +290,9 @@ def classify_pair(
 ) -> PairRelation:
     """Aggregate second differences over all rest portfolios into one verdict.
 
-    strict complements: every difference > +tolerance
-    strict substitutes: every difference < -tolerance
-    additive:           every |difference| <= tolerance
-    mixed:              anything else; the extreme witnesses show where the
-                        sign pattern breaks
+    The verdict is ``sign_kind`` of the smallest and largest difference;
+    when it is mixed, the extreme witnesses show where the sign pattern
+    breaks.
     """
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
@@ -274,15 +302,7 @@ def classify_pair(
     )
     hi = max(witnesses, key=lambda w: w.value)
     lo = min(witnesses, key=lambda w: w.value)
-    if lo.value > tolerance:
-        kind = PairKind.STRICT_COMPLEMENTS
-    elif hi.value < -tolerance:
-        kind = PairKind.STRICT_SUBSTITUTES
-    elif abs(hi.value) <= tolerance and abs(lo.value) <= tolerance:
-        kind = PairKind.ADDITIVE
-    else:
-        kind = PairKind.MIXED
-    return PairRelation(i, j, kind, tolerance, witnesses, hi, lo)
+    return PairRelation(i, j, sign_kind(lo.value, hi.value, tolerance), tolerance, witnesses, hi, lo)
 
 
 def classify_pair_at(
@@ -290,13 +310,7 @@ def classify_pair_at(
 ) -> PairRelation:
     """Single-rest variant of classify_pair (one witness, one difference)."""
     w = Witness(rest, second_difference(f, i, j, rest))
-    if w.value > tolerance:
-        kind = PairKind.STRICT_COMPLEMENTS
-    elif w.value < -tolerance:
-        kind = PairKind.STRICT_SUBSTITUTES
-    else:
-        kind = PairKind.ADDITIVE
-    return PairRelation(i, j, kind, tolerance, (w,), w, w)
+    return PairRelation(i, j, sign_kind(w.value, w.value, tolerance), tolerance, (w,), w, w)
 
 
 @dataclass(frozen=True)

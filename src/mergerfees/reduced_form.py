@@ -19,10 +19,12 @@ import numpy as np
 
 from .portfolios import (
     DEFAULT_TOLERANCE,
-    GrossKind,
+    GROSS_KIND,
     PairKind,
     Portfolio,
     SetFunction,
+    overall_gross_kind,
+    sign_kind,
 )
 
 
@@ -264,14 +266,6 @@ class LossRatioReport:
         return {"cl_1": self.cl_1, "cl_2": self.cl_2, "cl_12": self.cl_12, "gap": self.gap}
 
 
-def _sign_kind(value: float, tolerance: float) -> PairKind:
-    if value > tolerance:
-        return PairKind.STRICT_COMPLEMENTS
-    if value < -tolerance:
-        return PairKind.STRICT_SUBSTITUTES
-    return PairKind.ADDITIVE
-
-
 @dataclass(frozen=True)
 class ReducedFormMarket:
     """n products with per-product surplus v_i > 0, margin pi_i > 0, and CDF G."""
@@ -295,6 +289,15 @@ class ReducedFormMarket:
     @property
     def n(self) -> int:
         return len(self.v)
+
+    def describe(self) -> dict:
+        return {
+            "kind": "reduced_form",
+            "n": self.n,
+            "v": list(self.v),
+            "pi": list(self.pi),
+            "cdf": self.cdf.describe(),
+        }
 
     def profit(self, x: Portfolio) -> float:
         """(x . pi) * G(x . v): margin per visitor times store traffic."""
@@ -368,7 +371,7 @@ class ReducedFormMarket:
             for b in (0, 1)
         }
         sd = values[(1, 1)] - values[(1, 0)] - values[(0, 1)] + values[(0, 0)]
-        return SpilloverReport((i, j), target, values, sd, _sign_kind(sd, tolerance))
+        return SpilloverReport((i, j), target, values, sd, sign_kind(sd, sd, tolerance))
 
     def complementarity_condition(
         self, x3: int, tolerance: float = DEFAULT_TOLERANCE
@@ -389,7 +392,7 @@ class ReducedFormMarket:
         top = g(v1 + v2 + x3 * v3)
         lhs = p1 * (top - g(v1 + x3 * v3)) + p2 * (top - g(v2 + x3 * v3))
         rhs = x3 * p3 * (g(v1 + x3 * v3) + g(v2 + x3 * v3) - top - g(x3 * v3))
-        return ComplementarityCondition(x3, lhs, rhs, _sign_kind(lhs - rhs, tolerance))
+        return ComplementarityCondition(x3, lhs, rhs, sign_kind(lhs - rhs, lhs - rhs, tolerance))
 
     def loss_ratios(self) -> LossRatioReport:
         """Loss ratios for pulling product 1, product 2, or both (3 products).
@@ -428,21 +431,8 @@ def gross_relations(market: ReducedFormMarket, tolerance: float = 1e-12) -> dict
             rest = masks[(masks & (bit_i | bit_j)) == 0]
             both = traffic[rest | bit_i | bit_j]
             diffs = np.concatenate((both - traffic[rest | bit_i], both - traffic[rest | bit_j]))
-            hi, lo = diffs.max(), diffs.min()
-            if lo > tolerance:
-                kind = GrossKind.STRICT_GROSS_COMPLEMENTS
-            elif hi < -tolerance:
-                kind = GrossKind.STRICT_GROSS_SUBSTITUTES
-            elif abs(hi) <= tolerance and abs(lo) <= tolerance:
-                kind = GrossKind.INDEPENDENT
-            else:
-                kind = GrossKind.MIXED
+            kind = GROSS_KIND[sign_kind(diffs.min(), diffs.max(), tolerance)]
             pairs[f"{i},{j}"] = kind.value
             verdicts.add(kind)
-    if verdicts == {GrossKind.STRICT_GROSS_COMPLEMENTS}:
-        overall = GrossKind.STRICT_GROSS_COMPLEMENTS
-    elif verdicts == {GrossKind.INDEPENDENT}:
-        overall = GrossKind.INDEPENDENT
-    else:
-        overall = GrossKind.MIXED
+    overall = overall_gross_kind(verdicts)
     return {"overall": overall.value, "pairs": pairs, "tolerance": tolerance}

@@ -36,8 +36,6 @@ from .portfolios import Portfolio
 from .reduced_form import ExponentialCdf, ReducedFormMarket, hin_step_cdf
 from .sampling import STRICT_FAMILIES, random_reduced_form_market
 
-SUITES = ("appendix-a", "appendix-b", "prop1", "hin")
-
 
 @dataclass(frozen=True)
 class Row:
@@ -210,13 +208,16 @@ def suite_hin(cfg=DEFAULT_CONFIG) -> list[Row]:
     ]
 
 
+_SUITES = {
+    "appendix-a": suite_appendix_a,
+    "appendix-b": suite_appendix_b,
+    "prop1": suite_prop1,
+    "hin": suite_hin,
+}
+SUITES = tuple(_SUITES)
+
+
 def run_suite(name: str, cfg=DEFAULT_CONFIG) -> list[Row]:
-    if name == "appendix-a":
-        return suite_appendix_a(cfg)
-    if name == "appendix-b":
-        return suite_appendix_b(cfg)
-    if name == "prop1":
-        return suite_prop1(cfg)
-    if name == "hin":
-        return suite_hin(cfg)
-    raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
+    return _SUITES[name](cfg)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .bargaining import (
     BargainingEnv,
     OwnershipStructure,
-    firm_label,
+    labelled_fees,
     merger_report,
     shapley_fees,
 )
@@ -166,6 +166,7 @@ class Scenario:
     ownership: tuple[tuple[int, ...], ...] | None
     optimizer: dict | None
     region: dict | None
+    built: ReducedFormMarket | DemandModel = field(compare=False, repr=False)
 
     def echo(self) -> dict:
         out: dict[str, Any] = {
@@ -265,8 +266,8 @@ def parse_scenario(obj: Any) -> Scenario:
             "upper": _expect_vector(region["upper"], "region.upper"),
             "resolution": _expect_int(region.get("resolution", 9), "region.resolution"),
         }
-    scenario = Scenario(version, model, beta, pair, ownership, optimizer, region)
-    built = build_market_or_model(scenario)  # validates the model block eagerly
+    built = build_market_or_model(model)  # validates the model block eagerly
+    scenario = Scenario(version, model, beta, pair, ownership, optimizer, region, built)
     if region is not None and len(region["lower"]) != built.n:
         raise ScenarioError(
             f"region.lower: expected {built.n} entries for this model, "
@@ -297,8 +298,8 @@ def load_scenario(path: str) -> Scenario:
     return parse_scenario(raw)
 
 
-def build_market_or_model(scenario: Scenario) -> ReducedFormMarket | DemandModel:
-    spec = scenario.model
+def build_market_or_model(spec: dict) -> ReducedFormMarket | DemandModel:
+    """The market or demand model that a scenario's ``model`` block describes."""
     kind = spec["kind"]
     path = "model"
     try:
@@ -346,26 +347,25 @@ def build_market_or_model(scenario: Scenario) -> ReducedFormMarket | DemandModel
 
 def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = False) -> dict:
     """Full pipeline: classification, oracle, bargaining, diagnostics."""
-    model = build_market_or_model(scenario)
+    model = scenario.built
+    n = model.n
     pair = scenario.merging_pair
     warnings: list[str] = []
     statuses: dict[str, str] = {}
     cfg = scenario.optimizer_config(seed)
 
     if isinstance(model, ReducedFormMarket):
-        n = model.n
         oracle = model.profit_function()
         gross = gross_relations(model)
         optimizer_diag = None
     else:
-        n = model.n
         oracle = profit_oracle(model, cfg, statuses)
         try:
             region = scenario.evaluation_region()
             gross = gross_relation(model, region).describe()
         except NotImplementedError:
             gross = None
-        optimizer_diag = {"config": _config_dict(cfg)}
+        optimizer_diag = {"config": asdict(cfg)}
 
     env = BargainingEnv(scenario.beta, scenario.ownership_structure(n), oracle)
     report_m = merger_report(env, pair)
@@ -408,15 +408,7 @@ def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = Fals
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
         "scenario": scenario.echo(),
-        "model_summary": model.describe()
-        if isinstance(model, DemandModel)
-        else {
-            "kind": "reduced_form",
-            "n": n,
-            "v": list(model.v),
-            "pi": list(model.pi),
-            "cdf": model.cdf.describe(),
-        },
+        "model_summary": model.describe(),
         "gross_relations": gross,
         "profit_relation": {
             "pair": list(pair),
@@ -438,12 +430,8 @@ def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = Fals
             "t_post": report_m.t_post,
             "gap": report_m.gap,
             "sign_identity_residual": report_m.sign_identity_residual,
-            "non_merging_pre": {
-                firm_label(f): v for f, v in sorted(report_m.non_merging_pre.items(), key=lambda kv: sorted(kv[0]))
-            },
-            "non_merging_post": {
-                firm_label(f): v for f, v in sorted(report_m.non_merging_post.items(), key=lambda kv: sorted(kv[0]))
-            },
+            "non_merging_pre": labelled_fees(report_m.non_merging_pre),
+            "non_merging_post": labelled_fees(report_m.non_merging_post),
             "retailer_net_pre": report_m.pre.retailer_net,
             "retailer_net_post": report_m.post.retailer_net,
         },
@@ -465,17 +453,6 @@ def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = Fals
             "pair_total_post": post.fee_of(i, j),
         }
     return report
-
-
-def _config_dict(cfg: OptimizerConfig) -> dict:
-    return {
-        "gradient_tol": cfg.gradient_tol,
-        "max_iter": cfg.max_iter,
-        "multistart": cfg.multistart,
-        "floor": cfg.floor,
-        "seed": cfg.seed,
-        "value_gap": cfg.value_gap,
-    }
 
 
 def render_human(report: dict) -> str:

@@ -6,6 +6,7 @@ import pytest
 from mergerfees.demand_systems import (
     AppendixBDemand,
     CustomDemand,
+    DemandModel,
     Eq7Demand,
     EvaluationRegion,
     GrossKind,
@@ -263,6 +264,41 @@ def test_eq7_gross_relation(b, gamma, expected):
     report = gross_relation(Eq7Demand(b, gamma))
     assert report.overall is expected
     assert all(rel.kind is expected for rel in report.pairs.values())
+
+
+class FixedSlopes(DemandModel):
+    """Two products whose demand Jacobian is one fixed matrix."""
+
+    kind = "fixed_slopes"
+
+    def __init__(self, d12, d21):
+        super().__init__(2)
+        self.jac = np.array([[-1.0, d12], [d21, -1.0]])
+
+    def demand_jacobian(self, p):
+        return self.jac
+
+    def default_price_region(self):
+        return EvaluationRegion((0.1, 0.1), (0.9, 0.9), resolution=3)
+
+
+@pytest.mark.parametrize(
+    "d12,d21,expected",
+    [
+        # a negative cross-price slope means complements
+        (-2e-10, -3.0, GrossKind.STRICT_GROSS_COMPLEMENTS),
+        (2e-10, 3.0, GrossKind.STRICT_GROSS_SUBSTITUTES),
+        (1e-10, -1e-10, GrossKind.INDEPENDENT),  # slopes exactly at the tolerance
+        (0.0, 0.0, GrossKind.INDEPENDENT),
+        (-1e-10, -3.0, GrossKind.MIXED),
+        (-2e-10, 2e-10, GrossKind.MIXED),
+    ],
+)
+def test_gross_relation_reads_negative_slopes_as_complements(d12, d21, expected):
+    report = gross_relation(FixedSlopes(d12, d21))
+    assert report.tolerance == 1e-10
+    assert report.pair(1, 2).kind is expected
+    assert report.overall is expected
 
 
 def test_appendix_b_gross_substitutes():

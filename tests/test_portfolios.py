@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mergerfees.errors import DomainError
 from mergerfees.portfolios import (
     ModularityKind,
     PairKind,
@@ -15,6 +16,7 @@ from mergerfees.portfolios import (
     classify_pair_at,
     rest_portfolios,
     second_difference,
+    sign_kind,
 )
 from mergerfees.reduced_form import ExponentialCdf, ReducedFormMarket
 
@@ -187,3 +189,29 @@ def test_classify_modularity_neither():
     values = {0: 0.0, 1: 1.0, 2: 1.0, 3: 2.5, 4: 0.0, 5: 1.0, 6: 1.0, 7: 1.5}
     f = SetFunction(3, lambda x: values[x.mask])
     assert classify_modularity(f).kind is ModularityKind.NEITHER
+
+
+@pytest.mark.parametrize(
+    "lo,hi,expected",
+    [
+        (2e-9, 5.0, PairKind.STRICT_COMPLEMENTS),
+        (-5.0, -2e-9, PairKind.STRICT_SUBSTITUTES),
+        (-1e-9, 1e-9, PairKind.ADDITIVE),  # exactly at -tolerance and +tolerance
+        (1e-9, 1e-9, PairKind.ADDITIVE),
+        (-1e-9, -1e-9, PairKind.ADDITIVE),
+        (0.0, 0.0, PairKind.ADDITIVE),
+        (1e-9, 5.0, PairKind.MIXED),  # a value at +tolerance is not strict
+        (-5.0, -1e-9, PairKind.MIXED),
+        (-2e-9, 2e-9, PairKind.MIXED),
+    ],
+)
+def test_sign_kind_tolerance_boundaries(lo, hi, expected):
+    assert sign_kind(lo, hi, 1e-9) is expected
+
+
+def test_set_function_rejects_non_finite_values():
+    f = SetFunction(2, lambda x: math.nan if x.mask == 3 else 1.0, name="broken")
+    assert f(Portfolio(2, 1)) == 1.0
+    with pytest.raises(DomainError, match="broken is nan at portfolio 11"):
+        f(Portfolio.full(2))
+    assert 3 not in f.cache

@@ -16,6 +16,7 @@ from mergerfees.reduced_form import (
     ExponentialCdf,
     PowerCdf,
     ReducedFormMarket,
+    ShoppingCostCdf,
     StepCdf,
     TableCdf,
     gross_relations,
@@ -382,6 +383,25 @@ def test_gross_relations_n12_from_sampler():
     got = gross_relations(market)
     assert got == brute_force_gross(market)
     assert got["overall"] == GrossKind.STRICT_GROSS_COMPLEMENTS.value
+
+
+class FallingTraffic(ShoppingCostCdf):
+    """Not a CDF: traffic falls as the portfolio's surplus grows."""
+
+    family = "falling"
+
+    def __call__(self, s):
+        return math.exp(-max(s, 0.0))
+
+    def params(self):
+        return {}
+
+
+def test_gross_relations_all_substitutes_overall():
+    # the overall verdict is the kind every pair shares, substitutes included
+    got = gross_relations(ReducedFormMarket((1.0, 2.0, 0.5), (1.0, 1.0, 1.0), FallingTraffic()))
+    assert set(got["pairs"].values()) == {GrossKind.STRICT_GROSS_SUBSTITUTES.value}
+    assert got["overall"] == GrossKind.STRICT_GROSS_SUBSTITUTES.value
 
 
 # ---------------------------------------------------------------------------

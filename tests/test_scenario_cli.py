@@ -233,6 +233,46 @@ def test_cli_analyze_numerical_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "model,code,message",
+    [
+        # demand and its Jacobian solve with B
+        ({"kind": "linear", "a": [1.0, 1.0], "B": [[1.0, 1.0], [1.0, 1.0]]}, 2, "error: model: "),
+        # every portfolio profit overflows to a non-finite value
+        (
+            {
+                "kind": "reduced_form",
+                "v": [1e308, 1e308, 1e308],
+                "pi": [1e308, 1e308, 1e308],
+                "cdf": {"family": "exponential", "lam": 1.0},
+            },
+            3,
+            "numerical failure: ",
+        ),
+    ],
+)
+def test_cli_degenerate_model_ends_with_documented_exit_code(tmp_path, capsys, model, code, message):
+    raw = reduced_scenario()
+    raw["model"] = model
+    path = write_scenario(tmp_path, raw)
+    assert main(["analyze", path, "--shapley"]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_cli_sweep_records_non_finite_profit_as_numerical(tmp_path, capsys):
+    raw = reduced_scenario()
+    raw["model"].update(v=[1e308] * 3, pi=[1e308] * 3)
+    path = write_scenario(tmp_path, raw)
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", path, "--range", "model.cdf.lam=0.5:1.0:2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["error"][:11] for row in rows] == ["numerical: "] * 2
+    assert all("portfolio 111" in row["error"] for row in rows)
+
+
+@pytest.mark.parametrize(
     "bargaining,field",
     [
         ({"merging_pair": [1, 4]}, "bargaining.merging_pair"),
