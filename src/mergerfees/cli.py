@@ -2,7 +2,6 @@
 
 Exit codes: 0 success (optimizer degeneracy downgrades to a warning),
 2 validation error, 3 numerical failure, 1 failed verification rows.
-Set MERGERFEES_MAX_WORKERS to cap sweep parallelism.
 """
 
 from __future__ import annotations
@@ -11,9 +10,8 @@ import argparse
 import ast
 import copy
 import itertools
-import os
+import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -31,16 +29,6 @@ EXIT_OK = 0
 EXIT_ROWS_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("MERGERFEES_MAX_WORKERS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            print(f"ignoring invalid MERGERFEES_MAX_WORKERS={raw!r}", file=sys.stderr)
-    return min(os.cpu_count() or 1, 8)
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -171,7 +159,7 @@ def _sweep_node(template: dict, assignment: dict[str, float], seed: int) -> dict
             "t_post": report["fees"]["t_post"],
             "second_difference": report["profit_relation"]["second_difference"],
             "verdict": report["profit_relation"]["kind"],
-            "gross": report["gross_relations"]["overall"] if report["gross_relations"] else None,
+            "gross": report["gross_relations"]["overall"],
             "warnings": report["diagnostics"]["warnings"],
         }
     )
@@ -179,16 +167,14 @@ def _sweep_node(template: dict, assignment: dict[str, float], seed: int) -> dict
 
 
 def cmd_sweep(args) -> int:
-    import json as _json
-
     try:
         with open(args.template, "r", encoding="utf-8") as fh:
-            template = _json.load(fh)
+            template = json.load(fh)
     except FileNotFoundError:
         raise ScenarioError(f"template file not found: {args.template}")
-    except _json.JSONDecodeError as exc:
+    except json.JSONDecodeError as exc:
         raise ScenarioError(f"{args.template}: not valid JSON ({exc})")
-    parse_scenario(copy.deepcopy(template))  # validate before fanning out
+    parse_scenario(copy.deepcopy(template))  # validate before the first node
 
     ranges = [parse_range(spec) for spec in args.range]
     if not ranges:
@@ -204,12 +190,7 @@ def cmd_sweep(args) -> int:
         {k: float(v) for k, v in zip(keys, node)} for node in itertools.product(*grids)
     ]
 
-    workers = _max_workers()
-    if workers > 1 and total > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda a: _sweep_node(template, a, args.seed), assignments))
-    else:
-        rows = [_sweep_node(template, a, args.seed) for a in assignments]
+    rows = [_sweep_node(template, a, args.seed) for a in assignments]
 
     predicate = compile_predicate(args.predicate) if args.predicate else None
     matches = 0

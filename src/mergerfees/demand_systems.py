@@ -209,11 +209,20 @@ class DemandModel:
         raise ConvergenceError(f"inversion did not converge: residual {norm:.3e}")
 
 
-def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+def _fd_jacobian(
+    fn: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    step: float = FD_STEP,
+    coords: Sequence[int] | None = None,
+) -> np.ndarray:
+    """Central-difference Jacobian of fn at x, one column per coordinate in ``coords``.
+
+    All coordinates when ``coords`` is None; a scalar fn gives one row.
+    """
     n = len(x)
     cols = []
-    for k in range(n):
-        h = FD_STEP * max(1.0, abs(x[k]))
+    for k in range(n) if coords is None else coords:
+        h = step * max(1.0, abs(x[k]))
         e = np.zeros(n)
         e[k] = h
         cols.append((np.asarray(fn(x + e)) - np.asarray(fn(x - e))) / (2 * h))

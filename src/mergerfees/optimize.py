@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .demand_systems import DemandModel, GrossRelationReport, gross_relation
+from .demand_systems import DemandModel, GrossRelationReport, _fd_jacobian, gross_relation
 from .errors import ConvergenceError, DomainError
 from .portfolios import Portfolio, SetFunction, second_difference
 
@@ -151,20 +151,10 @@ def _polish(
             if not (z[a] <= lb[a] + 1e-10 and g[a] <= 0)
             and not (z[a] >= ub[a] - 1e-10 and g[a] >= 0)
         ]
-        hess = np.zeros((len(free), len(free)))
-        for col, a in enumerate(free):
-            h = 1e-6 * max(1.0, abs(z[a]))
-            zp, zm = z.copy(), z.copy()
-            zp[a] += h
-            zm[a] -= h
-            try:
-                gp, gm = gradient(zp), gradient(zm)
-            except _EVAL_ERRORS:
-                return z, fz, False
-            hess[:, col] = (gp[free] - gm[free]) / (2 * h)
         try:
+            hess = _fd_jacobian(gradient, z, 1e-6, free)[free]
             step = np.linalg.solve(hess, -g[free])
-        except np.linalg.LinAlgError:
+        except _EVAL_ERRORS:
             return z, fz, False
         if not np.isfinite(step).all():
             return z, fz, False
@@ -340,14 +330,7 @@ def partial_max(
         except (DomainError, np.linalg.LinAlgError):
             # price Jacobian can be singular at boundary anchors (e.g. both
             # fixed quantities zero); the value is still smooth in w
-            g = np.zeros(m)
-            for k in range(m):
-                h = 1e-6 * max(1.0, abs(w[k]))
-                wp, wm = w.copy(), w.copy()
-                wp[k] += h
-                wm[k] -= h
-                g[k] = (value_of(wp) - value_of(wm)) / (2 * h)
-            return g
+            return _fd_jacobian(value_of, w, 1e-6)[0]
 
     choke = np.maximum(np.abs(model.choke_quantities()[[i - 1 for i in carried]]), 1.0)
     rng = np.random.default_rng(cfg.seed)

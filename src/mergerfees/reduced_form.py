@@ -326,8 +326,9 @@ class ReducedFormMarket:
         per portfolio: every entry is the float ``demand`` returns.
         """
         surplus = np.zeros(1 << self.n)
-        for k, v_k in enumerate(self.v):
-            surplus[1 << k : 2 << k] = surplus[: 1 << k] + v_k
+        with np.errstate(over="ignore"):  # an infinite surplus ends as a non-finite profit
+            for k, v_k in enumerate(self.v):
+                surplus[1 << k : 2 << k] = surplus[: 1 << k] + v_k
         return np.array([self.cdf(s) for s in surplus.tolist()])
 
     def consumer_utility(self, x: Portfolio, xi: float) -> float:

@@ -35,7 +35,7 @@ from .demand_systems import (
 )
 from .errors import ScenarioError
 from .optimize import OptimizerConfig, OptStatus, profit_oracle
-from .portfolios import DEFAULT_TOLERANCE, classify_pair
+from .portfolios import DEFAULT_TOLERANCE, MAX_PRODUCTS, classify_pair
 from .reduced_form import (
     AffineClampedCdf,
     ExponentialCdf,
@@ -105,7 +105,13 @@ def _expect_mapping(obj: Any, path: str) -> dict:
 def _expect_number(obj: Any, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ScenarioError(f"{path}: expected a number, got {type(obj).__name__}")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioError(f"{path}: expected a finite number, got {value}")
+    return value
 
 def _expect_int(obj: Any, path: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
@@ -146,9 +152,14 @@ def _build_cdf(spec: Any, path: str) -> ShoppingCostCdf:
             )
         if family == "table":
             points = _expect_matrix(spec["points"], f"{path}.points")
+            for k, row in enumerate(points):
+                if len(row) != 2:
+                    raise ScenarioError(f"{path}.points[{k}]: expected an [s, G] pair")
             return TableCdf([(row[0], row[1]) for row in points])
     except KeyError as exc:
         raise ScenarioError(f"{path}.{exc.args[0]}: missing required field") from exc
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     raise ScenarioError(
@@ -245,6 +256,9 @@ def parse_scenario(obj: Any) -> Scenario:
         groups = bargaining["ownership"]
         if not isinstance(groups, (list, tuple)):
             raise ScenarioError("bargaining.ownership: expected an array of groups")
+        for k, g in enumerate(groups):
+            if not isinstance(g, (list, tuple)):
+                raise ScenarioError(f"bargaining.ownership[{k}]: expected an array of products")
         ownership = tuple(
             tuple(_expect_int(i, f"bargaining.ownership[{k}][{m}]") for m, i in enumerate(g))
             for k, g in enumerate(groups)
@@ -256,6 +270,9 @@ def parse_scenario(obj: Any) -> Scenario:
         unknown = set(optimizer) - allowed
         if unknown:
             raise ScenarioError(f"optimizer.{sorted(unknown)[0]}: unknown option")
+        for name, value in optimizer.items():
+            expect = _expect_int if name in ("max_iter", "multistart") else _expect_number
+            expect(value, f"optimizer.{name}")
     region = None
     if "region" in obj and obj["region"] is not None:
         region = _expect_mapping(obj["region"], "region")
@@ -267,6 +284,8 @@ def parse_scenario(obj: Any) -> Scenario:
             "resolution": _expect_int(region.get("resolution", 9), "region.resolution"),
         }
     built = build_market_or_model(model)  # validates the model block eagerly
+    if built.n > MAX_PRODUCTS:
+        raise ScenarioError(f"model: {built.n} products, above the limit of {MAX_PRODUCTS}")
     scenario = Scenario(version, model, beta, pair, ownership, optimizer, region, built)
     if region is not None and len(region["lower"]) != built.n:
         raise ScenarioError(
@@ -360,11 +379,7 @@ def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = Fals
         optimizer_diag = None
     else:
         oracle = profit_oracle(model, cfg, statuses)
-        try:
-            region = scenario.evaluation_region()
-            gross = gross_relation(model, region).describe()
-        except NotImplementedError:
-            gross = None
+        gross = gross_relation(model, scenario.evaluation_region()).describe()
         optimizer_diag = {"config": asdict(cfg)}
 
     env = BargainingEnv(scenario.beta, scenario.ownership_structure(n), oracle)
@@ -396,8 +411,7 @@ def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = Fals
             )
         if stuck:
             warnings.append("optimizer hit max iterations at portfolios: " + ", ".join(stuck))
-        if optimizer_diag is not None:
-            optimizer_diag["statuses"] = dict(sorted(statuses.items()))
+        optimizer_diag["statuses"] = dict(sorted(statuses.items()))
 
     if abs(report_m.sign_identity_residual) > 1e-9:
         warnings.append(
@@ -461,10 +475,9 @@ def render_human(report: dict) -> str:
     model = report["model_summary"]
     pair = report["profit_relation"]["pair"]
     lines.append(f"model: {model['kind']} (n={model['n']})")
-    if report["gross_relations"]:
-        lines.append(f"gross relations: {report['gross_relations']['overall']}")
-        for key, kind in sorted(report["gross_relations"]["pairs"].items()):
-            lines.append(f"  pair {key}: {kind}")
+    lines.append(f"gross relations: {report['gross_relations']['overall']}")
+    for key, kind in sorted(report["gross_relations"]["pairs"].items()):
+        lines.append(f"  pair {key}: {kind}")
     pr = report["profit_relation"]
     lines.append(
         f"merging pair {pair}: {pr['kind']} in profits at rest {pr['rest']} "

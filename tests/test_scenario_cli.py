@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -248,6 +249,20 @@ def test_cli_analyze_numerical_exit_code(tmp_path, capsys):
             3,
             "numerical failure: ",
         ),
+        # more products than a 2^n portfolio table allows
+        (dict(reduced_scenario()["model"], v=[1.0] * 30, pi=[1.0] * 30), 2, "error: model: 30 products"),
+        ({"kind": "linear", "a": [1.0] * 25, "B": np.eye(25).tolist()}, 2, "error: model: 25 products"),
+        # a table row that is not an [s, G] pair
+        (
+            dict(reduced_scenario()["model"], cdf={"family": "table", "points": [[0.0], [1.0, 1.0]]}),
+            2,
+            "error: model.cdf.points[0]: ",
+        ),
+        # Python's json reads NaN and Infinity, and integers of any size
+        *[
+            (dict(reduced_scenario()["model"], v=[x, 1.0, 1.0]), 2, "error: model.v[0]: expected a finite")
+            for x in (math.nan, math.inf, -math.inf, 10**400)
+        ],
     ],
 )
 def test_cli_degenerate_model_ends_with_documented_exit_code(tmp_path, capsys, model, code, message):
@@ -280,6 +295,7 @@ def test_cli_sweep_records_non_finite_profit_as_numerical(tmp_path, capsys):
         ({"merging_pair": [1, 2], "ownership": [[1, 3], [2]]}, "bargaining.ownership"),
         ({"merging_pair": [1, 2], "ownership": [[1], [2]]}, "bargaining.ownership"),
         ({"merging_pair": [1, 2], "ownership": [[1], [2], [3, 4]]}, "bargaining.ownership"),
+        ({"merging_pair": [1, 2], "ownership": [1, 2, 3]}, "bargaining.ownership[0]"),
     ],
 )
 def test_cli_bad_merging_pair_fails_before_analysis(tmp_path, capsys, monkeypatch, bargaining, field):
@@ -315,6 +331,23 @@ def test_cli_invalid_optimizer_option_is_validation_error(tmp_path, capsys, opti
     err = capsys.readouterr().err
     assert err.startswith("error: optimizer:")
     assert field in err
+
+
+@pytest.mark.parametrize(
+    "options,field",
+    [
+        ({"max_iter": 2.5}, "optimizer.max_iter"),
+        ({"max_iter": "5"}, "optimizer.max_iter"),
+        ({"multistart": True}, "optimizer.multistart"),
+        ({"gradient_tol": "1e-9"}, "optimizer.gradient_tol"),
+    ],
+)
+def test_cli_optimizer_option_of_wrong_type_names_the_field(tmp_path, capsys, options, field):
+    raw = eq7_scenario()
+    raw["optimizer"] = options
+    path = write_scenario(tmp_path, raw)
+    assert main(["analyze", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {field}: expected ")
 
 
 def test_cli_reproduce_all_suites_pass(capsys):
@@ -388,16 +421,21 @@ def test_cli_sweep_max_nodes_cap(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_sweep_output_independent_of_worker_count(tmp_path, monkeypatch, capsys):
+def test_cli_sweep_output_repeatable_in_range_order(tmp_path, capsys):
     path = write_scenario(tmp_path, eq7_scenario())
+    ranges = ["--range", "model.b=0:0.1:2", "--range", "model.gamma=-0.4:0.4:2"]
     outputs = []
-    for workers in ("1", "4"):
-        monkeypatch.setenv("MERGERFEES_MAX_WORKERS", workers)
-        out = tmp_path / f"sweep_{workers}.json"
-        assert main(["sweep", path, "--range", "model.gamma=-0.4:0.4:4", "--out", str(out)]) == 0
+    for run in (1, 2):
+        out = tmp_path / f"sweep_{run}.json"
+        assert main(["sweep", path, *ranges, "--out", str(out)]) == 0
         capsys.readouterr()
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+    rows = json.loads(outputs[0])["rows"]
+    order = itertools.product(np.linspace(0, 0.1, 2), np.linspace(-0.4, 0.4, 2))
+    assert [row["params"] for row in rows] == [
+        {"model.b": float(b), "model.gamma": float(g)} for b, g in order
+    ]
 
 
 def test_parse_range():
