@@ -11,10 +11,12 @@ import ast
 import copy
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
 
+from .bargaining import MAX_SHAPLEY_PLAYERS
 from .errors import ConvergenceError, DomainError, ScenarioError
 from .reproduce import SUITES, run_suite
 from .scenario import (
@@ -39,6 +41,9 @@ def _write_out(text: str, path: str | None) -> None:
 
 def cmd_analyze(args) -> int:
     scenario = load_scenario(args.file)
+    firms, limit = len(scenario.ownership.firms), MAX_SHAPLEY_PLAYERS - 1
+    if args.shapley and firms > limit:
+        raise ScenarioError(f"--shapley: {firms} firms exceed the exact-enumeration limit ({limit})")
     report = run_analysis(scenario, seed=args.seed, include_shapley=args.shapley)
     text = canonical_json(report)
     _write_out(text, args.out)
@@ -110,8 +115,8 @@ def compile_predicate(expr: str):
     return evaluate
 
 
-def parse_range(spec: str) -> tuple[str, np.ndarray]:
-    """Parse key=a:b:n into (dotted key, n evenly spaced values)."""
+def _range_parts(spec: str) -> tuple[str, float, float, int]:
+    """Parse key=a:b:n into (dotted key, a, b, n)."""
     if "=" not in spec:
         raise ScenarioError(f"range {spec!r}: expected key=a:b:n")
     key, _, rhs = spec.partition("=")
@@ -124,8 +129,13 @@ def parse_range(spec: str) -> tuple[str, np.ndarray]:
         raise ScenarioError(f"range {spec!r}: {exc}") from exc
     if n < 1:
         raise ScenarioError(f"range {spec!r}: need at least one point")
-    values = np.array([a]) if n == 1 else np.linspace(a, b, n)
-    return key.strip(), values
+    return key.strip(), a, b, n
+
+
+def parse_range(spec: str) -> tuple[str, np.ndarray]:
+    """Parse key=a:b:n into (dotted key, n evenly spaced values)."""
+    key, a, b, n = _range_parts(spec)
+    return key, np.array([a]) if n == 1 else np.linspace(a, b, n)
 
 
 def _set_path(obj: dict, dotted: str, value: float) -> None:
@@ -176,16 +186,17 @@ def cmd_sweep(args) -> int:
         raise ScenarioError(f"{args.template}: not valid JSON ({exc})")
     parse_scenario(copy.deepcopy(template))  # validate before the first node
 
-    ranges = [parse_range(spec) for spec in args.range]
-    if not ranges:
+    if not args.range:
         raise ScenarioError("sweep needs at least one --range")
-    grids = [vals for _, vals in ranges]
-    keys = [key for key, _ in ranges]
-    total = int(np.prod([len(g) for g in grids]))
+    # count the nodes before any grid is built: one range may ask for 10^13 points
+    total = math.prod(_range_parts(spec)[3] for spec in args.range)
     if total > args.max_nodes:
         raise ScenarioError(
             f"sweep would evaluate {total} nodes, above the --max-nodes cap {args.max_nodes}"
         )
+    ranges = [parse_range(spec) for spec in args.range]
+    grids = [vals for _, vals in ranges]
+    keys = [key for key, _ in ranges]
     assignments = [
         {k: float(v) for k, v in zip(keys, node)} for node in itertools.product(*grids)
     ]

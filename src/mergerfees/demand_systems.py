@@ -108,7 +108,7 @@ class DemandModel:
     def demand(self, p: Sequence[float]) -> np.ndarray:
         """Quantities at prices p; numeric inversion of P unless overridden."""
         p = _as_vector(p, self.n, "p")
-        return self._invert(self.inverse_demand, p, start=self._demand_start(p))
+        return self._invert(self.inverse_demand, p, start=np.ones(self.n))
 
     def inverse_demand(self, q: Sequence[float]) -> np.ndarray:
         raise NotImplementedError
@@ -161,9 +161,6 @@ class DemandModel:
         return {"kind": self.kind, "n": self.n, "costs": self.costs.tolist()}
 
     # -- helpers ------------------------------------------------------------
-
-    def _demand_start(self, p: np.ndarray) -> np.ndarray:
-        return np.ones(self.n)
 
     def _invert(
         self,
@@ -714,20 +711,10 @@ class CustomDemand(DemandModel):
 
 
 @dataclass(frozen=True)
-class GrossSample:
-    node: tuple[float, ...]
-    i: int
-    j: int
-    value: float
-
-
-@dataclass(frozen=True)
 class PairGrossRelation:
     i: int
     j: int
     kind: GrossKind
-    most_negative: GrossSample
-    most_positive: GrossSample
 
 
 @dataclass(frozen=True)
@@ -769,33 +756,27 @@ def gross_relation(
         region = model.default_price_region()
     if region.dim != model.n:
         raise ValueError(f"region dimension {region.dim} != product count {model.n}")
-    samples: dict[tuple[int, int], list[GrossSample]] = {
-        (i, j): []
-        for i, j in itertools.combinations(range(1, model.n + 1), 2)
-    }
+    jacobians = []
     failures: list[str] = []
     for node in region.nodes():
         try:
-            jac = model.demand_jacobian(node)
+            jacobians.append(model.demand_jacobian(node))
         except (DomainError, ConvergenceError) as exc:
             failures.append(f"node {tuple(round(float(x), 6) for x in node)}: {exc}")
-            continue
-        coords = tuple(float(x) for x in node)
-        for (i, j), acc in samples.items():
-            acc.append(GrossSample(coords, i, j, float(jac[i - 1, j - 1])))
-            acc.append(GrossSample(coords, j, i, float(jac[j - 1, i - 1])))
+    if not jacobians:
+        raise ConvergenceError(
+            "no usable grid node for gross classification; failures: "
+            + "; ".join(failures[:3])
+        )
+    slopes = np.array(jacobians, dtype=float)
     pairs = {}
-    for key, acc in samples.items():
-        if not acc:
-            raise ConvergenceError(
-                "no usable grid node for gross classification; failures: "
-                + "; ".join(failures[:3])
-            )
-        hi = max(acc, key=lambda s: s.value)
-        lo = min(acc, key=lambda s: s.value)
+    for i, j in itertools.combinations(range(model.n), 2):
+        # dD_i/dp_j then dD_j/dp_i, node by node; unlike numpy's, the builtin
+        # min and max pass over a NaN that is not the first value
+        values = np.stack((slopes[:, i, j], slopes[:, j, i]), axis=1).ravel().tolist()
         # a negative cross-price slope means complements, so the slopes enter negated
-        kind = GROSS_KIND[sign_kind(-hi.value, -lo.value, tolerance)]
-        pairs[key] = PairGrossRelation(key[0], key[1], kind, lo, hi)
+        kind = GROSS_KIND[sign_kind(-max(values), -min(values), tolerance)]
+        pairs[(i + 1, j + 1)] = PairGrossRelation(i + 1, j + 1, kind)
     overall = overall_gross_kind(rel.kind for rel in pairs.values())
     return GrossRelationReport(pairs, overall, tolerance, region, tuple(failures))
 

@@ -197,7 +197,7 @@ def max_profit(
     obj = _PortfolioObjective(model, carried)
     k = len(carried)
     choke = np.maximum(np.abs(model.choke_quantities()[obj.idx]), 1.0)
-    floor = cfg.floor if getattr(model, "singular_at_zero", False) else 0.0
+    floor = cfg.floor if model.singular_at_zero else 0.0
     lb = np.full(k, floor)
     ub = 10.0 * choke
     rng = np.random.default_rng(cfg.seed)

@@ -280,10 +280,6 @@ class PairRelation:
     most_positive: Witness
     most_negative: Witness
 
-    @property
-    def values(self) -> tuple[float, ...]:
-        return tuple(w.value for w in self.witnesses)
-
 
 def classify_pair(
     f: SetFunction, i: int, j: int, tolerance: float = DEFAULT_TOLERANCE

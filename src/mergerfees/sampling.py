@@ -129,15 +129,3 @@ def eq7_sampler(
         return Eq7Demand(rng.uniform(*b_range), rng.uniform(*gamma_range))
 
     return make
-
-
-def linear_complements_sampler(
-    n_choices: tuple[int, ...] = (3, 4)
-) -> Callable[[np.random.Generator], LinearDemand]:
-    """Sampler over strict-gross-complement linear systems of random size."""
-
-    def make(rng: np.random.Generator) -> LinearDemand:
-        n = int(rng.choice(n_choices))
-        return random_linear_demand(rng, n, "complements")
-
-    return make

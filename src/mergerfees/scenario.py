@@ -48,7 +48,20 @@ from .reduced_form import (
 )
 
 SCHEMA_VERSION = 1
-MODEL_KINDS = ("reduced_form", "linear", "eq7", "appendix_b", "one_stop")
+MODEL_FIELDS = {
+    "reduced_form": ("v", "pi", "cdf"),
+    "linear": ("a", "B", "costs"),
+    "eq7": ("b", "gamma"),
+    "appendix_b": ("b", "gamma", "alpha"),
+    "one_stop": ("alpha", "beta", "cdf", "costs"),
+}
+CDF_FIELDS = {
+    "affine": ("a", "b"),
+    "exponential": ("lam",),
+    "power": ("k", "s_bar"),
+    "step": ("thresholds", "weights"),
+    "table": ("points",),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +115,13 @@ def _expect_mapping(obj: Any, path: str) -> dict:
         raise ScenarioError(f"{path}: expected an object, got {type(obj).__name__}")
     return dict(obj)
 
+def _reject_unknown(obj: dict, allowed: tuple[str, ...], prefix: str) -> None:
+    unknown = sorted(set(obj).difference(allowed))
+    if unknown:
+        raise ScenarioError(
+            f"{prefix}{unknown[0]}: unknown field; expected one of {', '.join(allowed)}"
+        )
+
 def _expect_number(obj: Any, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ScenarioError(f"{path}: expected a number, got {type(obj).__name__}")
@@ -132,6 +152,12 @@ def _expect_matrix(obj: Any, path: str) -> list[list[float]]:
 def _build_cdf(spec: Any, path: str) -> ShoppingCostCdf:
     spec = _expect_mapping(spec, path)
     family = spec.get("family")
+    if not isinstance(family, str) or family not in CDF_FIELDS:
+        raise ScenarioError(
+            f"{path}.family: unknown CDF family {family!r}; "
+            f"expected one of {', '.join(CDF_FIELDS)}"
+        )
+    _reject_unknown(spec, ("family",) + CDF_FIELDS[family], f"{path}.")
     try:
         if family == "affine":
             return AffineClampedCdf(
@@ -162,71 +188,24 @@ def _build_cdf(spec: Any, path: str) -> ShoppingCostCdf:
         raise
     except ValueError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
-    raise ScenarioError(
-        f"{path}.family: unknown CDF family {family!r}; "
-        "expected one of affine, exponential, power, step, table"
-    )
 
 
 @dataclass(frozen=True)
 class Scenario:
-    schema_version: int
-    model: dict
+    """A validated scenario: every object an analysis reads, built once."""
+
+    echo: dict
     beta: float
     merging_pair: tuple[int, int]
-    ownership: tuple[tuple[int, ...], ...] | None
-    optimizer: dict | None
-    region: dict | None
+    ownership: OwnershipStructure
+    optimizer: OptimizerConfig
+    region: EvaluationRegion | None
     built: ReducedFormMarket | DemandModel = field(compare=False, repr=False)
-
-    def echo(self) -> dict:
-        out: dict[str, Any] = {
-            "schema_version": self.schema_version,
-            "model": self.model,
-            "bargaining": {
-                "beta": self.beta,
-                "merging_pair": list(self.merging_pair),
-            },
-        }
-        if self.ownership is not None:
-            out["bargaining"]["ownership"] = [list(g) for g in self.ownership]
-        if self.optimizer is not None:
-            out["optimizer"] = self.optimizer
-        if self.region is not None:
-            out["region"] = self.region
-        return out
-
-    def optimizer_config(self, seed: int) -> OptimizerConfig:
-        base = {"seed": seed}
-        if self.optimizer:
-            base.update(self.optimizer)
-        try:
-            return OptimizerConfig(**base)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"optimizer: {exc}") from exc
-
-    def ownership_structure(self, n: int) -> OwnershipStructure:
-        if self.ownership is None:
-            return OwnershipStructure.singletons(n)
-        try:
-            return OwnershipStructure.from_groups(n, self.ownership)
-        except (IndexError, ValueError) as exc:
-            raise ScenarioError(f"bargaining.ownership: {exc}") from exc
-
-    def evaluation_region(self) -> EvaluationRegion | None:
-        if self.region is None:
-            return None
-        spec = self.region
-        try:
-            return EvaluationRegion(
-                tuple(spec["lower"]), tuple(spec["upper"]), spec.get("resolution", 9)
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"region: {exc}") from exc
 
 
 def parse_scenario(obj: Any) -> Scenario:
     obj = _expect_mapping(obj, "scenario")
+    _reject_unknown(obj, ("schema_version", "model", "bargaining", "optimizer", "region"), "")
     version = _expect_int(obj.get("schema_version", 0), "schema_version")
     if version != SCHEMA_VERSION:
         raise ScenarioError(
@@ -234,11 +213,13 @@ def parse_scenario(obj: Any) -> Scenario:
         )
     model = _expect_mapping(obj.get("model"), "model")
     kind = model.get("kind")
-    if kind not in MODEL_KINDS:
+    if not isinstance(kind, str) or kind not in MODEL_FIELDS:
         raise ScenarioError(
-            f"model.kind: unknown variant {kind!r}; expected one of {', '.join(MODEL_KINDS)}"
+            f"model.kind: unknown variant {kind!r}; expected one of {', '.join(MODEL_FIELDS)}"
         )
+    _reject_unknown(model, ("kind",) + MODEL_FIELDS[kind], "model.")
     bargaining = _expect_mapping(obj.get("bargaining"), "bargaining")
+    _reject_unknown(bargaining, ("beta", "merging_pair", "ownership"), "bargaining.")
     beta = _expect_number(bargaining.get("beta"), "bargaining.beta")
     if not 0 < beta < 1:
         raise ScenarioError(f"bargaining.beta: must be in (0, 1), got {beta}")
@@ -251,59 +232,82 @@ def parse_scenario(obj: Any) -> Scenario:
     )
     if pair[0] == pair[1]:
         raise ScenarioError("bargaining.merging_pair: indices must be distinct")
-    ownership = None
-    if "ownership" in bargaining and bargaining["ownership"] is not None:
-        groups = bargaining["ownership"]
-        if not isinstance(groups, (list, tuple)):
+    echo: dict[str, Any] = {
+        "schema_version": version,
+        "model": model,
+        "bargaining": {"beta": beta, "merging_pair": list(pair)},
+    }
+    groups = None
+    if bargaining.get("ownership") is not None:
+        raw_groups = bargaining["ownership"]
+        if not isinstance(raw_groups, (list, tuple)):
             raise ScenarioError("bargaining.ownership: expected an array of groups")
-        for k, g in enumerate(groups):
+        for k, g in enumerate(raw_groups):
             if not isinstance(g, (list, tuple)):
                 raise ScenarioError(f"bargaining.ownership[{k}]: expected an array of products")
-        ownership = tuple(
-            tuple(_expect_int(i, f"bargaining.ownership[{k}][{m}]") for m, i in enumerate(g))
-            for k, g in enumerate(groups)
-        )
-    optimizer = None
-    if "optimizer" in obj and obj["optimizer"] is not None:
+        groups = [
+            [_expect_int(i, f"bargaining.ownership[{k}][{m}]") for m, i in enumerate(g)]
+            for k, g in enumerate(raw_groups)
+        ]
+        echo["bargaining"]["ownership"] = groups
+    optimizer = {}
+    if obj.get("optimizer") is not None:
         optimizer = _expect_mapping(obj["optimizer"], "optimizer")
-        allowed = {"gradient_tol", "max_iter", "multistart", "floor", "value_gap"}
-        unknown = set(optimizer) - allowed
-        if unknown:
-            raise ScenarioError(f"optimizer.{sorted(unknown)[0]}: unknown option")
+        _reject_unknown(
+            optimizer, ("gradient_tol", "max_iter", "multistart", "floor", "value_gap"), "optimizer."
+        )
         for name, value in optimizer.items():
             expect = _expect_int if name in ("max_iter", "multistart") else _expect_number
             expect(value, f"optimizer.{name}")
-    region = None
-    if "region" in obj and obj["region"] is not None:
-        region = _expect_mapping(obj["region"], "region")
-        if "lower" not in region or "upper" not in region:
+        echo["optimizer"] = optimizer
+    region_spec = None
+    if obj.get("region") is not None:
+        region_spec = _expect_mapping(obj["region"], "region")
+        _reject_unknown(region_spec, ("lower", "upper", "resolution"), "region.")
+        if "lower" not in region_spec or "upper" not in region_spec:
             raise ScenarioError("region: needs lower and upper arrays")
-        region = {
-            "lower": _expect_vector(region["lower"], "region.lower"),
-            "upper": _expect_vector(region["upper"], "region.upper"),
-            "resolution": _expect_int(region.get("resolution", 9), "region.resolution"),
+        region_spec = {
+            "lower": _expect_vector(region_spec["lower"], "region.lower"),
+            "upper": _expect_vector(region_spec["upper"], "region.upper"),
+            "resolution": _expect_int(region_spec.get("resolution", 9), "region.resolution"),
         }
+        echo["region"] = region_spec
     built = build_market_or_model(model)  # validates the model block eagerly
-    if built.n > MAX_PRODUCTS:
-        raise ScenarioError(f"model: {built.n} products, above the limit of {MAX_PRODUCTS}")
-    scenario = Scenario(version, model, beta, pair, ownership, optimizer, region, built)
-    if region is not None and len(region["lower"]) != built.n:
-        raise ScenarioError(
-            f"region.lower: expected {built.n} entries for this model, "
-            f"got {len(region['lower'])}"
+    n = built.n
+    if n > MAX_PRODUCTS:
+        raise ScenarioError(f"model: {n} products, above the limit of {MAX_PRODUCTS}")
+    region = None
+    if region_spec is not None:
+        if len(region_spec["lower"]) != n:
+            raise ScenarioError(
+                f"region.lower: expected {n} entries for this model, "
+                f"got {len(region_spec['lower'])}"
+            )
+        try:
+            region = EvaluationRegion(**region_spec)
+        except ValueError as exc:
+            raise ScenarioError(f"region: {exc}") from exc
+    try:
+        config = OptimizerConfig(**optimizer)
+    except ValueError as exc:
+        raise ScenarioError(f"optimizer: {exc}") from exc
+    try:
+        ownership = (
+            OwnershipStructure.singletons(n)
+            if groups is None
+            else OwnershipStructure.from_groups(n, groups)
         )
-    scenario.evaluation_region()  # bounds and resolution checks
-    scenario.optimizer_config(0)  # option values
-    ownership = scenario.ownership_structure(built.n)
+    except (IndexError, ValueError) as exc:
+        raise ScenarioError(f"bargaining.ownership: {exc}") from exc
     for k in pair:
-        if not 1 <= k <= built.n:
-            raise ScenarioError(f"bargaining.merging_pair: product {k} out of range 1..{built.n}")
+        if not 1 <= k <= n:
+            raise ScenarioError(f"bargaining.merging_pair: product {k} out of range 1..{n}")
         if len(ownership.firm_of(k)) != 1:
             raise ScenarioError(
                 f"bargaining.ownership: product {k} of the merging pair must be a "
                 "single-product firm before the merger"
             )
-    return scenario
+    return Scenario(echo, beta, pair, ownership, config, region, built)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -371,18 +375,18 @@ def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = Fals
     pair = scenario.merging_pair
     warnings: list[str] = []
     statuses: dict[str, str] = {}
-    cfg = scenario.optimizer_config(seed)
 
     if isinstance(model, ReducedFormMarket):
         oracle = model.profit_function()
         gross = gross_relations(model)
         optimizer_diag = None
     else:
+        cfg = scenario.optimizer.with_seed(seed)
         oracle = profit_oracle(model, cfg, statuses)
-        gross = gross_relation(model, scenario.evaluation_region()).describe()
+        gross = gross_relation(model, scenario.region).describe()
         optimizer_diag = {"config": asdict(cfg)}
 
-    env = BargainingEnv(scenario.beta, scenario.ownership_structure(n), oracle)
+    env = BargainingEnv(scenario.beta, scenario.ownership, oracle)
     report_m = merger_report(env, pair)
 
     i, j = pair
@@ -421,7 +425,7 @@ def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = Fals
     report = {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
-        "scenario": scenario.echo(),
+        "scenario": scenario.echo,
         "model_summary": model.describe(),
         "gross_relations": gross,
         "profit_relation": {

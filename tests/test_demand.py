@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,8 @@ from mergerfees.demand_systems import (
     gross_relation,
     inverse_modularity,
 )
-from mergerfees.errors import DomainError
+from mergerfees.errors import ConvergenceError, DomainError
+from mergerfees.portfolios import GROSS_KIND, overall_gross_kind, sign_kind
 from mergerfees.reduced_form import ExponentialCdf, saturated_cdf
 from mergerfees.sampling import random_linear_demand
 
@@ -343,6 +345,106 @@ def test_gross_substitutes_imply_nonpositive_price_cross_slopes():
             jac = model.inverse_jacobian(q)
             off = jac[~np.eye(model.n, dtype=bool)]
             assert np.all(off <= 1e-10)
+
+
+def reference_gross_relation(model, region=None, tolerance=1e-10):
+    """``gross_relation(...).describe()`` by the earlier per-sample scan.
+
+    Every cross-price slope becomes a (node, i, j, value) sample, and each
+    pair's verdict is read off its most negative and most positive sample.
+    """
+    if region is None:
+        region = model.default_price_region()
+    samples = {(i, j): [] for i, j in itertools.combinations(range(1, model.n + 1), 2)}
+    failures = []
+    for node in region.nodes():
+        try:
+            jac = model.demand_jacobian(node)
+        except (DomainError, ConvergenceError) as exc:
+            failures.append(f"node {tuple(round(float(x), 6) for x in node)}: {exc}")
+            continue
+        coords = tuple(float(x) for x in node)
+        for (i, j), acc in samples.items():
+            acc.append((coords, i, j, float(jac[i - 1, j - 1])))
+            acc.append((coords, j, i, float(jac[j - 1, i - 1])))
+    kinds = {}
+    for key, acc in samples.items():
+        if not acc:
+            raise ConvergenceError("no usable grid node for gross classification")
+        hi = max(acc, key=lambda s: s[3])
+        lo = min(acc, key=lambda s: s[3])
+        kinds[key] = GROSS_KIND[sign_kind(-hi[3], -lo[3], tolerance)]
+    return {
+        "overall": overall_gross_kind(kinds.values()).value,
+        "tolerance": tolerance,
+        "pairs": {f"{i},{j}": kind.value for (i, j), kind in sorted(kinds.items())},
+        "failures": failures,
+    }
+
+
+class PatchySlopes(DemandModel):
+    """Three products whose slopes change sign over the grid; some nodes fail.
+
+    The Jacobian raises DomainError above ``cutoff`` in the first price,
+    ConvergenceError at one value of the second, and holds a NaN in one
+    slope where the third is high. The scan skips a NaN that is not its
+    first value, so that pair keeps its strict verdict.
+    """
+
+    kind = "patchy_slopes"
+
+    def __init__(self, cutoff):
+        super().__init__(3)
+        self.cutoff = cutoff
+
+    def demand_jacobian(self, p):
+        if p[0] > self.cutoff:
+            raise DomainError(f"first price {p[0]:.3f} above {self.cutoff}")
+        if p[1] == 0.5:
+            raise ConvergenceError("no root at the middle second price")
+        jac = np.outer(p - 0.45, p[::-1] - 0.35) - np.eye(3)
+        if p[2] > 0.6:
+            jac[0, 2] = math.nan
+        return jac
+
+    def default_price_region(self):
+        return EvaluationRegion((0.1,) * 3, (0.9,) * 3, resolution=5)
+
+
+def _reference_models():
+    rng = np.random.default_rng(20)
+    models = [Eq7Demand(0.0, 0.5), Eq7Demand(0.0, -0.4), Eq7Demand(0.1, -0.5)]
+    models += [Eq7Demand(rng.uniform(-0.1, 0.1), rng.uniform(-0.7, 0.7)) for _ in range(3)]
+    models += [
+        random_linear_demand(rng, n, kind)
+        for n in (2, 3, 4)
+        for kind in ("complements", "substitutes")
+    ]
+    models += [
+        AppendixBDemand(-0.125, -0.8, -1e-4),
+        AppendixBDemand(0.125, 0.3, 0.05),
+        OneStopDemand([1.1, 1.4, 1.9], [1.8, 1.2, 1.9], ExponentialCdf(1.5)),
+        PatchySlopes(0.75),
+    ]
+    return models
+
+
+@pytest.mark.parametrize("model", _reference_models(), ids=lambda m: m.kind)
+def test_gross_relation_matches_per_sample_reference(model):
+    expected = reference_gross_relation(model)
+    assert gross_relation(model).describe() == expected
+    if isinstance(model, PatchySlopes):
+        assert expected["failures"]
+        assert expected["pairs"]["1,2"] == GrossKind.MIXED.value
+        assert expected["pairs"]["1,3"] == GrossKind.STRICT_GROSS_SUBSTITUTES.value
+
+
+def test_gross_relation_without_usable_node_raises_like_reference():
+    model = PatchySlopes(0.0)
+    with pytest.raises(ConvergenceError, match="no usable grid node"):
+        reference_gross_relation(model)
+    with pytest.raises(ConvergenceError, match="no usable grid node"):
+        gross_relation(model)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from mergerfees.optimize import (
     solve_foc_eq7,
 )
 from mergerfees.portfolios import Portfolio, classify_modularity
-from mergerfees.sampling import eq7_sampler, linear_complements_sampler, random_linear_demand
+from mergerfees.sampling import eq7_sampler, random_linear_demand
 
 CFG = OptimizerConfig()
 FAST = OptimizerConfig(multistart=2)

@@ -80,6 +80,11 @@ def test_parse_scenario_happy_path():
         (lambda s: s["bargaining"].update(merging_pair=[1, 1]), "merging_pair"),
         (lambda s: s["bargaining"].update(merging_pair=[1]), "merging_pair"),
         (lambda s: s.update(optimizer={"bogus": 1}), "optimizer.bogus"),
+        (lambda s: s.update(regoin={"lower": [0.1] * 3, "upper": [0.9] * 3}), "regoin"),
+        (
+            lambda s: s.update(region={"lower": [0.1] * 3, "upper": [0.9] * 3, "resolutoin": 3}),
+            "region.resolutoin",
+        ),
     ],
 )
 def test_parse_scenario_errors_carry_field_paths(mutate, path_fragment):
@@ -263,6 +268,13 @@ def test_cli_analyze_numerical_exit_code(tmp_path, capsys):
             (dict(reduced_scenario()["model"], v=[x, 1.0, 1.0]), 2, "error: model.v[0]: expected a finite")
             for x in (math.nan, math.inf, -math.inf, 10**400)
         ],
+        # fields the model kind or CDF family does not read
+        (dict(eq7_scenario()["model"], costs=[0.3, 0.3, 0.3]), 2, "error: model.costs: unknown field"),
+        (
+            dict(reduced_scenario()["model"], cdf={"family": "exponential", "lam": 1.0, "k": 2.0}),
+            2,
+            "error: model.cdf.k: unknown field",
+        ),
     ],
 )
 def test_cli_degenerate_model_ends_with_documented_exit_code(tmp_path, capsys, model, code, message):
@@ -296,6 +308,7 @@ def test_cli_sweep_records_non_finite_profit_as_numerical(tmp_path, capsys):
         ({"merging_pair": [1, 2], "ownership": [[1], [2]]}, "bargaining.ownership"),
         ({"merging_pair": [1, 2], "ownership": [[1], [2], [3, 4]]}, "bargaining.ownership"),
         ({"merging_pair": [1, 2], "ownership": [1, 2, 3]}, "bargaining.ownership[0]"),
+        ({"merging_pair": [1, 2], "ownershp": [[1, 2], [3]]}, "bargaining.ownershp"),
     ],
 )
 def test_cli_bad_merging_pair_fails_before_analysis(tmp_path, capsys, monkeypatch, bargaining, field):
@@ -309,6 +322,25 @@ def test_cli_bad_merging_pair_fails_before_analysis(tmp_path, capsys, monkeypatc
     assert main(["analyze", path, "--shapley"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}:")
+    assert "Traceback" not in err
+
+
+def test_cli_shapley_above_player_limit_fails_before_analysis(tmp_path, capsys, monkeypatch):
+    raw = reduced_scenario()
+    raw["model"].update(v=[1.0] * 12, pi=[1.0] * 12)
+    # eleven firms, the largest exact enumeration, still run
+    raw["bargaining"]["ownership"] = [[k] for k in range(1, 11)] + [[11, 12]]
+    assert main(["analyze", write_scenario(tmp_path, raw), "--shapley"]) == 0
+    capsys.readouterr()
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("analysis ran on an invalid request")
+
+    monkeypatch.setattr("mergerfees.scenario.gross_relations", no_analysis)
+    del raw["bargaining"]["ownership"]
+    assert main(["analyze", write_scenario(tmp_path, raw), "--shapley"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --shapley: 12 firms exceed the exact-enumeration limit (11)")
     assert "Traceback" not in err
 
 
@@ -419,6 +451,22 @@ def test_cli_sweep_max_nodes_cap(tmp_path, capsys):
     code = main(["sweep", path, "--range", "model.gamma=0:0.5:200", "--max-nodes", "10"])
     assert code == 2
     capsys.readouterr()
+    # the count is checked before any grid exists: this one would need 72.8 TiB
+    code = main(["sweep", path, "--range", "model.gamma=0:1:10000000000000", "--max-nodes", "5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep would evaluate 10000000000000 nodes")
+    assert "--max-nodes" in err
+
+
+def test_cli_sweep_unknown_range_key_fails_every_node(tmp_path, capsys):
+    path = write_scenario(tmp_path, eq7_scenario())
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", path, "--range", "model.gama=0:1:3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 3
+    assert all(row["error"].startswith("validation: model.gama: unknown field") for row in rows)
 
 
 def test_cli_sweep_output_repeatable_in_range_order(tmp_path, capsys):
