@@ -10,7 +10,6 @@ import argparse
 import ast
 import copy
 import itertools
-import json
 import math
 import sys
 
@@ -20,6 +19,7 @@ from .bargaining import MAX_SHAPLEY_PLAYERS
 from .errors import ConvergenceError, DomainError, ScenarioError
 from .reproduce import SUITES, run_suite
 from .scenario import (
+    _read_json,
     canonical_json,
     load_scenario,
     parse_scenario,
@@ -34,12 +34,22 @@ EXIT_NUMERICAL = 3
 
 
 def _write_out(text: str, path: str | None) -> None:
-    if path:
+    if not path:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise ScenarioError(f"--out: cannot write {path} ({exc.strerror or exc})") from exc
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ScenarioError(f"--seed: must be >= 0, got {seed}")
 
 
 def cmd_analyze(args) -> int:
+    _check_seed(args.seed)
     scenario = load_scenario(args.file)
     firms, limit = len(scenario.ownership.firms), MAX_SHAPLEY_PLAYERS - 1
     if args.shapley and firms > limit:
@@ -177,13 +187,8 @@ def _sweep_node(template: dict, assignment: dict[str, float], seed: int) -> dict
 
 
 def cmd_sweep(args) -> int:
-    try:
-        with open(args.template, "r", encoding="utf-8") as fh:
-            template = json.load(fh)
-    except FileNotFoundError:
-        raise ScenarioError(f"template file not found: {args.template}")
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{args.template}: not valid JSON ({exc})")
+    _check_seed(args.seed)
+    template = _read_json(args.template, "template")
     parse_scenario(copy.deepcopy(template))  # validate before the first node
 
     if not args.range:

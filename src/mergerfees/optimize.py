@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -30,6 +30,7 @@ from .errors import ConvergenceError, DomainError
 from .portfolios import Portfolio, SetFunction, second_difference
 
 _PENALTY = 1e12
+MAX_MULTISTART = 10_000  # each start is a row of the Latin hypercube drawn up front
 _EVAL_ERRORS = (DomainError, ConvergenceError, np.linalg.LinAlgError)
 
 
@@ -53,8 +54,8 @@ class OptimizerConfig:
             raise ValueError(f"gradient_tol must be positive, got {self.gradient_tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.multistart < 1:
-            raise ValueError(f"multistart must be at least 1, got {self.multistart}")
+        if not 1 <= self.multistart <= MAX_MULTISTART:
+            raise ValueError(f"multistart must be in 1..{MAX_MULTISTART}, got {self.multistart}")
         if not self.floor >= 0:
             raise ValueError(f"floor must be >= 0, got {self.floor}")
         if not self.value_gap >= 0:
@@ -293,24 +294,17 @@ def partial_max(
     model: DemandModel,
     q1: float,
     q2: float,
-    carried: Sequence[int] | None = None,
     cfg: OptimizerConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Profit with q1, q2 held fixed, maximized over the other carried products.
+    """Profit with q1, q2 held fixed, maximized over products 3..n.
 
     The inner maximization is over stationary points (no nonnegativity
     constraint): this is the smooth envelope whose mixed partial carries the
     supermodularity-preservation argument, and it coincides with the
-    portfolio optimum whenever that optimum is interior. With no carried
-    products beyond the pair it is just the two-product profit itself.
+    portfolio optimum whenever that optimum is interior. With n = 2 it is
+    just the two-product profit itself.
     """
-    if carried is None:
-        carried = tuple(range(3, model.n + 1))
-    else:
-        carried = tuple(sorted(set(int(i) for i in carried)))
-        for i in carried:
-            if not 3 <= i <= model.n:
-                raise ValueError(f"inner products must lie in 3..{model.n}, got {i}")
+    carried = tuple(range(3, model.n + 1))
     system = (1, 2) + carried
     obj = _PortfolioObjective(model, system)
 
@@ -362,7 +356,6 @@ def mixed_partial_grid(
     hi: tuple[float, float] = (1.0, 1.0),
     resolution: int = 5,
     step: float = 1e-3,
-    carried: Sequence[int] | None = None,
     cfg: OptimizerConfig = DEFAULT_CONFIG,
 ) -> dict:
     """Finite-difference d2M/dq1 dq2 of the partial maximum on a grid.
@@ -377,7 +370,7 @@ def mixed_partial_grid(
     def m_of(a: float, b: float) -> float:
         key = (round(a, 12), round(b, 12))
         if key not in cache:
-            cache[key] = partial_max(model, a, b, carried=carried, cfg=cfg)
+            cache[key] = partial_max(model, a, b, cfg=cfg)
         return cache[key]
 
     values = np.zeros((resolution, resolution))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -48,20 +48,7 @@ from .reduced_form import (
 )
 
 SCHEMA_VERSION = 1
-MODEL_FIELDS = {
-    "reduced_form": ("v", "pi", "cdf"),
-    "linear": ("a", "B", "costs"),
-    "eq7": ("b", "gamma"),
-    "appendix_b": ("b", "gamma", "alpha"),
-    "one_stop": ("alpha", "beta", "cdf", "costs"),
-}
-CDF_FIELDS = {
-    "affine": ("a", "b"),
-    "exponential": ("lam",),
-    "power": ("k", "s_bar"),
-    "step": ("thresholds", "weights"),
-    "table": ("points",),
-}
+MAX_REGION_NODES = 10**6  # resolution ** n of an explicit region
 
 
 # ---------------------------------------------------------------------------
@@ -148,46 +135,103 @@ def _expect_matrix(obj: Any, path: str) -> list[list[float]]:
         raise ScenarioError(f"{path}: expected a nonempty array of rows")
     return [_expect_vector(row, f"{path}[{k}]") for k, row in enumerate(obj)]
 
+def _expect_ints(obj: Any, path: str, what: str) -> list[int]:
+    if not isinstance(obj, (list, tuple)):
+        raise ScenarioError(f"{path}: expected an array of {what}")
+    return [_expect_int(v, f"{path}[{k}]") for k, v in enumerate(obj)]
 
-def _build_cdf(spec: Any, path: str) -> ShoppingCostCdf:
+def _expect_points(obj: Any, path: str) -> list[list[float]]:
+    points = _expect_matrix(obj, path)
+    for k, row in enumerate(points):
+        if len(row) != 2:
+            raise ScenarioError(f"{path}[{k}]: expected an [s, G] pair")
+    return points
+
+
+@dataclass(frozen=True)
+class Block:
+    """How one scenario block is built: a constructor and a parser per field."""
+
+    build: Callable[..., Any]
+    required: dict[str, Callable[[Any, str], Any]]
+    optional: dict[str, Callable[[Any, str], Any]] = field(default_factory=dict)
+
+
+def _build(spec: Any, path: str, block: Block, tag: tuple[str, ...] = (), **context: Any) -> Any:
+    """``block.build(**context, **fields)`` on the parsed fields of ``spec``.
+
+    Unknown fields are rejected, every present field is parsed (``null``
+    included) and an absent required field is an error.
+    """
     spec = _expect_mapping(spec, path)
-    family = spec.get("family")
-    if not isinstance(family, str) or family not in CDF_FIELDS:
-        raise ScenarioError(
-            f"{path}.family: unknown CDF family {family!r}; "
-            f"expected one of {', '.join(CDF_FIELDS)}"
-        )
-    _reject_unknown(spec, ("family",) + CDF_FIELDS[family], f"{path}.")
+    _reject_unknown(spec, tag + tuple(block.required) + tuple(block.optional), f"{path}.")
+    kwargs = {}
+    for name, parse in (block.required | block.optional).items():
+        if name in spec:
+            kwargs[name] = parse(spec[name], f"{path}.{name}")
+        elif name in block.required:
+            raise ScenarioError(f"{path}.{name}: missing required field")
     try:
-        if family == "affine":
-            return AffineClampedCdf(
-                _expect_number(spec["a"], f"{path}.a"), _expect_number(spec["b"], f"{path}.b")
-            )
-        if family == "exponential":
-            return ExponentialCdf(_expect_number(spec["lam"], f"{path}.lam"))
-        if family == "power":
-            return PowerCdf(
-                _expect_number(spec["k"], f"{path}.k"),
-                _expect_number(spec["s_bar"], f"{path}.s_bar"),
-            )
-        if family == "step":
-            weights = spec.get("weights")
-            return StepCdf(
-                _expect_vector(spec["thresholds"], f"{path}.thresholds"),
-                None if weights is None else _expect_vector(weights, f"{path}.weights"),
-            )
-        if family == "table":
-            points = _expect_matrix(spec["points"], f"{path}.points")
-            for k, row in enumerate(points):
-                if len(row) != 2:
-                    raise ScenarioError(f"{path}.points[{k}]: expected an [s, G] pair")
-            return TableCdf([(row[0], row[1]) for row in points])
-    except KeyError as exc:
-        raise ScenarioError(f"{path}.{exc.args[0]}: missing required field") from exc
+        return block.build(**context, **kwargs)
     except ScenarioError:
         raise
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _build_variant(spec: Any, path: str, tag: str, variants: dict[str, Block], noun: str) -> Any:
+    """Build the block of ``variants`` that the ``tag`` field of ``spec`` names."""
+    spec = _expect_mapping(spec, path)
+    name = spec.get(tag)
+    if not isinstance(name, str) or name not in variants:
+        raise ScenarioError(
+            f"{path}.{tag}: unknown {noun} {name!r}; expected one of {', '.join(variants)}"
+        )
+    return _build(spec, path, variants[name], (tag,))
+
+
+def _parse_cdf(obj: Any, path: str) -> ShoppingCostCdf:
+    return _build_variant(obj, path, "family", CDF_FAMILIES, "CDF family")
+
+
+def _region(n: int, **fields: Any) -> EvaluationRegion:
+    """An explicit evaluation region for an n-product model."""
+    if len(fields["lower"]) != n:
+        raise ScenarioError(
+            f"region.lower: expected {n} entries for this model, got {len(fields['lower'])}"
+        )
+    region = EvaluationRegion(**fields)
+    if region.resolution**n > MAX_REGION_NODES:
+        raise ScenarioError(
+            f"region.resolution: {region.resolution}**{n} grid nodes exceed "
+            f"the limit of {MAX_REGION_NODES}"
+        )
+    return region
+
+
+_num, _int, _vec = _expect_number, _expect_int, _expect_vector  # short names for the tables
+MODEL_KINDS = {
+    "reduced_form": Block(ReducedFormMarket, {"v": _vec, "pi": _vec, "cdf": _parse_cdf}),
+    "linear": Block(LinearDemand, {"a": _vec, "B": _expect_matrix}, {"costs": _vec}),
+    "eq7": Block(Eq7Demand, {"b": _num, "gamma": _num}),
+    "appendix_b": Block(AppendixBDemand, {"b": _num, "gamma": _num, "alpha": _num}),
+    "one_stop": Block(
+        OneStopDemand, {"alpha": _vec, "beta": _vec, "cdf": _parse_cdf}, {"costs": _vec}
+    ),
+}
+CDF_FAMILIES = {
+    "affine": Block(AffineClampedCdf, {"a": _num, "b": _num}),
+    "exponential": Block(ExponentialCdf, {"lam": _num}),
+    "power": Block(PowerCdf, {"k": _num, "s_bar": _num}),
+    "step": Block(StepCdf, {"thresholds": _vec}, {"weights": _vec}),
+    "table": Block(TableCdf, {"points": _expect_points}),
+}
+OPTIMIZER_BLOCK = Block(
+    OptimizerConfig,
+    {},
+    {"gradient_tol": _num, "max_iter": _int, "multistart": _int, "floor": _num, "value_gap": _num},
+)
+REGION_BLOCK = Block(_region, {"lower": _vec, "upper": _vec}, {"resolution": _int})
 
 
 @dataclass(frozen=True)
@@ -212,12 +256,10 @@ def parse_scenario(obj: Any) -> Scenario:
             f"schema_version: expected {SCHEMA_VERSION}, got {version}"
         )
     model = _expect_mapping(obj.get("model"), "model")
-    kind = model.get("kind")
-    if not isinstance(kind, str) or kind not in MODEL_FIELDS:
-        raise ScenarioError(
-            f"model.kind: unknown variant {kind!r}; expected one of {', '.join(MODEL_FIELDS)}"
-        )
-    _reject_unknown(model, ("kind",) + MODEL_FIELDS[kind], "model.")
+    built = build_market_or_model(model)
+    n = built.n
+    if n > MAX_PRODUCTS:
+        raise ScenarioError(f"model: {n} products, above the limit of {MAX_PRODUCTS}")
     bargaining = _expect_mapping(obj.get("bargaining"), "bargaining")
     _reject_unknown(bargaining, ("beta", "merging_pair", "ownership"), "bargaining.")
     beta = _expect_number(bargaining.get("beta"), "bargaining.beta")
@@ -226,10 +268,7 @@ def parse_scenario(obj: Any) -> Scenario:
     pair_raw = bargaining.get("merging_pair")
     if not isinstance(pair_raw, (list, tuple)) or len(pair_raw) != 2:
         raise ScenarioError("bargaining.merging_pair: expected an array of two indices")
-    pair = (
-        _expect_int(pair_raw[0], "bargaining.merging_pair[0]"),
-        _expect_int(pair_raw[1], "bargaining.merging_pair[1]"),
-    )
+    pair = tuple(_expect_ints(pair_raw, "bargaining.merging_pair", "two indices"))
     if pair[0] == pair[1]:
         raise ScenarioError("bargaining.merging_pair: indices must be distinct")
     echo: dict[str, Any] = {
@@ -242,55 +281,11 @@ def parse_scenario(obj: Any) -> Scenario:
         raw_groups = bargaining["ownership"]
         if not isinstance(raw_groups, (list, tuple)):
             raise ScenarioError("bargaining.ownership: expected an array of groups")
-        for k, g in enumerate(raw_groups):
-            if not isinstance(g, (list, tuple)):
-                raise ScenarioError(f"bargaining.ownership[{k}]: expected an array of products")
         groups = [
-            [_expect_int(i, f"bargaining.ownership[{k}][{m}]") for m, i in enumerate(g)]
+            _expect_ints(g, f"bargaining.ownership[{k}]", "products")
             for k, g in enumerate(raw_groups)
         ]
         echo["bargaining"]["ownership"] = groups
-    optimizer = {}
-    if obj.get("optimizer") is not None:
-        optimizer = _expect_mapping(obj["optimizer"], "optimizer")
-        _reject_unknown(
-            optimizer, ("gradient_tol", "max_iter", "multistart", "floor", "value_gap"), "optimizer."
-        )
-        for name, value in optimizer.items():
-            expect = _expect_int if name in ("max_iter", "multistart") else _expect_number
-            expect(value, f"optimizer.{name}")
-        echo["optimizer"] = optimizer
-    region_spec = None
-    if obj.get("region") is not None:
-        region_spec = _expect_mapping(obj["region"], "region")
-        _reject_unknown(region_spec, ("lower", "upper", "resolution"), "region.")
-        if "lower" not in region_spec or "upper" not in region_spec:
-            raise ScenarioError("region: needs lower and upper arrays")
-        region_spec = {
-            "lower": _expect_vector(region_spec["lower"], "region.lower"),
-            "upper": _expect_vector(region_spec["upper"], "region.upper"),
-            "resolution": _expect_int(region_spec.get("resolution", 9), "region.resolution"),
-        }
-        echo["region"] = region_spec
-    built = build_market_or_model(model)  # validates the model block eagerly
-    n = built.n
-    if n > MAX_PRODUCTS:
-        raise ScenarioError(f"model: {n} products, above the limit of {MAX_PRODUCTS}")
-    region = None
-    if region_spec is not None:
-        if len(region_spec["lower"]) != n:
-            raise ScenarioError(
-                f"region.lower: expected {n} entries for this model, "
-                f"got {len(region_spec['lower'])}"
-            )
-        try:
-            region = EvaluationRegion(**region_spec)
-        except ValueError as exc:
-            raise ScenarioError(f"region: {exc}") from exc
-    try:
-        config = OptimizerConfig(**optimizer)
-    except ValueError as exc:
-        raise ScenarioError(f"optimizer: {exc}") from exc
     try:
         ownership = (
             OwnershipStructure.singletons(n)
@@ -307,60 +302,37 @@ def parse_scenario(obj: Any) -> Scenario:
                 f"bargaining.ownership: product {k} of the merging pair must be a "
                 "single-product firm before the merger"
             )
+    config = OptimizerConfig()
+    if obj.get("optimizer") is not None:
+        config = _build(obj["optimizer"], "optimizer", OPTIMIZER_BLOCK)
+        echo["optimizer"] = dict(obj["optimizer"])
+    region = None
+    if obj.get("region") is not None:
+        region = _build(obj["region"], "region", REGION_BLOCK, n=n)
+        echo["region"] = asdict(region)
     return Scenario(echo, beta, pair, ownership, config, region, built)
 
 
-def load_scenario(path: str) -> Scenario:
+def _read_json(path: str, what: str) -> Any:
+    """The JSON document in the ``what`` file at ``path``; unreadable files are ScenarioErrors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError as exc:
-        raise ScenarioError(f"scenario file not found: {path}") from exc
+        raise ScenarioError(f"{what} file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_scenario(raw)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"{path}: cannot read the {what} file ({exc})") from exc
+
+
+def load_scenario(path: str) -> Scenario:
+    return parse_scenario(_read_json(path, "scenario"))
 
 
 def build_market_or_model(spec: dict) -> ReducedFormMarket | DemandModel:
     """The market or demand model that a scenario's ``model`` block describes."""
-    kind = spec["kind"]
-    path = "model"
-    try:
-        if kind == "reduced_form":
-            return ReducedFormMarket(
-                tuple(_expect_vector(spec.get("v"), f"{path}.v")),
-                tuple(_expect_vector(spec.get("pi"), f"{path}.pi")),
-                _build_cdf(spec.get("cdf"), f"{path}.cdf"),
-            )
-        if kind == "linear":
-            return LinearDemand(
-                _expect_vector(spec.get("a"), f"{path}.a"),
-                _expect_matrix(spec.get("B"), f"{path}.B"),
-                costs=_expect_vector(spec["costs"], f"{path}.costs") if "costs" in spec else None,
-            )
-        if kind == "eq7":
-            return Eq7Demand(
-                _expect_number(spec.get("b"), f"{path}.b"),
-                _expect_number(spec.get("gamma"), f"{path}.gamma"),
-            )
-        if kind == "appendix_b":
-            return AppendixBDemand(
-                _expect_number(spec.get("b"), f"{path}.b"),
-                _expect_number(spec.get("gamma"), f"{path}.gamma"),
-                _expect_number(spec.get("alpha"), f"{path}.alpha"),
-            )
-        if kind == "one_stop":
-            return OneStopDemand(
-                _expect_vector(spec.get("alpha"), f"{path}.alpha"),
-                _expect_vector(spec.get("beta"), f"{path}.beta"),
-                _build_cdf(spec.get("cdf"), f"{path}.cdf"),
-                costs=_expect_vector(spec["costs"], f"{path}.costs") if "costs" in spec else None,
-            )
-    except ScenarioError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-    raise ScenarioError(f"model.kind: unknown variant {kind!r}")
+    return _build_variant(spec, "model", "kind", MODEL_KINDS, "variant")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,10 @@ import pytest
 from mergerfees.cli import compile_predicate, main, parse_range
 from mergerfees.errors import ScenarioError
 from mergerfees.scenario import (
+    CDF_FAMILIES,
+    MODEL_KINDS,
+    OPTIMIZER_BLOCK,
+    REGION_BLOCK,
     canonical_json,
     load_scenario,
     parse_scenario,
@@ -85,6 +91,25 @@ def test_parse_scenario_happy_path():
             lambda s: s.update(region={"lower": [0.1] * 3, "upper": [0.9] * 3, "resolutoin": 3}),
             "region.resolutoin",
         ),
+        # a present field must parse, null included; an absent required one is named
+        (lambda s: s["model"].update(gamma=None), "model.gamma: expected a number, got NoneType"),
+        (lambda s: s["model"].pop("b"), "model.b: missing required field"),
+        (lambda s: s.update(region={"upper": [0.9] * 3}), "region.lower: missing required field"),
+        (
+            lambda s: s.update(
+                model=dict(reduced_scenario()["model"], cdf={"family": "power", "k": 2.0})
+            ),
+            "model.cdf.s_bar: missing required field",
+        ),
+        (
+            lambda s: s.update(
+                model=dict(
+                    reduced_scenario()["model"],
+                    cdf={"family": "step", "thresholds": [1.0], "weights": None},
+                )
+            ),
+            "model.cdf.weights: expected a nonempty array of numbers",
+        ),
     ],
 )
 def test_parse_scenario_errors_carry_field_paths(mutate, path_fragment):
@@ -107,6 +132,25 @@ def test_parse_scenario_reduced_form_cdf_errors():
     assert "model.cdf.family" in str(err.value)
 
 
+def readme_schema():
+    """Block name -> fields, optional ones marked `?`, as README's scenario format lists them."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## Scenario format") : text.index("## Library example")]
+    rows = re.findall(r"^\| `(\w+)` +\|(.*)\|$", section, re.MULTILINE)
+    schema = {kind: re.findall(r"`(\w+\??)`", cells) for kind, cells in rows}
+    for name, fields in re.findall(r"`(\w+) \{([^}]*)\}`", section):
+        schema[name] = fields.split(", ")
+    return schema
+
+
+def test_readme_schema_names_exactly_the_table_fields():
+    def listed(block):
+        return list(block.required) + [f"{name}?" for name in block.optional]
+
+    tables = {**MODEL_KINDS, **CDF_FAMILIES, "optimizer": OPTIMIZER_BLOCK, "region": REGION_BLOCK}
+    assert readme_schema() == {name: listed(block) for name, block in tables.items()}
+
+
 def test_model_invariant_violations_are_validation_errors():
     raw = reduced_scenario()
     raw["model"]["v"] = [1.0, -1.0, 1.0]
@@ -123,6 +167,11 @@ def test_region_mismatch_is_validation_error():
     raw["region"] = {"lower": [0.1] * 3, "upper": [0.9] * 3, "resolution": 1}
     with pytest.raises(ScenarioError):
         parse_scenario(raw)
+    # (10**12)**3 grid nodes: rejected before EvaluationRegion.axes allocates them
+    raw["region"] = {"lower": [0.1] * 3, "upper": [0.9] * 3, "resolution": 10**12}
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(raw)
+    assert str(err.value).startswith("region.resolution: ")
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +402,8 @@ def test_cli_shapley_above_player_limit_fails_before_analysis(tmp_path, capsys, 
         ({"value_gap": -1.0}, "value_gap"),
         ({"gradient_tol": 0.0}, "gradient_tol"),
         ({"multistart": 0}, "multistart"),
+        # a Latin hypercube of 10**12 starts would need 21.8 TiB
+        ({"multistart": 10**12}, "multistart"),
     ],
 )
 def test_cli_invalid_optimizer_option_is_validation_error(tmp_path, capsys, options, field):
@@ -380,6 +431,53 @@ def test_cli_optimizer_option_of_wrong_type_names_the_field(tmp_path, capsys, op
     path = write_scenario(tmp_path, raw)
     assert main(["analyze", path]) == 2
     assert capsys.readouterr().err.startswith(f"error: {field}: expected ")
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_cli_negative_seed_fails_before_analysis(tmp_path, capsys, monkeypatch, command):
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("analysis ran with a negative seed")
+
+    monkeypatch.setattr("mergerfees.cli.run_analysis", no_analysis)
+    argv = [command, write_scenario(tmp_path, eq7_scenario()), "--seed", "-1"]
+    if command == "sweep":
+        argv += ["--range", "model.gamma=0.4:0.5:2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed: must be >= 0, got -1")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+@pytest.mark.parametrize("kind", ["directory", "non-utf-8"])
+def test_cli_unreadable_input_file_is_validation_error(tmp_path, capsys, command, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"schema_version": 1, "model": "\xff\xfe"}')
+    argv = [command, str(path)]
+    if command == "sweep":
+        argv += ["--range", "model.gamma=0.4:0.5:2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: cannot read the ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "reproduce", "sweep"])
+def test_cli_unwritable_out_is_validation_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "r.json"
+    argv = {
+        "analyze": ["analyze", write_scenario(tmp_path, reduced_scenario())],
+        "reproduce": ["reproduce", "prop1"],
+        "sweep": ["sweep", write_scenario(tmp_path, reduced_scenario()),
+                  "--range", "model.cdf.lam=0.5:1.0:2"],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out: cannot write {out}")
+    assert "Traceback" not in err
 
 
 def test_cli_reproduce_all_suites_pass(capsys):

@@ -1,9 +1,11 @@
 """Fuzzed scenario files: `analyze` ends with exit 0, 2 or 3 and never raises.
 
-Each example takes a small valid scenario and replaces or deletes one field
-with an arbitrary JSON value. Sizes stay small (lists of at most 4 entries,
-integers of at most 12) because a 2^n table or a resolution^n grid with a
-large n is a legitimate but slow request, not a failure.
+Each example takes a small valid scenario of one model kind or CDF family
+and replaces or deletes one field with an arbitrary JSON value. Sizes stay
+small (lists of at most 4 entries, integers of at most 12) because a 2^n
+table or a resolution^n grid with a large n is a legitimate but slow
+request, not a failure. The explicit 10**12 sizes must end with exit 2
+before anything is allocated.
 """
 
 import contextlib
@@ -36,7 +38,54 @@ LINEAR_N2 = {
     "region": {"lower": [0.0, 0.0], "upper": [1.0, 1.0], "resolution": 3},
 }
 
-BASES = {"reduced_form_n3": REDUCED_FORM_N3, "linear_n2": LINEAR_N2}
+EQ7 = {
+    "schema_version": 1,
+    "model": {"kind": "eq7", "b": 1e-4, "gamma": 0.5},
+    "bargaining": {"beta": 0.5, "merging_pair": [1, 2]},
+    "optimizer": {"multistart": 2},
+    "region": {"lower": [0.1, 0.1, 0.1], "upper": [0.9, 0.9, 0.9], "resolution": 3},
+}
+
+APPENDIX_B = {
+    "schema_version": 1,
+    "model": {"kind": "appendix_b", "b": 0.1, "gamma": 0.5, "alpha": 0.05},
+    "bargaining": {"beta": 0.5, "merging_pair": [1, 2]},
+    "optimizer": {"multistart": 2},
+    "region": {"lower": [0.1, 0.1, 0.1], "upper": [0.9, 0.9, 0.9], "resolution": 3},
+}
+
+ONE_STOP_N2 = {
+    "schema_version": 1,
+    "model": {
+        "kind": "one_stop",
+        "alpha": [1.0, 1.5],
+        "beta": [1.0, 0.8],
+        "cdf": {"family": "exponential", "lam": 1.0},
+        "costs": [0.1, 0.1],
+    },
+    "bargaining": {"beta": 0.5, "merging_pair": [1, 2]},
+    "optimizer": {"multistart": 2},
+    "region": {"lower": [0.1, 0.1], "upper": [0.9, 0.9], "resolution": 3},
+}
+
+# the reduced-form market again under every other CDF family
+OTHER_CDFS = {
+    "affine": {"family": "affine", "a": 0.5, "b": 3.5},
+    "power": {"family": "power", "k": 2.0, "s_bar": 4.0},
+    "step": {"family": "step", "thresholds": [0.5, 1.5], "weights": [0.25, 0.75]},
+}
+
+BASES = {
+    "reduced_form_n3": REDUCED_FORM_N3,
+    "linear_n2": LINEAR_N2,
+    "eq7": EQ7,
+    "appendix_b": APPENDIX_B,
+    "one_stop_n2": ONE_STOP_N2,
+    **{
+        f"reduced_form_{family}": {**REDUCED_FORM_N3, "model": {**REDUCED_FORM_N3["model"], "cdf": c}}
+        for family, c in OTHER_CDFS.items()
+    },
+}
 INTEGER_FIELDS = {
     ("schema_version",),
     ("bargaining", "merging_pair", 0),
@@ -45,6 +94,8 @@ INTEGER_FIELDS = {
     ("optimizer", "multistart"),
     ("region", "resolution"),
 }
+# sizes that would allocate terabytes if they were accepted
+SIZE_FIELDS = {("optimizer", "multistart"), ("region", "resolution")}
 DELETE = object()
 
 scalars = st.one_of(
@@ -102,13 +153,15 @@ def non_finite(value):
     return False
 
 
-@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
 @given(case=st.sampled_from(CASES), value=st.one_of(st.just(DELETE), json_values))
 @example(case=("reduced_form_n3", ("bargaining", "ownership")), value=[1, 2, 3])
 @example(case=("reduced_form_n3", ("model", "cdf", "points", 0)), value=[0.0])
 @example(case=("reduced_form_n3", ("model", "v", 0)), value=math.nan)
 @example(case=("linear_n2", ("optimizer", "max_iter")), value=2.5)
 @example(case=("linear_n2", ("optimizer", "multistart")), value=True)
+@example(case=("linear_n2", ("optimizer", "multistart")), value=10**12)
+@example(case=("linear_n2", ("region", "resolution")), value=10**12)
 def test_fuzzed_scenario_ends_with_documented_exit_code(tmp_path_factory, case, value):
     name, path = case
     scenario = tmp_path_factory.getbasetemp() / "fuzzed.json"
@@ -125,4 +178,6 @@ def test_fuzzed_scenario_ends_with_documented_exit_code(tmp_path_factory, case, 
     if path in INTEGER_FIELDS and value is not DELETE and not (
         isinstance(value, int) and not isinstance(value, bool)
     ):
+        assert code == 2, err.getvalue()
+    if path in SIZE_FIELDS and isinstance(value, int) and value > 10**6:
         assert code == 2, err.getvalue()
