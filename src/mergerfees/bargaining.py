@@ -260,12 +260,16 @@ def shapley_fees(env: BargainingEnv) -> FeeSchedule:
     firm_masks = [sum(1 << (i - 1) for i in firm) for firm in firms]
     weights = [1.0 / (players * comb(players - 1, s)) for s in range(players)]
 
-    def worth(firm_subset: tuple[int, ...]) -> float:
-        """Worth of the firms in ``firm_subset`` together with the intermediary."""
-        mask = 0
-        for k in firm_subset:
-            mask |= firm_masks[k]
-        return env.oracle(Portfolio(n, mask))
+    # worth[m]: the firms in bitmask m over firm indices, with the intermediary;
+    # each of the 2^F coalitions is read from the oracle once
+    products = [0] * (1 << len(firms))
+    for m in range(1, len(products)):
+        low = m & -m
+        products[m] = products[m ^ low] | firm_masks[low.bit_length() - 1]
+    worth = [env.oracle(Portfolio(n, p)) for p in products]
+
+    def mask(combo: tuple[int, ...]) -> int:
+        return sum(1 << k for k in combo)
 
     indices = range(len(firms))
     fees: dict[frozenset[int], float] = {}
@@ -277,12 +281,13 @@ def shapley_fees(env: BargainingEnv) -> FeeSchedule:
                 # coalitions without the intermediary add a gain of exactly
                 # 0.0, which leaves the sum unchanged, so only those with it
                 # are summed
-                total += weights[size + 1] * (worth(combo + (k,)) - worth(combo))
+                m = mask(combo)
+                total += weights[size + 1] * (worth[m | 1 << k] - worth[m])
         fees[firms[k]] = total
     # the intermediary's own value, computed directly (not residually) so
     # that efficiency is a checkable property rather than a construction
     retailer_value = 0.0
     for size in range(len(firms) + 1):
         for combo in combinations(indices, size):
-            retailer_value += weights[size] * worth(combo)  # w(S) = 0 without it
+            retailer_value += weights[size] * worth[mask(combo)]  # w(S) = 0 without it
     return FeeSchedule("shapley", fees, retailer_value)

@@ -9,8 +9,10 @@ from __future__ import annotations
 import argparse
 import ast
 import copy
+import errno
 import itertools
 import math
+import os
 import sys
 
 import numpy as np
@@ -41,6 +43,20 @@ def _write_out(text: str, path: str | None) -> None:
             fh.write(text + "\n")
     except OSError as exc:
         raise ScenarioError(f"--out: cannot write {path} ({exc.strerror or exc})") from exc
+
+
+def _check_out(path: str | None) -> None:
+    """Reject an ``--out`` path that cannot be written, before any work starts."""
+    if not path:
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise ScenarioError(f"--out: cannot write {path} ({os.strerror(code)})")
 
 
 def _check_seed(seed: int) -> None:
@@ -287,6 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.fn(args)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,12 +17,18 @@ seeded search for parameter draws satisfying a predicate.
 
 from __future__ import annotations
 
+import ctypes
 import enum
+import functools
+import glob
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+import scipy
 from scipy.optimize import brentq, minimize
 
 from .demand_systems import DemandModel, GrossRelationReport, _fd_jacobian, gross_relation
@@ -179,6 +185,48 @@ def _polish(
     return z, fz, False
 
 
+@functools.cache
+def _scipy_openblas() -> ctypes.CDLL | None:
+    """scipy's bundled OpenBLAS with its thread-count calls bound, or None.
+
+    L-BFGS-B runs on this copy (``scipy.libs/libscipy_openblas*.so``), not on
+    numpy's. None when no such library or either symbol is found.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with scipy's OpenBLAS on one thread, then restore its count.
+
+    After an L-BFGS-B call the library's idle workers busy-wait and bill a
+    second core for no wall-time gain on these small problems. A user-set
+    ``OPENBLAS_NUM_THREADS`` wins: the count is then left alone. The count
+    is process-wide, so overlapping calls from several threads may restore
+    it out of order; the package itself runs them serially.
+    """
+    lib = None if "OPENBLAS_NUM_THREADS" in os.environ else _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    old = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(old)
+
+
 def max_profit(
     model: DemandModel, x: Portfolio, cfg: OptimizerConfig = DEFAULT_CONFIG
 ) -> OptResult:
@@ -232,26 +280,28 @@ def max_profit(
 
     solutions: list[tuple[float, np.ndarray, float]] = []  # (value, z, kkt)
     used = 0
-    for z0 in starts:
-        z0 = safe_start(np.asarray(z0))
-        if z0 is None:
-            continue
-        used += 1
-        res = minimize(
-            neg_value,
-            z0,
-            jac=neg_grad,
-            method="L-BFGS-B",
-            bounds=list(zip(lb, ub)),
-            options={"maxiter": cfg.max_iter, "ftol": 1e-15, "gtol": 1e-10},
-        )
-        z = np.clip(res.x, lb, ub)
-        try:
-            z, val, _ = _polish(obj.value, obj.gradient, z, obj.value(z), lb, ub, cfg.gradient_tol)
-            kkt = _kkt_residual(obj.gradient(z), z, lb, ub)
-        except _EVAL_ERRORS:
-            continue
-        solutions.append((val, z, kkt))
+    # an overflowing profit reaches the caller as a non-finite value, not as warnings
+    with _one_blas_thread(), np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for z0 in starts:
+            z0 = safe_start(np.asarray(z0))
+            if z0 is None:
+                continue
+            used += 1
+            res = minimize(
+                neg_value,
+                z0,
+                jac=neg_grad,
+                method="L-BFGS-B",
+                bounds=list(zip(lb, ub)),
+                options={"maxiter": cfg.max_iter, "ftol": 1e-15, "gtol": 1e-10},
+            )
+            z = np.clip(res.x, lb, ub)
+            try:
+                z, val, _ = _polish(obj.value, obj.gradient, z, obj.value(z), lb, ub, cfg.gradient_tol)
+                kkt = _kkt_residual(obj.gradient(z), z, lb, ub)
+            except _EVAL_ERRORS:
+                continue
+            solutions.append((val, z, kkt))
 
     if not solutions:
         raise ConvergenceError(f"no start produced a usable solution for portfolio {x}")

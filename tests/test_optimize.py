@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mergerfees import optimize
 from mergerfees.demand_systems import (
     AppendixBDemand,
     CustomDemand,
@@ -159,6 +164,88 @@ def test_profit_oracle_records_statuses():
     oracle = profit_oracle(Eq7Demand(0.0, 0.5), FAST, statuses)
     oracle(Portfolio.full(3))
     assert statuses == {"111": "converged"}
+
+
+# ---------------------------------------------------------------------------
+# scipy's OpenBLAS runs on one thread inside max_profit
+# ---------------------------------------------------------------------------
+
+needs_scipy_openblas = pytest.mark.skipif(
+    optimize._scipy_openblas() is None, reason="scipy's bundled OpenBLAS not found"
+)
+
+
+def blas_threads() -> int:
+    return optimize._scipy_openblas().scipy_openblas_get_num_threads()
+
+
+@pytest.fixture
+def threads_seen(monkeypatch):
+    """Thread count of scipy's OpenBLAS during each L-BFGS-B call; 2 outside them."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    lib = optimize._scipy_openblas()
+    before = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(2)
+    seen: list[int] = []
+    minimize = optimize.minimize
+
+    def recording_minimize(*args, **kwargs):
+        seen.append(blas_threads())
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "minimize", recording_minimize)
+    yield seen
+    lib.scipy_openblas_set_num_threads(before)
+
+
+@needs_scipy_openblas
+@pytest.mark.parametrize("model", [Eq7Demand(1e-4, 0.5), LinearDemand([1.0, 0.8], [[1.0, 0.3], [0.2, 1.0]])])
+def test_max_profit_caps_scipy_blas_at_one_thread_and_restores(threads_seen, model):
+    max_profit(model, Portfolio.full(model.n), CFG)
+    assert threads_seen and set(threads_seen) == {1}
+    assert blas_threads() == 2
+
+
+@needs_scipy_openblas
+def test_blas_thread_count_restored_when_max_profit_raises(threads_seen, monkeypatch):
+    def failing_minimize(*args, **kwargs):
+        threads_seen.append(blas_threads())
+        raise ConvergenceError("no step")
+
+    monkeypatch.setattr(optimize, "minimize", failing_minimize)
+    with pytest.raises(ConvergenceError):
+        max_profit(Eq7Demand(0.0, 0.5), Portfolio.full(3), CFG)
+    assert threads_seen == [1]
+    assert blas_threads() == 2
+
+
+@needs_scipy_openblas
+def test_user_set_openblas_num_threads_wins(threads_seen, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    max_profit(Eq7Demand(0.0, 0.5), Portfolio.full(3), CFG)
+    assert threads_seen and set(threads_seen) == {2}
+    assert blas_threads() == 2
+
+
+@pytest.mark.parametrize("model", [Eq7Demand(1e-4, 0.5), AppendixBDemand(-0.125, -0.8, -1e-4)])
+def test_max_profit_without_the_library_gives_the_same_result(monkeypatch, model):
+    capped = max_profit(model, Portfolio.full(3), CFG)
+    monkeypatch.setattr(optimize, "_scipy_openblas", lambda: None)
+    plain = max_profit(model, Portfolio.full(3), CFG)
+    assert np.array_equal(plain.q, capped.q)
+    assert (plain.value, plain.gradient_norm, plain.status, plain.starts_used) == (
+        capped.value, capped.gradient_norm, capped.status, capped.starts_used
+    )
+
+
+def test_report_bytes_do_not_depend_on_openblas_num_threads():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    argv = [sys.executable, "-m", "mergerfees.cli", "analyze", "--json", str(root / "tests/golden/eq7_b0.json")]
+    unset = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+    one = subprocess.run(argv, env=dict(env, OPENBLAS_NUM_THREADS="1"), capture_output=True, check=True).stdout
+    assert unset and unset == one
 
 
 # ---------------------------------------------------------------------------

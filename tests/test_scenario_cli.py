@@ -336,6 +336,14 @@ def test_cli_degenerate_model_ends_with_documented_exit_code(tmp_path, capsys, m
     assert "Traceback" not in err
 
 
+def test_cli_optimizer_overflow_prints_only_the_numerical_failure(tmp_path, capsys):
+    raw = reduced_scenario()
+    raw["model"] = {"kind": "linear", "a": [1e300] * 3, "B": np.eye(3).tolist()}
+    assert main(["analyze", write_scenario(tmp_path, raw)]) == 3
+    # a numpy or scipy RuntimeWarning would fail the test under the suite's warning filter
+    assert capsys.readouterr().err == "numerical failure: max_profit[linear] is inf at portfolio 111\n"
+
+
 def test_cli_sweep_records_non_finite_profit_as_numerical(tmp_path, capsys):
     raw = reduced_scenario()
     raw["model"].update(v=[1e308] * 3, pi=[1e308] * 3)
@@ -478,6 +486,31 @@ def test_cli_unwritable_out_is_validation_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"error: --out: cannot write {out}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "reproduce", "sweep"])
+@pytest.mark.parametrize("target", ["missing directory", "directory", "file as directory"])
+def test_cli_unwritable_out_fails_before_any_work(tmp_path, capsys, monkeypatch, command, target):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started for an --out that cannot be written")
+
+    monkeypatch.setattr("mergerfees.cli.run_analysis", no_work)
+    monkeypatch.setattr("mergerfees.cli.run_suite", no_work)
+    scenario = write_scenario(tmp_path, eq7_scenario())
+    out, reason = {
+        "missing directory": (tmp_path / "missing" / "r.json", "No such file or directory"),
+        "directory": (tmp_path, "Is a directory"),
+        "file as directory": (Path(scenario) / "r.json", "Not a directory"),
+    }[target]
+    argv = {
+        "analyze": ["analyze", scenario],
+        "reproduce": ["reproduce", "prop1"],
+        "sweep": ["sweep", scenario, "--range", "model.gamma=0.4:0.5:2"],
+    }[command]
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --out: cannot write {out} ({reason})\n"
+    assert captured.out == ""
 
 
 def test_cli_reproduce_all_suites_pass(capsys):
