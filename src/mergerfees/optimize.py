@@ -23,6 +23,7 @@ import functools
 import glob
 import math
 import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -205,26 +206,37 @@ def _scipy_openblas() -> ctypes.CDLL | None:
     return None
 
 
+_blas_lock = threading.Lock()
+_blas_depth = 0  # _one_blas_thread blocks open in any thread
+_blas_saved = 0  # thread count when the outermost block opened
+
+
 @contextmanager
 def _one_blas_thread():
     """Run the block with scipy's OpenBLAS on one thread, then restore its count.
 
     After an L-BFGS-B call the library's idle workers busy-wait and bill a
-    second core for no wall-time gain on these small problems. A user-set
-    ``OPENBLAS_NUM_THREADS`` wins: the count is then left alone. The count
-    is process-wide, so overlapping calls from several threads may restore
-    it out of order; the package itself runs them serially.
+    second core for no wall-time gain on these small problems. The count is
+    process-wide, so blocks open in several threads share one cap: the first
+    to open saves the count and the last to close restores it.
     """
-    lib = None if "OPENBLAS_NUM_THREADS" in os.environ else _scipy_openblas()
+    global _blas_depth, _blas_saved
+    lib = _scipy_openblas()
     if lib is None:
         yield
         return
-    old = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(1)
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = lib.scipy_openblas_get_num_threads()
+            lib.scipy_openblas_set_num_threads(1)
+        _blas_depth += 1
     try:
         yield
     finally:
-        lib.scipy_openblas_set_num_threads(old)
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                lib.scipy_openblas_set_num_threads(_blas_saved)
 
 
 def max_profit(

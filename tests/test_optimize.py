@@ -1,8 +1,5 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+import threading
 
 import numpy as np
 import pytest
@@ -170,22 +167,19 @@ def test_profit_oracle_records_statuses():
 # scipy's OpenBLAS runs on one thread inside max_profit
 # ---------------------------------------------------------------------------
 
-needs_scipy_openblas = pytest.mark.skipif(
-    optimize._scipy_openblas() is None, reason="scipy's bundled OpenBLAS not found"
-)
+SCIPY_OPENBLAS = optimize._scipy_openblas()
+needs_scipy_openblas = pytest.mark.skipif(SCIPY_OPENBLAS is None, reason="scipy's bundled OpenBLAS not found")
 
 
 def blas_threads() -> int:
-    return optimize._scipy_openblas().scipy_openblas_get_num_threads()
+    return SCIPY_OPENBLAS.scipy_openblas_get_num_threads()
 
 
 @pytest.fixture
 def threads_seen(monkeypatch):
     """Thread count of scipy's OpenBLAS during each L-BFGS-B call; 2 outside them."""
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    lib = optimize._scipy_openblas()
-    before = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(2)
+    before = blas_threads()
+    SCIPY_OPENBLAS.scipy_openblas_set_num_threads(2)
     seen: list[int] = []
     minimize = optimize.minimize
 
@@ -195,7 +189,7 @@ def threads_seen(monkeypatch):
 
     monkeypatch.setattr(optimize, "minimize", recording_minimize)
     yield seen
-    lib.scipy_openblas_set_num_threads(before)
+    SCIPY_OPENBLAS.scipy_openblas_set_num_threads(before)
 
 
 @needs_scipy_openblas
@@ -220,32 +214,56 @@ def test_blas_thread_count_restored_when_max_profit_raises(threads_seen, monkeyp
 
 
 @needs_scipy_openblas
-def test_user_set_openblas_num_threads_wins(threads_seen, monkeypatch):
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    max_profit(Eq7Demand(0.0, 0.5), Portfolio.full(3), CFG)
-    assert threads_seen and set(threads_seen) == {2}
+def test_overlapping_max_profit_calls_keep_the_cap_and_restore_the_count(threads_seen, monkeypatch):
+    # a opens first and closes first while b is still inside its call
+    a_inside, b_inside, a_done = threading.Event(), threading.Event(), threading.Event()
+    minimize = optimize.minimize
+    errors: list[BaseException] = []
+
+    def gated_minimize(*args, **kwargs):
+        name = threading.current_thread().name
+        if name == "a" and not a_inside.is_set():
+            a_inside.set()
+            b_inside.wait(10)
+        elif name == "b" and not b_inside.is_set():
+            b_inside.set()
+            a_done.wait(10)
+        return minimize(*args, **kwargs)
+
+    def run(name):
+        try:
+            max_profit(Eq7Demand(0.0, 0.5), Portfolio.full(3), CFG)
+        except BaseException as exc:  # surfaced by the assertion below
+            errors.append(exc)
+        if name == "a":
+            a_done.set()
+
+    monkeypatch.setattr(optimize, "minimize", gated_minimize)
+    a = threading.Thread(target=run, args=("a",), name="a")
+    b = threading.Thread(target=run, args=("b",), name="b")
+    a.start()
+    assert a_inside.wait(10)
+    b.start()
+    a.join(20)
+    b.join(20)
+    assert not errors and a_done.is_set() and not b.is_alive()
+    assert threads_seen and set(threads_seen) == {1}
     assert blas_threads() == 2
 
 
+@needs_scipy_openblas
 @pytest.mark.parametrize("model", [Eq7Demand(1e-4, 0.5), AppendixBDemand(-0.125, -0.8, -1e-4)])
-def test_max_profit_without_the_library_gives_the_same_result(monkeypatch, model):
+def test_max_profit_result_does_not_depend_on_blas_threads(threads_seen, monkeypatch, model):
     capped = max_profit(model, Portfolio.full(3), CFG)
+    assert set(threads_seen) == {1}
+    threads_seen.clear()
     monkeypatch.setattr(optimize, "_scipy_openblas", lambda: None)
     plain = max_profit(model, Portfolio.full(3), CFG)
+    assert set(threads_seen) == {2}
     assert np.array_equal(plain.q, capped.q)
     assert (plain.value, plain.gradient_norm, plain.status, plain.starts_used) == (
         capped.value, capped.gradient_norm, capped.status, capped.starts_used
     )
-
-
-def test_report_bytes_do_not_depend_on_openblas_num_threads():
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    argv = [sys.executable, "-m", "mergerfees.cli", "analyze", "--json", str(root / "tests/golden/eq7_b0.json")]
-    unset = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
-    one = subprocess.run(argv, env=dict(env, OPENBLAS_NUM_THREADS="1"), capture_output=True, check=True).stdout
-    assert unset and unset == one
 
 
 # ---------------------------------------------------------------------------
