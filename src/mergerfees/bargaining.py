@@ -22,13 +22,7 @@ from math import comb
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .portfolios import (
-    DEFAULT_TOLERANCE,
-    PairRelation,
-    Portfolio,
-    SetFunction,
-    classify_pair_at,
-)
+from .portfolios import PairRelation, Portfolio, SetFunction, classify_pair_at
 
 MAX_SHAPLEY_PLAYERS = 12  # exact subset enumeration only
 
@@ -196,11 +190,7 @@ class MergerReport:
         )
 
 
-def merger_report(
-    env: BargainingEnv,
-    pair: tuple[int, int],
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> MergerReport:
+def merger_report(env: BargainingEnv, pair: tuple[int, int]) -> MergerReport:
     """Run the bargaining twice (pair separate, pair merged) and compare.
 
     Both pair members must be singleton firms before the merger. The report
@@ -221,7 +211,7 @@ def merger_report(
     rest = Portfolio.from_indices(
         env.oracle.n, [k for k in range(1, env.oracle.n + 1) if k not in (i, j)]
     )
-    relation = classify_pair_at(env.oracle, i, j, rest, tolerance)
+    relation = classify_pair_at(env.oracle, i, j, rest)
     diff = relation.witnesses[0].value
     merged_firm = frozenset((i, j))
     non_pre = {f: v for f, v in pre.fees.items() if f not in (frozenset([i]), frozenset([j]))}
@@ -268,26 +258,27 @@ def shapley_fees(env: BargainingEnv) -> FeeSchedule:
         products[m] = products[m ^ low] | firm_masks[low.bit_length() - 1]
     worth = [env.oracle(Portfolio(n, p)) for p in products]
 
-    def mask(combo: tuple[int, ...]) -> int:
-        return sum(1 << k for k in combo)
-
+    # every coalition of firms as (mask, size), by size and then lexicographically
     indices = range(len(firms))
+    subsets = [
+        (sum(1 << k for k in combo), size)
+        for size in range(len(firms) + 1)
+        for combo in combinations(indices, size)
+    ]
     fees: dict[frozenset[int], float] = {}
     for k in indices:
-        others = [m for m in indices if m != k]
+        bit = 1 << k
         total = 0.0
-        for size in range(len(others) + 1):
-            for combo in combinations(others, size):
-                # coalitions without the intermediary add a gain of exactly
-                # 0.0, which leaves the sum unchanged, so only those with it
-                # are summed
-                m = mask(combo)
-                total += weights[size + 1] * (worth[m | 1 << k] - worth[m])
+        # coalitions without the intermediary add a gain of exactly 0.0, which
+        # leaves the sum unchanged, so only those with it (the masks in
+        # subsets) are summed, each one that lacks firm k
+        for m, size in subsets:
+            if not m & bit:
+                total += weights[size + 1] * (worth[m | bit] - worth[m])
         fees[firms[k]] = total
     # the intermediary's own value, computed directly (not residually) so
     # that efficiency is a checkable property rather than a construction
     retailer_value = 0.0
-    for size in range(len(firms) + 1):
-        for combo in combinations(indices, size):
-            retailer_value += weights[size] * worth[mask(combo)]  # w(S) = 0 without it
+    for m, size in subsets:
+        retailer_value += weights[size] * worth[m]  # w(S) = 0 without it
     return FeeSchedule("shapley", fees, retailer_value)

@@ -135,7 +135,7 @@ def compile_predicate(expr: str):
     def evaluate(names: dict) -> bool:
         try:
             return bool(eval(code, {"__builtins__": {}}, names))
-        except NameError as exc:
+        except (NameError, TypeError, ArithmeticError) as exc:
             raise ScenarioError(f"predicate: {exc}") from exc
 
     return evaluate
@@ -206,6 +206,7 @@ def cmd_sweep(args) -> int:
     _check_seed(args.seed)
     template = _read_json(args.template, "template")
     parse_scenario(copy.deepcopy(template))  # validate before the first node
+    predicate = compile_predicate(args.predicate) if args.predicate else None
 
     if not args.range:
         raise ScenarioError("sweep needs at least one --range")
@@ -224,7 +225,6 @@ def cmd_sweep(args) -> int:
 
     rows = [_sweep_node(template, a, args.seed) for a in assignments]
 
-    predicate = compile_predicate(args.predicate) if args.predicate else None
     matches = 0
     for row in rows:
         if predicate is not None and "error" not in row:

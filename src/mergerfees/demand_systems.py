@@ -35,6 +35,7 @@ from .portfolios import GROSS_KIND, GrossKind, overall_gross_kind, sign_kind
 from .reduced_form import ShoppingCostCdf
 
 INVERSION_TOL = 1e-11  # residual ||P(D(p)) - p||_inf target for numeric inversions
+INVERSION_STEPS = 80  # Newton steps before a numeric inversion gives up
 GROSS_TOLERANCE = 1e-10
 MODULARITY_TOLERANCE = 1e-8
 FD_STEP = 1e-5  # first-derivative step factor
@@ -168,7 +169,6 @@ class DemandModel:
         target: np.ndarray,
         start: np.ndarray,
         jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
-        max_iter: int = 80,
     ) -> np.ndarray:
         """Damped Newton solve forward(x) = target.
 
@@ -178,7 +178,7 @@ class DemandModel:
         x = np.array(start, dtype=float)
         resid = forward(x) - target
         norm = float(np.max(np.abs(resid)))
-        for _ in range(max_iter):
+        for _ in range(INVERSION_STEPS):
             if norm <= INVERSION_TOL:
                 return x
             jac = _fd_jacobian(forward, x) if jacobian is None else jacobian(x)
@@ -326,10 +326,10 @@ class Eq7Demand(DemandModel):
 
     kind = "eq7"
 
-    def __init__(self, b: float, gamma: float, costs=None):
+    def __init__(self, b: float, gamma: float):
         if not abs(b) < 1:
             raise ValueError(f"|b| must be < 1, got {b}")
-        super().__init__(3, costs)
+        super().__init__(3)
         self.b = float(b)
         self.gamma = float(gamma)
         self.singular_at_zero = gamma != 0.0
@@ -350,19 +350,7 @@ class Eq7Demand(DemandModel):
         )
 
     def demand_jacobian(self, p):
-        p = _as_vector(p, 3, "p")
-        radicand = (1.0 - p[0]) + (1.0 - p[1])
-        if radicand <= 0:
-            raise DomainError("cross-price slope of product 3 undefined at p1 + p2 >= 2")
-        b, g = self.b, self.gamma
-        d3 = -0.5 * g / math.sqrt(radicand)
-        return np.array(
-            [
-                [-1.0, -b, -b],
-                [-b, -1.0, -b],
-                [d3, d3, -1.0],
-            ]
-        )
+        return self._slopes(_as_vector(p, 3, "p"), (1, 2, 3))
 
     def inverse_demand(self, q):
         q = _as_vector(q, 3, "q")
@@ -386,8 +374,11 @@ class Eq7Demand(DemandModel):
         return self._restricted_inverse(np.asarray(q, dtype=float), carried)
 
     def portfolio_inverse_jacobian(self, q, carried):
-        q = np.asarray(q, dtype=float)
-        p = self._restricted_inverse(q, carried)
+        p = self._restricted_inverse(np.asarray(q, dtype=float), carried)
+        return np.linalg.inv(self._slopes(p, carried))
+
+    def _slopes(self, p: np.ndarray, carried: tuple[int, ...]) -> np.ndarray:
+        """dD_c/dp_c of the carried subsystem at prices p (absent entries unused)."""
         pair = [i for i in (1, 2) if i in carried]
         b, g = self.b, self.gamma
         k = len(carried)
@@ -402,12 +393,14 @@ class Eq7Demand(DemandModel):
                 if pair:
                     u = sum(1.0 - p[i - 1] for i in pair)
                     if u <= 0:
-                        raise DomainError("inverse Jacobian singular: zero spillover surplus")
+                        raise DomainError(
+                            "cross-price slope of product 3 undefined at p1 + p2 >= 2"
+                        )
                     slope = -0.5 * g / math.sqrt(u)
                     for i in pair:
                         jac_d[r, pos[i]] = slope
                 jac_d[r, r] = -1.0
-        return np.linalg.inv(jac_d)
+        return jac_d
 
     def _restricted_inverse(self, q: np.ndarray, carried: tuple[int, ...]) -> np.ndarray:
         """Invert the subsystem of carried products, quantities of absent
@@ -492,10 +485,10 @@ class AppendixBDemand(DemandModel):
 
     kind = "appendix_b"
 
-    def __init__(self, b: float, gamma: float, alpha: float, costs=None):
+    def __init__(self, b: float, gamma: float, alpha: float):
         if not abs(b) < 1:
             raise ValueError(f"|b| must be < 1, got {b}")
-        super().__init__(3, costs)
+        super().__init__(3)
         self.b = float(b)
         self.gamma = float(gamma)
         self.alpha = float(alpha)
@@ -536,9 +529,6 @@ class AppendixBDemand(DemandModel):
 
     def inverse_cross_partial(self, q, m, i, j):
         return 0.0
-
-    def choke_quantities(self):
-        return np.ones(3)
 
     def default_price_region(self):
         return EvaluationRegion((0.05,) * 3, (0.95,) * 3)
@@ -654,17 +644,12 @@ class CustomDemand(DemandModel):
         self,
         n: int,
         inverse: Callable[[np.ndarray], np.ndarray],
-        costs=None,
-        demand: Callable[[np.ndarray], np.ndarray] | None = None,
-        inverse_jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
         price_region: EvaluationRegion | None = None,
         quantity_region: EvaluationRegion | None = None,
         choke: Sequence[float] | None = None,
     ):
-        super().__init__(n, costs)
+        super().__init__(n)
         self._inverse = inverse
-        self._demand = demand
-        self._inverse_jac = inverse_jacobian
         self._price_region = price_region
         self._quantity_region = quantity_region
         self._choke = None if choke is None else _as_vector(choke, n, "choke")
@@ -673,16 +658,8 @@ class CustomDemand(DemandModel):
         q = _as_vector(q, self.n, "q")
         return np.asarray(self._inverse(q), dtype=float)
 
-    def demand(self, p):
-        if self._demand is None:
-            return super().demand(p)
-        return np.asarray(self._demand(_as_vector(p, self.n, "p")), dtype=float)
-
     def inverse_jacobian(self, q):
-        q = _as_vector(q, self.n, "q")
-        if self._inverse_jac is not None:
-            return np.asarray(self._inverse_jac(q), dtype=float)
-        return _fd_jacobian(self.inverse_demand, q)
+        return _fd_jacobian(self.inverse_demand, _as_vector(q, self.n, "q"))
 
     def demand_jacobian(self, p):
         p = _as_vector(p, self.n, "p")
@@ -742,7 +719,6 @@ class GrossRelationReport:
 def gross_relation(
     model: DemandModel,
     region: EvaluationRegion | None = None,
-    tolerance: float = GROSS_TOLERANCE,
 ) -> GrossRelationReport:
     """Classify every product pair by the sign of the cross-price slopes
     sampled over a price grid.
@@ -775,10 +751,10 @@ def gross_relation(
         # min and max pass over a NaN that is not the first value
         values = np.stack((slopes[:, i, j], slopes[:, j, i]), axis=1).ravel().tolist()
         # a negative cross-price slope means complements, so the slopes enter negated
-        kind = GROSS_KIND[sign_kind(-max(values), -min(values), tolerance)]
+        kind = GROSS_KIND[sign_kind(-max(values), -min(values), GROSS_TOLERANCE)]
         pairs[(i + 1, j + 1)] = PairGrossRelation(i + 1, j + 1, kind)
     overall = overall_gross_kind(rel.kind for rel in pairs.values())
-    return GrossRelationReport(pairs, overall, tolerance, region, tuple(failures))
+    return GrossRelationReport(pairs, overall, GROSS_TOLERANCE, region, tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -811,7 +787,6 @@ class InverseModularityReport:
 def inverse_modularity(
     model: DemandModel,
     region: EvaluationRegion | None = None,
-    tolerance: float = MODULARITY_TOLERANCE,
 ) -> InverseModularityReport:
     """Sample all cross partials d2P_m/dq_i dq_j (i != j) over a quantity grid.
 
@@ -845,8 +820,8 @@ def inverse_modularity(
                     best_lo = sample
     if best_hi is None or best_lo is None:
         raise ConvergenceError("no usable grid node for inverse modularity")
-    sup_ok = best_lo.value >= -tolerance
-    sub_ok = best_hi.value <= tolerance
+    sup_ok = best_lo.value >= -MODULARITY_TOLERANCE
+    sub_ok = best_hi.value <= MODULARITY_TOLERANCE
     if sup_ok and sub_ok:
         kind = InverseModularityKind.BOTH
     elif sup_ok:
@@ -855,4 +830,6 @@ def inverse_modularity(
         kind = InverseModularityKind.WEAKLY_SUBMODULAR
     else:
         kind = InverseModularityKind.NEITHER
-    return InverseModularityReport(kind, tolerance, best_lo, best_hi, region, tuple(skipped))
+    return InverseModularityReport(
+        kind, MODULARITY_TOLERANCE, best_lo, best_hi, region, tuple(skipped)
+    )

@@ -417,7 +417,6 @@ def mixed_partial_grid(
     lo: tuple[float, float] = (0.0, 0.0),
     hi: tuple[float, float] = (1.0, 1.0),
     resolution: int = 5,
-    step: float = 1e-3,
     cfg: OptimizerConfig = DEFAULT_CONFIG,
 ) -> dict:
     """Finite-difference d2M/dq1 dq2 of the partial maximum on a grid.
@@ -425,6 +424,7 @@ def mixed_partial_grid(
     Uses the forward cross stencil anchored at each node so the fixed pair
     of quantities never goes negative.
     """
+    step = 1e-3
     axis1 = np.linspace(lo[0], hi[0], resolution)
     axis2 = np.linspace(lo[1], hi[1], resolution)
     cache: dict[tuple[float, float], float] = {}

@@ -144,7 +144,7 @@ class Portfolio:
 
     def key(self) -> str:
         """Bit string 'x1x2...xn', product 1 leftmost."""
-        return "".join(str(b) for b in self.bits())
+        return format(self.mask, f"0{self.n}b")[::-1]
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -301,12 +301,11 @@ def classify_pair(
     return PairRelation(i, j, sign_kind(lo.value, hi.value, tolerance), tolerance, witnesses, hi, lo)
 
 
-def classify_pair_at(
-    f: SetFunction, i: int, j: int, rest: Portfolio, tolerance: float = DEFAULT_TOLERANCE
-) -> PairRelation:
+def classify_pair_at(f: SetFunction, i: int, j: int, rest: Portfolio) -> PairRelation:
     """Single-rest variant of classify_pair (one witness, one difference)."""
     w = Witness(rest, second_difference(f, i, j, rest))
-    return PairRelation(i, j, sign_kind(w.value, w.value, tolerance), tolerance, (w,), w, w)
+    kind = sign_kind(w.value, w.value)
+    return PairRelation(i, j, kind, DEFAULT_TOLERANCE, (w,), w, w)
 
 
 @dataclass(frozen=True)

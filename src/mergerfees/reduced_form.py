@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .portfolios import (
-    DEFAULT_TOLERANCE,
     GROSS_KIND,
     PairKind,
     Portfolio,
@@ -26,6 +25,8 @@ from .portfolios import (
     overall_gross_kind,
     sign_kind,
 )
+
+TRAFFIC_TOLERANCE = 1e-12  # dead zone of gross_relations, in store-traffic shares
 
 
 class ShoppingCostCdf:
@@ -191,16 +192,16 @@ def saturated_cdf() -> StepCdf:
     return StepCdf([0.0])
 
 
-def hin_step_cdf(v: Sequence[float], pair: tuple[int, int] = (1, 2), target: int = 3) -> StepCdf:
-    """Single-step CDF under which the pair are perfect substitutes in spillovers.
+def hin_step_cdf(v: Sequence[float]) -> StepCdf:
+    """Single-step CDF under which products 1 and 2 are perfect substitutes
+    in the spillovers they create for product 3.
 
     The threshold sits so that every consumer tolerates one missing pair
-    member but nobody shops on the target product alone:
-    G = 1 at v_i + v_t and above, G = 0 at v_t.
+    member but nobody shops on product 3 alone:
+    G = 1 at min(v_1, v_2) + v_3 and above, G = 0 at v_3.
     """
-    i, j = pair
-    lo = v[target - 1]
-    hi = min(v[i - 1], v[j - 1]) + v[target - 1]
+    lo = v[2]
+    hi = min(v[0], v[1]) + v[2]
     if not hi > lo:
         raise ValueError("pair surpluses must be positive")
     return StepCdf([(lo + hi) / 2.0])
@@ -342,7 +343,6 @@ class ReducedFormMarket:
         pair: tuple[int, int] = (1, 2),
         target: int = 3,
         background: Portfolio | None = None,
-        tolerance: float = DEFAULT_TOLERANCE,
     ) -> SpilloverReport:
         """Profit spillovers of the pair onto the target product.
 
@@ -372,11 +372,9 @@ class ReducedFormMarket:
             for b in (0, 1)
         }
         sd = values[(1, 1)] - values[(1, 0)] - values[(0, 1)] + values[(0, 0)]
-        return SpilloverReport((i, j), target, values, sd, sign_kind(sd, sd, tolerance))
+        return SpilloverReport((i, j), target, values, sd, sign_kind(sd, sd))
 
-    def complementarity_condition(
-        self, x3: int, tolerance: float = DEFAULT_TOLERANCE
-    ) -> ComplementarityCondition:
+    def complementarity_condition(self, x3: int) -> ComplementarityCondition:
         """Profit-complementarity test for pair (1, 2) in a 3-product market.
 
         lhs > rhs means the pair are strict complements in profits; the
@@ -393,7 +391,7 @@ class ReducedFormMarket:
         top = g(v1 + v2 + x3 * v3)
         lhs = p1 * (top - g(v1 + x3 * v3)) + p2 * (top - g(v2 + x3 * v3))
         rhs = x3 * p3 * (g(v1 + x3 * v3) + g(v2 + x3 * v3) - top - g(x3 * v3))
-        return ComplementarityCondition(x3, lhs, rhs, sign_kind(lhs - rhs, lhs - rhs, tolerance))
+        return ComplementarityCondition(x3, lhs, rhs, sign_kind(lhs - rhs, lhs - rhs))
 
     def loss_ratios(self) -> LossRatioReport:
         """Loss ratios for pulling product 1, product 2, or both (3 products).
@@ -412,7 +410,7 @@ class ReducedFormMarket:
         return LossRatioReport(cl_1, cl_2, cl_12, cl_1 + cl_2 - cl_12)
 
 
-def gross_relations(market: ReducedFormMarket, tolerance: float = 1e-12) -> dict:
+def gross_relations(market: ReducedFormMarket) -> dict:
     """Sign of demand changes when the partner product joins the portfolio.
 
     A carried product's demand is the store traffic, so for pair (i, j) the
@@ -432,8 +430,8 @@ def gross_relations(market: ReducedFormMarket, tolerance: float = 1e-12) -> dict
             rest = masks[(masks & (bit_i | bit_j)) == 0]
             both = traffic[rest | bit_i | bit_j]
             diffs = np.concatenate((both - traffic[rest | bit_i], both - traffic[rest | bit_j]))
-            kind = GROSS_KIND[sign_kind(diffs.min(), diffs.max(), tolerance)]
+            kind = GROSS_KIND[sign_kind(diffs.min(), diffs.max(), TRAFFIC_TOLERANCE)]
             pairs[f"{i},{j}"] = kind.value
             verdicts.add(kind)
     overall = overall_gross_kind(verdicts)
-    return {"overall": overall.value, "pairs": pairs, "tolerance": tolerance}
+    return {"overall": overall.value, "pairs": pairs, "tolerance": TRAFFIC_TOLERANCE}

@@ -24,14 +24,7 @@ import numpy as np
 
 from .bargaining import BargainingEnv, OwnershipStructure, merger_report
 from .demand_systems import AppendixBDemand, Eq7Demand, gross_relation, inverse_modularity
-from .optimize import (
-    DEFAULT_CONFIG,
-    FocVariant,
-    max_profit,
-    merger_delta,
-    mixed_partial_grid,
-    solve_foc_eq7,
-)
+from .optimize import FocVariant, max_profit, merger_delta, mixed_partial_grid, solve_foc_eq7
 from .portfolios import Portfolio
 from .reduced_form import ExponentialCdf, ReducedFormMarket, hin_step_cdf
 from .sampling import STRICT_FAMILIES, random_reduced_form_market
@@ -70,7 +63,7 @@ class Row:
         }
 
 
-def suite_appendix_a(cfg=DEFAULT_CONFIG) -> list[Row]:
+def suite_appendix_a() -> list[Row]:
     rows: list[Row] = []
     q_tol, v_tol = 2e-3, 5e-3
     for gamma, tag, bench in (
@@ -80,8 +73,8 @@ def suite_appendix_a(cfg=DEFAULT_CONFIG) -> list[Row]:
                        "q_one": 0.437, "q3_one": 0.335, "v_one": 0.358}),
     ):
         model = Eq7Demand(0.0, gamma)
-        full = max_profit(model, Portfolio.full(3), cfg)
-        one = max_profit(model, Portfolio.from_indices(3, (1, 3)), cfg)
+        full = max_profit(model, Portfolio.full(3))
+        one = max_profit(model, Portfolio.from_indices(3, (1, 3)))
         rows += [
             Row(f"q_pair[{tag}]", float(full.q[0]), bench["q_pair"], q_tol),
             Row(f"q3_full[{tag}]", float(full.q[2]), bench["q3_pair"], q_tol),
@@ -100,20 +93,20 @@ def suite_appendix_a(cfg=DEFAULT_CONFIG) -> list[Row]:
         rows.append(
             Row(
                 f"delta[{tag}]",
-                merger_delta(model, cfg=cfg),
+                merger_delta(model),
                 -0.112 if gamma > 0 else 0.099,
                 v_tol,
             )
         )
-    third = max_profit(Eq7Demand(0.0, 0.5), Portfolio.from_indices(3, (3,)), cfg)
+    third = max_profit(Eq7Demand(0.0, 0.5), Portfolio.from_indices(3, (3,)))
     rows.append(Row("value_third_alone", third.value, 0.25, v_tol))
     return rows
 
 
-def suite_appendix_b(cfg=DEFAULT_CONFIG) -> list[Row]:
+def suite_appendix_b() -> list[Row]:
     model = AppendixBDemand(b=-0.125, gamma=-0.8, alpha=-1e-4)
     rows = [
-        Row("delta", merger_delta(model, cfg=cfg), 0.015, 3e-3),
+        Row("delta", merger_delta(model), 0.015, 3e-3),
     ]
     gr = gross_relation(model)
     rows.append(
@@ -137,7 +130,7 @@ def suite_appendix_b(cfg=DEFAULT_CONFIG) -> list[Row]:
             note=f"verdict: {im.kind.value}",
         )
     )
-    grid = mixed_partial_grid(model, resolution=5, cfg=cfg)
+    grid = mixed_partial_grid(model, resolution=5)
     rows.append(
         Row(
             "partial_max_mixed_partial_min",
@@ -151,7 +144,7 @@ def suite_appendix_b(cfg=DEFAULT_CONFIG) -> list[Row]:
     return rows
 
 
-def suite_prop1(cfg=DEFAULT_CONFIG) -> list[Row]:
+def suite_prop1() -> list[Row]:
     rng = np.random.default_rng(20240831)
     worst = -np.inf
     draws = 0
@@ -188,7 +181,7 @@ def suite_prop1(cfg=DEFAULT_CONFIG) -> list[Row]:
     return rows
 
 
-def suite_hin(cfg=DEFAULT_CONFIG) -> list[Row]:
+def suite_hin() -> list[Row]:
     v = (1.0, 1.0, 1.0)
     pi = (1.0, 1.0, 1.0)
     market = ReducedFormMarket(v, pi, hin_step_cdf(v))
@@ -217,7 +210,7 @@ _SUITES = {
 SUITES = tuple(_SUITES)
 
 
-def run_suite(name: str, cfg=DEFAULT_CONFIG) -> list[Row]:
+def run_suite(name: str) -> list[Row]:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
-    return _SUITES[name](cfg)
+    return _SUITES[name]()

@@ -26,7 +26,6 @@ def random_linear_demand(
     rng: np.random.Generator,
     n: int = 2,
     relation: str = "complements",
-    off_diag: tuple[float, float] = (0.05, 0.45),
 ) -> LinearDemand:
     """Diagonally dominant linear system with uniformly signed cross effects.
 
@@ -39,11 +38,10 @@ def random_linear_demand(
     sign = -1.0 if relation == "complements" else 1.0
     diag = rng.uniform(1.0, 2.0, size=n)
     B = np.diag(diag)
-    lo, hi = off_diag
     for i in range(n):
         for j in range(n):
             if i != j:
-                B[i, j] = sign * rng.uniform(lo, hi)
+                B[i, j] = sign * rng.uniform(0.05, 0.45)
     # cap row mass so B stays diagonally dominant with margin
     for i in range(n):
         row = np.abs(B[i]).sum() - diag[i]
@@ -60,17 +58,16 @@ def random_reduced_form_market(
     rng: np.random.Generator,
     family: str = "exponential",
     n: int = 3,
-    value_range: tuple[float, float] = (0.1, 10.0),
     strict: bool = True,
 ) -> ReducedFormMarket:
-    """Market with v, pi drawn from value_range and a CDF of the given family.
+    """Market with v, pi drawn from [0.1, 10] and a CDF of the given family.
 
     With strict=True the CDF parameters are chosen so G is strictly
     increasing on [0, sum(v)] (the step family does not qualify and is
     rejected).
     """
-    v = rng.uniform(*value_range, size=n)
-    pi = rng.uniform(*value_range, size=n)
+    v = rng.uniform(0.1, 10.0, size=n)
+    pi = rng.uniform(0.1, 10.0, size=n)
     total = float(np.sum(v))
     if family == "affine":
         cdf = AffineClampedCdf(0.0, total * rng.uniform(1.05, 2.0))

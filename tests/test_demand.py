@@ -150,6 +150,78 @@ def test_eq7_inverse_jacobian_matches_differences():
     assert np.max(np.abs(m.inverse_jacobian(q) - fd_jacobian(m.inverse_demand, q))) < 1e-6
 
 
+def _reference_eq7_demand_jacobian(m, p):
+    """The 3x3 dD/dp literal that Eq7Demand.demand_jacobian once built."""
+    p = np.asarray(p, dtype=float)
+    radicand = (1.0 - p[0]) + (1.0 - p[1])
+    if radicand <= 0:
+        raise DomainError("cross-price slope of product 3 undefined at p1 + p2 >= 2")
+    b, g = m.b, m.gamma
+    d3 = -0.5 * g / math.sqrt(radicand)
+    return np.array([[-1.0, -b, -b], [-b, -1.0, -b], [d3, d3, -1.0]])
+
+
+def _reference_eq7_portfolio_inverse_jacobian(m, q, carried):
+    """The carried-subsystem loop that portfolio_inverse_jacobian once ran inline."""
+    p = m.portfolio_inverse(q, carried)
+    pair = [i for i in (1, 2) if i in carried]
+    k = len(carried)
+    jac_d = np.zeros((k, k))
+    pos = {prod: idx for idx, prod in enumerate(carried)}
+    for prod in carried:
+        r = pos[prod]
+        if prod in (1, 2):
+            for other in carried:
+                jac_d[r, pos[other]] = -1.0 if other == prod else -m.b
+        else:
+            if pair:
+                u = sum(1.0 - p[i - 1] for i in pair)
+                if u <= 0:
+                    raise DomainError("inverse Jacobian singular: zero spillover surplus")
+                slope = -0.5 * m.gamma / math.sqrt(u)
+                for i in pair:
+                    jac_d[r, pos[i]] = slope
+            jac_d[r, r] = -1.0
+    return np.linalg.inv(jac_d)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (DomainError, np.linalg.LinAlgError) as exc:
+        return type(exc)
+
+
+def test_eq7_slopes_match_reference_construction_bit_for_bit():
+    rng = np.random.default_rng(11)
+    subsets = [c for r in (1, 2, 3) for c in itertools.combinations((1, 2, 3), r)]
+    errors = [0, 0]
+    for draw in range(1500):
+        b = 0.0 if draw % 5 == 0 else rng.uniform(-0.9, 0.9)
+        gamma = 0.0 if draw % 7 == 0 else rng.uniform(-1.0, 1.0)
+        m = Eq7Demand(b, gamma)
+        p = np.array([1.0, 1.0, 0.5]) if draw % 11 == 0 else rng.uniform(-0.2, 1.4, 3)
+        pairs = [(_outcome(m.demand_jacobian, p), _outcome(_reference_eq7_demand_jacobian, m, p))]
+        carried = subsets[draw % len(subsets)]
+        q = np.zeros(3)
+        for i in carried:
+            q[i - 1] = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 1.2)
+        pairs.append(
+            (
+                _outcome(m.portfolio_inverse_jacobian, q, carried),
+                _outcome(_reference_eq7_portfolio_inverse_jacobian, m, q, carried),
+            )
+        )
+        for k, (got, want) in enumerate(pairs):
+            if isinstance(want, type):
+                errors[k] += 1
+                assert got is want
+            else:
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert min(errors) > 50  # both methods fail on some draws, not only succeed
+
+
 # ---------------------------------------------------------------------------
 # Log-coupled inverse-demand family
 # ---------------------------------------------------------------------------

@@ -637,3 +637,23 @@ def test_predicate_safety_and_semantics():
         compile_predicate("gap.__class__")
     with pytest.raises(ScenarioError):
         compile_predicate("(lambda: 1)()")
+    row = {"gap": 1.0, "gross": "strict_gross_complements", "verdict": "mixed"}
+    for expr in ("gross > 0", "verdict + 1", "gap / 0 > 1", "gapp > 0"):
+        with pytest.raises(ScenarioError, match="^predicate: "):
+            compile_predicate(expr)(row)
+
+
+@pytest.mark.parametrize("expr", ["gross > 0", "gap >"])
+def test_cli_sweep_bad_predicate_is_validation_error(tmp_path, capsys, monkeypatch, expr):
+    if expr == "gap >":
+        # a syntax error is caught before any node runs
+        def no_node(*args, **kwargs):
+            raise AssertionError("a node ran before the predicate compiled")
+
+        monkeypatch.setattr("mergerfees.cli._sweep_node", no_node)
+    path = write_scenario(tmp_path, reduced_scenario())
+    argv = ["sweep", path, "--range", "model.cdf.lam=0.5:1.0:2", "--predicate", expr]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: predicate: ")
+    assert "Traceback" not in err
