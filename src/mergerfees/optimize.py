@@ -4,39 +4,32 @@ For a demand model and a portfolio x, the intermediary's gross profit is
 
     max_q  sum_{i in x} (P_i(q) - c_i) q_i   s.t.  q_i = 0 for i not in x
 
-solved by multistart projected quasi-Newton (L-BFGS-B plus an active-set
-Newton polish). The resulting value function over portfolios feeds the
-set-function classifiers and the bargaining layer. The module also provides
-the partial maximum M(q1, q2) (profit maximized over every carried product
-except 1 and 2, whose quantities are held fixed), closed-form first-order
-conditions for the square-root-spillover family, the pair second difference
-of the optimized profit at the full complement portfolio (negative means
-the pair are profit substitutes, so merging them raises total fees), and a
-seeded search for parameter draws satisfying a predicate.
+solved by damped Newton ascent from several starts, with coordinates held
+at a bound by their slope kept fixed. The resulting value function over
+portfolios feeds the set-function classifiers and the bargaining layer.
+The module also provides the partial maximum M(q1, q2) (profit maximized
+over every carried product except 1 and 2, whose quantities are held
+fixed), closed-form first-order conditions for the square-root-spillover
+family, the pair second difference of the optimized profit at the full
+complement portfolio (negative means the pair are profit substitutes, so
+merging them raises total fees), and a seeded search for parameter draws
+satisfying a predicate.
 """
 
 from __future__ import annotations
 
-import ctypes
 import enum
-import functools
-import glob
 import math
-import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-import scipy
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq
 
 from .demand_systems import DemandModel, GrossRelationReport, _fd_jacobian, gross_relation
 from .errors import ConvergenceError, DomainError
 from .portfolios import Portfolio, SetFunction, second_difference
 
-_PENALTY = 1e12
 MAX_MULTISTART = 10_000  # each start is a row of the Latin hypercube drawn up front
 _EVAL_ERRORS = (DomainError, ConvergenceError, np.linalg.LinAlgError)
 
@@ -50,7 +43,7 @@ class OptStatus(str, enum.Enum):
 @dataclass(frozen=True)
 class OptimizerConfig:
     gradient_tol: float = 1e-9
-    max_iter: int = 500
+    max_iter: int = 500  # Newton steps of each start
     multistart: int = 8
     floor: float = 1e-6  # keeps iterates off gradient singularities at q = 0
     seed: int = 0
@@ -136,15 +129,19 @@ def _polish(
     lb: np.ndarray,
     ub: np.ndarray,
     tol: float,
-    max_steps: int = 30,
+    max_steps: int,
 ) -> tuple[np.ndarray, float, bool]:
     """Damped Newton ascent of ``value`` from z, whose value is fz, in the box [lb, ub].
 
     Coordinates held at a bound by their slope stay fixed; the Hessian of
-    the others comes from central differences of ``gradient``, and each
-    step is halved until the value does not fall. Infinite bounds make it
-    plain Newton ascent. Returns the last accepted point, its value, and
-    whether its KKT residual reached ``tol``.
+    the others comes from central differences of ``gradient``. The step
+    follows the gradient instead where the Hessian's symmetric part is not
+    negative definite, since a Newton step could then head for a saddle or
+    a minimum (Nocedal & Wright, Numerical Optimization, sec. 3.4), and
+    where the Hessian cannot be evaluated, as on a bound that the
+    differences would cross. Each step is halved until the value does not
+    fall. Returns the last accepted point, its value, and whether its KKT
+    residual reached ``tol``.
     """
     for _ in range(max_steps):
         try:
@@ -159,11 +156,13 @@ def _polish(
             if not (z[a] <= lb[a] + 1e-10 and g[a] <= 0)
             and not (z[a] >= ub[a] - 1e-10 and g[a] >= 0)
         ]
+        step = g[free]
         try:
             hess = _fd_jacobian(gradient, z, 1e-6, free)[free]
-            step = np.linalg.solve(hess, -g[free])
+            if np.linalg.eigvalsh(0.5 * (hess + hess.T)).max() < 0:
+                step = np.linalg.solve(hess, -g[free])
         except _EVAL_ERRORS:
-            return z, fz, False
+            pass  # keep the gradient step
         if not np.isfinite(step).all():
             return z, fz, False
         scale = 1.0
@@ -184,59 +183,6 @@ def _polish(
         else:
             return z, fz, False
     return z, fz, False
-
-
-@functools.cache
-def _scipy_openblas() -> ctypes.CDLL | None:
-    """scipy's bundled OpenBLAS with its thread-count calls bound, or None.
-
-    L-BFGS-B runs on this copy (``scipy.libs/libscipy_openblas*.so``), not on
-    numpy's. None when no such library or either symbol is found.
-    """
-    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
-        try:
-            lib = ctypes.CDLL(path)
-            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return lib
-    return None
-
-
-_blas_lock = threading.Lock()
-_blas_depth = 0  # _one_blas_thread blocks open in any thread
-_blas_saved = 0  # thread count when the outermost block opened
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with scipy's OpenBLAS on one thread, then restore its count.
-
-    After an L-BFGS-B call the library's idle workers busy-wait and bill a
-    second core for no wall-time gain on these small problems. The count is
-    process-wide, so blocks open in several threads share one cap: the first
-    to open saves the count and the last to close restores it.
-    """
-    global _blas_depth, _blas_saved
-    lib = _scipy_openblas()
-    if lib is None:
-        yield
-        return
-    with _blas_lock:
-        if _blas_depth == 0:
-            _blas_saved = lib.scipy_openblas_get_num_threads()
-            lib.scipy_openblas_set_num_threads(1)
-        _blas_depth += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_depth -= 1
-            if _blas_depth == 0:
-                lib.scipy_openblas_set_num_threads(_blas_saved)
 
 
 def max_profit(
@@ -278,38 +224,19 @@ def max_profit(
                 z = 0.5 * (z + anchor)
         return None
 
-    def neg_value(z):
-        try:
-            return -obj.value(z)
-        except _EVAL_ERRORS:
-            return _PENALTY
-
-    def neg_grad(z):
-        try:
-            return -obj.gradient(z)
-        except _EVAL_ERRORS:
-            return np.zeros(k)
-
     solutions: list[tuple[float, np.ndarray, float]] = []  # (value, z, kkt)
     used = 0
     # an overflowing profit reaches the caller as a non-finite value, not as warnings
-    with _one_blas_thread(), np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for z0 in starts:
             z0 = safe_start(np.asarray(z0))
             if z0 is None:
                 continue
             used += 1
-            res = minimize(
-                neg_value,
-                z0,
-                jac=neg_grad,
-                method="L-BFGS-B",
-                bounds=list(zip(lb, ub)),
-                options={"maxiter": cfg.max_iter, "ftol": 1e-15, "gtol": 1e-10},
-            )
-            z = np.clip(res.x, lb, ub)
             try:
-                z, val, _ = _polish(obj.value, obj.gradient, z, obj.value(z), lb, ub, cfg.gradient_tol)
+                z, val, _ = _polish(
+                    obj.value, obj.gradient, z0, obj.value(z0), lb, ub, cfg.gradient_tol, cfg.max_iter
+                )
                 kkt = _kkt_residual(obj.gradient(z), z, lb, ub)
             except _EVAL_ERRORS:
                 continue
@@ -536,23 +463,19 @@ def solve_foc_eq7(gamma: float, variant: FocVariant | str) -> FocSolution:
 
 def merger_delta(
     model: DemandModel,
-    pair: tuple[int, int] = (1, 2),
     cfg: OptimizerConfig = DEFAULT_CONFIG,
     oracle: SetFunction | None = None,
 ) -> float:
-    """Second difference of optimized profit for the pair, all else carried.
+    """Second difference of optimized profit for products 1 and 2, all else carried.
 
     Negative: the pair are profit substitutes and merging their suppliers
     raises the total negotiated fees. Positive: profit complements, fees
     fall.
     """
-    i, j = pair
     if oracle is None:
         oracle = profit_oracle(model, cfg)
-    rest = Portfolio.from_indices(
-        model.n, [k for k in range(1, model.n + 1) if k not in (i, j)]
-    )
-    return second_difference(oracle, i, j, rest)
+    rest = Portfolio.from_indices(model.n, range(3, model.n + 1))
+    return second_difference(oracle, 1, 2, rest)
 
 
 @dataclass(frozen=True)
@@ -578,12 +501,11 @@ def counterexample_search(
     seed: int = 0,
     cfg: OptimizerConfig = DEFAULT_CONFIG,
     region=None,
-    pair: tuple[int, int] = (1, 2),
 ) -> CandidateRecord | None:
     """Draw models until one satisfies the predicate; None if the budget runs out.
 
-    Each draw gets its gross-relation classification and merger statistic;
-    the predicate sees both. Deterministic for a fixed seed. An empty result
+    Each draw gets its gross-relation classification and the merger
+    statistic of products 1 and 2; the predicate sees both. Deterministic for a fixed seed. An empty result
     is a legitimate outcome (it is the expected one when searching for
     counterexamples that provably cannot exist).
     """
@@ -593,7 +515,7 @@ def counterexample_search(
     for index in range(budget):
         model = make_model(rng)
         gross = gross_relation(model, region)
-        delta = merger_delta(model, pair, cfg)
+        delta = merger_delta(model, cfg)
         record = CandidateRecord(index, model, gross, delta)
         if predicate(record):
             return record

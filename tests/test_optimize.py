@@ -1,5 +1,4 @@
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -11,8 +10,9 @@ from mergerfees.demand_systems import (
     Eq7Demand,
     EvaluationRegion,
     LinearDemand,
+    OneStopDemand,
 )
-from mergerfees.errors import ConvergenceError
+from mergerfees.errors import DomainError
 from mergerfees.optimize import (
     FocVariant,
     OptimizerConfig,
@@ -26,6 +26,7 @@ from mergerfees.optimize import (
     solve_foc_eq7,
 )
 from mergerfees.portfolios import Portfolio, classify_modularity
+from mergerfees.reduced_form import ExponentialCdf
 from mergerfees.sampling import eq7_sampler, random_linear_demand
 
 CFG = OptimizerConfig()
@@ -92,8 +93,6 @@ def test_linear_quadratic_matches_closed_form():
             res = max_profit(m, Portfolio.full(3), FAST)
             sym = m.B + m.B.T
             q_star = np.linalg.solve(sym, m.a - m.costs)
-            expected = 0.25 * (m.a - m.costs) @ np.linalg.solve(sym / 2, m.a - m.costs) / 2
-            # closed form: (a-c)' (B+B')^{-1} (a-c) ... reduce carefully
             expected = float((m.a - m.costs) @ q_star - q_star @ m.B @ q_star)
             assert np.all(q_star > 0)
             assert res.value == pytest.approx(expected, abs=1e-9)
@@ -156,114 +155,64 @@ def test_degenerate_status_surfaces_multiple_optima():
     assert res.value == pytest.approx(0.8408, abs=1e-3)  # best hump still reported
 
 
+@pytest.mark.parametrize(
+    "max_iter,status", [(1, OptStatus.MAXITER), (2, OptStatus.MAXITER), (3, OptStatus.CONVERGED)]
+)
+def test_max_iter_bounds_the_newton_steps_of_each_start(max_iter, status):
+    cfg = OptimizerConfig(multistart=1, max_iter=max_iter)
+    res = max_profit(Eq7Demand(0.15, 0.5), Portfolio.full(3), cfg)
+    assert res.status is status
+    if status is OptStatus.CONVERGED:
+        assert res.gradient_norm <= cfg.gradient_tol
+
+
+def test_polish_climbs_out_of_a_non_concave_region():
+    # f = -(z^2 - 1)^2 is convex near 0, where a Newton step heads for the minimum
+    def value(z):
+        return float(-((z[0] ** 2 - 1) ** 2))
+
+    def gradient(z):
+        return np.array([-4 * z[0] * (z[0] ** 2 - 1)])
+
+    z0 = np.array([0.1])
+    unbounded = np.full(1, np.inf)
+    z, val, converged = optimize._polish(value, gradient, z0, value(z0), -unbounded, unbounded, 1e-9, 80)
+    assert converged
+    assert z[0] == pytest.approx(1.0, abs=1e-9)
+    assert val == pytest.approx(0.0, abs=1e-15)
+
+
+def test_polish_steps_off_a_bound_where_the_hessian_cannot_be_differenced():
+    # the central difference at z = 0 evaluates z < 0, where the objective is undefined
+    def value(z):
+        if z[0] < 0:
+            raise DomainError("quantities must be nonnegative")
+        return float(-((z[0] - 1) ** 2))
+
+    def gradient(z):
+        value(z)
+        return np.array([-2 * (z[0] - 1)])
+
+    z0 = np.zeros(1)
+    z, _, converged = optimize._polish(value, gradient, z0, value(z0), np.zeros(1), np.full(1, 10.0), 1e-9, 30)
+    assert converged
+    assert z[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_one_stop_optimum_reached_after_a_step_lands_on_the_floor():
+    # Newton steps overshoot product 3 onto q = 0, where the Hessian cannot be differenced
+    m = OneStopDemand([1.31, 1.59, 0.89], [1.25, 1.39, 1.17], ExponentialCdf(0.26))
+    res = max_profit(m, Portfolio.from_indices(3, (1, 3)), CFG)
+    assert res.status is OptStatus.CONVERGED
+    assert res.value == pytest.approx(0.053551596558122, rel=1e-12)
+    assert res.q[0] > 0.1 and res.q[2] > 0.05
+
+
 def test_profit_oracle_records_statuses():
     statuses = {}
     oracle = profit_oracle(Eq7Demand(0.0, 0.5), FAST, statuses)
     oracle(Portfolio.full(3))
     assert statuses == {"111": "converged"}
-
-
-# ---------------------------------------------------------------------------
-# scipy's OpenBLAS runs on one thread inside max_profit
-# ---------------------------------------------------------------------------
-
-SCIPY_OPENBLAS = optimize._scipy_openblas()
-needs_scipy_openblas = pytest.mark.skipif(SCIPY_OPENBLAS is None, reason="scipy's bundled OpenBLAS not found")
-
-
-def blas_threads() -> int:
-    return SCIPY_OPENBLAS.scipy_openblas_get_num_threads()
-
-
-@pytest.fixture
-def threads_seen(monkeypatch):
-    """Thread count of scipy's OpenBLAS during each L-BFGS-B call; 2 outside them."""
-    before = blas_threads()
-    SCIPY_OPENBLAS.scipy_openblas_set_num_threads(2)
-    seen: list[int] = []
-    minimize = optimize.minimize
-
-    def recording_minimize(*args, **kwargs):
-        seen.append(blas_threads())
-        return minimize(*args, **kwargs)
-
-    monkeypatch.setattr(optimize, "minimize", recording_minimize)
-    yield seen
-    SCIPY_OPENBLAS.scipy_openblas_set_num_threads(before)
-
-
-@needs_scipy_openblas
-@pytest.mark.parametrize("model", [Eq7Demand(1e-4, 0.5), LinearDemand([1.0, 0.8], [[1.0, 0.3], [0.2, 1.0]])])
-def test_max_profit_caps_scipy_blas_at_one_thread_and_restores(threads_seen, model):
-    max_profit(model, Portfolio.full(model.n), CFG)
-    assert threads_seen and set(threads_seen) == {1}
-    assert blas_threads() == 2
-
-
-@needs_scipy_openblas
-def test_blas_thread_count_restored_when_max_profit_raises(threads_seen, monkeypatch):
-    def failing_minimize(*args, **kwargs):
-        threads_seen.append(blas_threads())
-        raise ConvergenceError("no step")
-
-    monkeypatch.setattr(optimize, "minimize", failing_minimize)
-    with pytest.raises(ConvergenceError):
-        max_profit(Eq7Demand(0.0, 0.5), Portfolio.full(3), CFG)
-    assert threads_seen == [1]
-    assert blas_threads() == 2
-
-
-@needs_scipy_openblas
-def test_overlapping_max_profit_calls_keep_the_cap_and_restore_the_count(threads_seen, monkeypatch):
-    # a opens first and closes first while b is still inside its call
-    a_inside, b_inside, a_done = threading.Event(), threading.Event(), threading.Event()
-    minimize = optimize.minimize
-    errors: list[BaseException] = []
-
-    def gated_minimize(*args, **kwargs):
-        name = threading.current_thread().name
-        if name == "a" and not a_inside.is_set():
-            a_inside.set()
-            b_inside.wait(10)
-        elif name == "b" and not b_inside.is_set():
-            b_inside.set()
-            a_done.wait(10)
-        return minimize(*args, **kwargs)
-
-    def run(name):
-        try:
-            max_profit(Eq7Demand(0.0, 0.5), Portfolio.full(3), CFG)
-        except BaseException as exc:  # surfaced by the assertion below
-            errors.append(exc)
-        if name == "a":
-            a_done.set()
-
-    monkeypatch.setattr(optimize, "minimize", gated_minimize)
-    a = threading.Thread(target=run, args=("a",), name="a")
-    b = threading.Thread(target=run, args=("b",), name="b")
-    a.start()
-    assert a_inside.wait(10)
-    b.start()
-    a.join(20)
-    b.join(20)
-    assert not errors and a_done.is_set() and not b.is_alive()
-    assert threads_seen and set(threads_seen) == {1}
-    assert blas_threads() == 2
-
-
-@needs_scipy_openblas
-@pytest.mark.parametrize("model", [Eq7Demand(1e-4, 0.5), AppendixBDemand(-0.125, -0.8, -1e-4)])
-def test_max_profit_result_does_not_depend_on_blas_threads(threads_seen, monkeypatch, model):
-    capped = max_profit(model, Portfolio.full(3), CFG)
-    assert set(threads_seen) == {1}
-    threads_seen.clear()
-    monkeypatch.setattr(optimize, "_scipy_openblas", lambda: None)
-    plain = max_profit(model, Portfolio.full(3), CFG)
-    assert set(threads_seen) == {2}
-    assert np.array_equal(plain.q, capped.q)
-    assert (plain.value, plain.gradient_norm, plain.status, plain.starts_used) == (
-        capped.value, capped.gradient_norm, capped.status, capped.starts_used
-    )
 
 
 # ---------------------------------------------------------------------------
