@@ -356,10 +356,6 @@ class Eq7Demand(DemandModel):
         q = _as_vector(q, 3, "q")
         return self._restricted_inverse(q, (1, 2, 3))
 
-    def inverse_jacobian(self, q):
-        q = _as_vector(q, 3, "q")
-        return self.portfolio_inverse_jacobian(q, (1, 2, 3))
-
     def inverse_cross_partial(self, q, m, i, j):
         if self.b != 0.0:
             return None  # no closed form; grid scan falls back to differences
@@ -413,48 +409,33 @@ class Eq7Demand(DemandModel):
             if (i + 1) not in carried and q[i] != 0.0:
                 raise ValueError(f"quantity of absent product {i + 1} must be 0")
         b, g = self.b, self.gamma
-        pair = [i for i in (1, 2) if i in carried]
-        has3 = 3 in carried
+        pair = [i - 1 for i in (1, 2) if i in carried]
+        m = len(pair)
         s = np.full(3, np.nan)
-        if len(pair) == 2:
-            if has3:
-                # (1+b) t^2 - 2 b g t - (q1 + q2 - 2 b q3) = 0,  t = sqrt(s1+s2)
-                c0 = q[0] + q[1] - 2.0 * b * q[2]
-                disc = (b * g) ** 2 + (1.0 + b) * c0
-                if disc < 0:
-                    raise DomainError("quantity vector outside the invertible region")
-                t = (b * g + math.sqrt(disc)) / (1.0 + b)
-                if t < 0:
-                    raise DomainError("quantity vector outside the invertible region")
-                u = t * t
+        if 3 in carried and m:
+            # (1 + b(m-1)) t^2 - m b g t - (sum of pair q - m b q3) = 0,
+            # t = sqrt(sum of pair s)
+            a = 1.0 + b * (m - 1)
+            c = (q[0] + q[1] if m == 2 else q[pair[0]]) - m * b * q[2]
+            disc = (m * b * g) ** 2 + 4.0 * a * c
+            if disc < 0:
+                raise DomainError("quantity vector outside the invertible region")
+            t = (m * b * g + math.sqrt(disc)) / (2.0 * a)
+            if t < 0:
+                raise DomainError("quantity vector outside the invertible region")
+            if m == 2:
                 delta = (q[0] - q[1]) / (1.0 - b)
-                s[0] = 0.5 * (u + delta)
-                s[1] = 0.5 * (u - delta)
-                s[2] = q[2] - g * t
+                s[0] = 0.5 * (t * t + delta)
+                s[1] = 0.5 * (t * t - delta)
             else:
-                mat = np.array([[1.0, b], [b, 1.0]])
-                s[0], s[1] = np.linalg.solve(mat, q[:2])
-        elif len(pair) == 1:
-            i = pair[0]
-            if has3:
-                # w^2 - b g w + (b q3 - q_i) = 0,  w = sqrt(s_i)
-                disc = (b * g) ** 2 + 4.0 * (q[i - 1] - b * q[2])
-                if disc < 0:
-                    raise DomainError("quantity vector outside the invertible region")
-                w = 0.5 * (b * g + math.sqrt(disc))
-                if w < 0:
-                    raise DomainError("quantity vector outside the invertible region")
-                s[i - 1] = w * w
-                s[2] = q[2] - g * w
-            else:
-                s[i - 1] = q[i - 1]
+                s[pair[0]] = t * t
+            s[2] = q[2] - g * t
+        elif m == 2:
+            s[0], s[1] = np.linalg.solve(np.array([[1.0, b], [b, 1.0]]), q[:2])
         else:
-            if has3:
-                s[2] = q[2]
-        p = np.full(3, np.nan)
-        for i in carried:
-            p[i - 1] = 1.0 - s[i - 1]
-        return p
+            for i in carried:
+                s[i - 1] = q[i - 1]
+        return 1.0 - s
 
     def choke_quantities(self):
         return np.abs(self.demand(np.zeros(3)))

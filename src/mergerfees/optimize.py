@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .demand_systems import DemandModel, GrossRelationReport, _fd_jacobian, gross_relation
 from .errors import ConvergenceError, DomainError
@@ -109,18 +108,6 @@ def _latin_hypercube(rng: np.random.Generator, count: int, lo: np.ndarray, hi: n
     return lo + u * (hi - lo)
 
 
-def _kkt_residual(g: np.ndarray, z: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> float:
-    res = 0.0
-    for a in range(len(z)):
-        if z[a] <= lb[a] + 1e-10:
-            res = max(res, max(g[a], 0.0))  # at the floor the profit slope must point down
-        elif z[a] >= ub[a] - 1e-10:
-            res = max(res, max(-g[a], 0.0))
-        else:
-            res = max(res, abs(g[a]))
-    return res
-
-
 def _polish(
     value: Callable[[np.ndarray], float],
     gradient: Callable[[np.ndarray], np.ndarray],
@@ -130,7 +117,7 @@ def _polish(
     ub: np.ndarray,
     tol: float,
     max_steps: int,
-) -> tuple[np.ndarray, float, bool]:
+) -> tuple[np.ndarray, float, float]:
     """Damped Newton ascent of ``value`` from z, whose value is fz, in the box [lb, ub].
 
     Coordinates held at a bound by their slope stay fixed; the Hessian of
@@ -140,16 +127,15 @@ def _polish(
     a minimum (Nocedal & Wright, Numerical Optimization, sec. 3.4), and
     where the Hessian cannot be evaluated, as on a bound that the
     differences would cross. Each step is halved until the value does not
-    fall. Returns the last accepted point, its value, and whether its KKT
-    residual reached ``tol``.
+    fall. Returns the last accepted point, its value, and its KKT residual:
+    the largest slope over the coordinates no bound holds, NaN if the
+    gradient there is NaN. The search stops once the residual reaches
+    ``tol``, after ``max_steps`` steps, or when no step can be taken. An
+    error from ``gradient`` propagates.
     """
-    for _ in range(max_steps):
-        try:
-            g = gradient(z)
-        except _EVAL_ERRORS:
-            return z, fz, False
-        if _kkt_residual(g, z, lb, ub) <= tol:
-            return z, fz, True
+    stalled = False
+    for steps in range(max_steps + 1):
+        g = gradient(z)
         free = [
             a
             for a in range(len(z))
@@ -157,14 +143,17 @@ def _polish(
             and not (z[a] >= ub[a] - 1e-10 and g[a] >= 0)
         ]
         step = g[free]
+        residual = float(np.abs(step).max(initial=0.0))
+        if residual <= tol or steps == max_steps or stalled:
+            return z, fz, residual
         try:
             hess = _fd_jacobian(gradient, z, 1e-6, free)[free]
             if np.linalg.eigvalsh(0.5 * (hess + hess.T)).max() < 0:
-                step = np.linalg.solve(hess, -g[free])
+                step = np.linalg.solve(hess, -step)
         except _EVAL_ERRORS:
             pass  # keep the gradient step
         if not np.isfinite(step).all():
-            return z, fz, False
+            return z, fz, residual
         scale = 1.0
         for _ in range(25):
             cand = z.copy()
@@ -175,14 +164,12 @@ def _polish(
                 scale *= 0.5
                 continue
             if val >= fz - 1e-15:
-                if np.abs(cand - z).max() < 1e-15:
-                    return cand, val, False
+                stalled = np.abs(cand - z).max() < 1e-15
                 z, fz = cand, val
                 break
             scale *= 0.5
         else:
-            return z, fz, False
-    return z, fz, False
+            return z, fz, residual
 
 
 def max_profit(
@@ -234,10 +221,9 @@ def max_profit(
                 continue
             used += 1
             try:
-                z, val, _ = _polish(
+                z, val, kkt = _polish(
                     obj.value, obj.gradient, z0, obj.value(z0), lb, ub, cfg.gradient_tol, cfg.max_iter
                 )
-                kkt = _kkt_residual(obj.gradient(z), z, lb, ub)
             except _EVAL_ERRORS:
                 continue
             solutions.append((val, z, kkt))
@@ -324,13 +310,12 @@ def partial_max(
     best: float | None = None
     for w in starts:
         try:
-            val = value_of(w)
+            _, val, residual = _polish(
+                value_of, grad_of, w, value_of(w), -unbounded, unbounded, cfg.gradient_tol, 80
+            )
         except _EVAL_ERRORS:
             continue
-        _, val, converged = _polish(
-            value_of, grad_of, w, val, -unbounded, unbounded, cfg.gradient_tol, max_steps=80
-        )
-        if converged and (best is None or val > best):
+        if residual <= cfg.gradient_tol and (best is None or val > best):
             best = val
     if best is None:
         raise ConvergenceError(
@@ -411,9 +396,8 @@ def solve_foc_eq7(gamma: float, variant: FocVariant | str) -> FocSolution:
                          q3 = (1 + gamma sqrt(q)) / 2
 
     For gamma < 0 the condition can have several positive roots; every
-    bracketed root on (0, 2] is evaluated and the profit-maximizing one is
-    returned. gamma = 0 decouples the products and is returned in closed
-    form.
+    root on (0, 2] is evaluated and the profit-maximizing one is returned.
+    gamma = 0 decouples the products and is returned in closed form.
     """
     variant = FocVariant(variant)
     two = variant is FocVariant.TWO_PLUS_THREE
@@ -427,22 +411,11 @@ def solve_foc_eq7(gamma: float, variant: FocVariant | str) -> FocSolution:
         value = profit(0.5, 0.5)
         return FocSolution(variant, gamma, 0.5, 0.5, value, (0.5,))
 
+    # with t = sqrt(q) the condition is the cubic 2 t^3 - (1 + gamma^2/4) t - gamma k = 0
     k = math.sqrt(2) / 8 if two else 0.25
-
-    def foc(q: float) -> float:
-        return 1 - 2 * q + gamma * gamma / 4 + gamma * k / math.sqrt(q)
-
-    grid = np.concatenate([np.geomspace(1e-10, 0.05, 60), np.linspace(0.05, 2.0, 240)])
-    roots: list[float] = []
-    for a, b in zip(grid, grid[1:]):
-        fa, fb = foc(a), foc(b)
-        if fa == 0.0:
-            roots.append(float(a))
-        elif fa * fb < 0:
-            roots.append(float(brentq(foc, a, b, xtol=1e-15, rtol=8.9e-16)))
-    if foc(grid[-1]) == 0.0:
-        roots.append(float(grid[-1]))
-    roots = sorted(set(round(r, 14) for r in roots))
+    cubic = [2.0, 0.0, -(1 + gamma * gamma / 4), -gamma * k]
+    ts = [float(t.real) for t in np.roots(cubic) if t.imag == 0]
+    roots = sorted(t * t for t in ts if t > 0 and t * t <= 2)
     if not roots:
         raise ConvergenceError(f"no positive stationary point for gamma={gamma}")
 

@@ -222,6 +222,75 @@ def test_eq7_slopes_match_reference_construction_bit_for_bit():
     assert min(errors) > 50  # both methods fail on some draws, not only succeed
 
 
+def _reference_eq7_inverse_with_product_3(m, q, carried):
+    """The two hand-derived quadratics that _restricted_inverse once solved
+    when product 3 is carried with one or both of products 1 and 2."""
+    b, g = m.b, m.gamma
+    pair = [i for i in (1, 2) if i in carried]
+    s = np.full(3, np.nan)
+    if len(pair) == 2:
+        # (1+b) t^2 - 2 b g t - (q1 + q2 - 2 b q3) = 0,  t = sqrt(s1+s2)
+        c0 = q[0] + q[1] - 2.0 * b * q[2]
+        disc = (b * g) ** 2 + (1.0 + b) * c0
+        if disc < 0:
+            raise DomainError("quantity vector outside the invertible region")
+        t = (b * g + math.sqrt(disc)) / (1.0 + b)
+        if t < 0:
+            raise DomainError("quantity vector outside the invertible region")
+        u = t * t
+        delta = (q[0] - q[1]) / (1.0 - b)
+        s[0] = 0.5 * (u + delta)
+        s[1] = 0.5 * (u - delta)
+        s[2] = q[2] - g * t
+    elif len(pair) == 1:
+        i = pair[0]
+        # w^2 - b g w + (b q3 - q_i) = 0,  w = sqrt(s_i)
+        disc = (b * g) ** 2 + 4.0 * (q[i - 1] - b * q[2])
+        if disc < 0:
+            raise DomainError("quantity vector outside the invertible region")
+        w = 0.5 * (b * g + math.sqrt(disc))
+        if w < 0:
+            raise DomainError("quantity vector outside the invertible region")
+        s[i - 1] = w * w
+        s[2] = q[2] - g * w
+    else:
+        s[2] = q[2]
+    p = np.full(3, np.nan)
+    for i in carried:
+        p[i - 1] = 1.0 - s[i - 1]
+    return p
+
+
+def _inverse_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def test_eq7_inverse_one_quadratic_matches_the_two_it_replaced_bit_for_bit():
+    rng = np.random.default_rng(17)
+    subsets = [(3,), (1, 3), (2, 3), (1, 2, 3)]
+    errors = 0
+    for draw in range(8000):
+        b = 0.0 if draw % 5 == 0 else rng.uniform(-0.95, 0.95)
+        gamma = 0.0 if draw % 7 == 0 else rng.uniform(-1.5, 1.5)
+        m = Eq7Demand(b, gamma)
+        carried = subsets[draw % len(subsets)]
+        q = np.zeros(3)
+        for i in carried:
+            q[i - 1] = 0.0 if rng.random() < 0.1 else rng.uniform(0.0, 1.5)
+        got = _inverse_outcome(m.portfolio_inverse, q, carried)
+        want = _inverse_outcome(_reference_eq7_inverse_with_product_3, m, q, carried)
+        if isinstance(want, tuple):
+            errors += 1
+            assert got == want
+        else:
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert errors > 100  # the invertible region's edge is reached, not only its inside
+
+
 # ---------------------------------------------------------------------------
 # Log-coupled inverse-demand family
 # ---------------------------------------------------------------------------

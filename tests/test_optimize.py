@@ -176,8 +176,8 @@ def test_polish_climbs_out_of_a_non_concave_region():
 
     z0 = np.array([0.1])
     unbounded = np.full(1, np.inf)
-    z, val, converged = optimize._polish(value, gradient, z0, value(z0), -unbounded, unbounded, 1e-9, 80)
-    assert converged
+    z, val, residual = optimize._polish(value, gradient, z0, value(z0), -unbounded, unbounded, 1e-9, 80)
+    assert residual <= 1e-9
     assert z[0] == pytest.approx(1.0, abs=1e-9)
     assert val == pytest.approx(0.0, abs=1e-15)
 
@@ -194,9 +194,61 @@ def test_polish_steps_off_a_bound_where_the_hessian_cannot_be_differenced():
         return np.array([-2 * (z[0] - 1)])
 
     z0 = np.zeros(1)
-    z, _, converged = optimize._polish(value, gradient, z0, value(z0), np.zeros(1), np.full(1, 10.0), 1e-9, 30)
-    assert converged
+    z, _, residual = optimize._polish(value, gradient, z0, value(z0), np.zeros(1), np.full(1, 10.0), 1e-9, 30)
+    assert residual <= 1e-9
     assert z[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_polish_never_reads_a_nan_gradient_as_converged():
+    def value(z):
+        return float(-np.sum(z**2))
+
+    def gradient(z):
+        return np.full(len(z), np.nan)
+
+    z0 = np.array([0.5, 0.5])
+    z, val, residual = optimize._polish(value, gradient, z0, value(z0), np.zeros(2), np.full(2, 10.0), 1e-9, 30)
+    assert math.isnan(residual)
+    assert np.array_equal(z, z0) and val == value(z0)
+
+
+class _NanJacobianDemand(LinearDemand):
+    def portfolio_inverse_jacobian(self, q, carried):
+        return np.full((len(carried), len(carried)), np.nan)
+
+
+def test_max_profit_reports_a_nan_gradient_as_maxiter():
+    m = _NanJacobianDemand([1.0, 1.0], np.eye(2))
+    res = max_profit(m, Portfolio.full(2), FAST)
+    assert res.status is OptStatus.MAXITER
+    assert math.isnan(res.gradient_norm)
+    assert res.starts_used == 2
+
+
+def test_max_profit_computes_no_gradient_outside_polish(monkeypatch):
+    inside = [0]
+    outside = []
+    gradient = optimize._PortfolioObjective.gradient
+    polish = optimize._polish
+
+    def counted_gradient(self, z):
+        if not inside[0]:
+            outside.append(z.copy())
+        return gradient(self, z)
+
+    def tracked_polish(*args):
+        inside[0] += 1
+        try:
+            return polish(*args)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(optimize._PortfolioObjective, "gradient", counted_gradient)
+    monkeypatch.setattr(optimize, "_polish", tracked_polish)
+    for model in (Eq7Demand(0.15, 0.5), LinearDemand([1.0, 1.0], [[1.0, 0.2], [0.2, 1.0]])):
+        for mask in range(1, 2**model.n):
+            max_profit(model, Portfolio(model.n, mask), CFG)
+    assert outside == []
 
 
 def test_one_stop_optimum_reached_after_a_step_lands_on_the_floor():

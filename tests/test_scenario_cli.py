@@ -7,13 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mergerfees.bargaining import OwnershipStructure
 from mergerfees.cli import compile_predicate, main, parse_range
+from mergerfees.demand_systems import CustomDemand, EvaluationRegion
 from mergerfees.errors import ScenarioError
+from mergerfees.optimize import OptimizerConfig
 from mergerfees.scenario import (
     CDF_FAMILIES,
     MODEL_KINDS,
     OPTIMIZER_BLOCK,
     REGION_BLOCK,
+    Scenario,
     canonical_json,
     load_scenario,
     parse_scenario,
@@ -233,6 +237,23 @@ def test_shapley_block_present_on_request():
     assert report["shapley"]["pair_total_post"] > report["shapley"]["pair_total_pre"]
 
 
+def test_run_analysis_warns_of_multiple_local_optima():
+    # product 1 carries two humps of profit; product 2 is an independent monopoly
+    model = CustomDemand(
+        2,
+        lambda q: np.array([1.2 - q[0] + 0.8 * math.sin(3 * q[0]), 1.0 - q[1]]),
+        choke=[2.0, 1.0],
+        price_region=EvaluationRegion((0.1, 0.1), (1.0, 1.0)),
+        quantity_region=EvaluationRegion((0.01, 0.01), (2.0, 1.0)),
+    )
+    scenario = Scenario(
+        {}, 0.5, (1, 2), OwnershipStructure.singletons(2), OptimizerConfig(multistart=10), None, model
+    )
+    report = run_analysis(scenario, seed=1)
+    assert report["diagnostics"]["optimizer"]["statuses"]["10"] == "degenerate"
+    assert "multiple local optima at portfolios: 10" in report["diagnostics"]["warnings"]
+
+
 def test_custom_ownership_in_scenario():
     raw = reduced_scenario()
     raw["bargaining"]["ownership"] = [[1], [2], [3]]
@@ -266,6 +287,25 @@ def test_cli_analyze_validation_exit_code(tmp_path, capsys):
     assert main(["analyze", bad]) == 2
     assert main(["analyze", str(tmp_path / "missing.json")]) == 2
     capsys.readouterr()
+
+
+def test_cli_analyze_warns_when_the_optimizer_hits_max_iterations(tmp_path, capsys):
+    raw = eq7_scenario()
+    raw["optimizer"] = {"max_iter": 1}
+    out = tmp_path / "report.json"
+    assert main(["analyze", write_scenario(tmp_path, raw), "--out", str(out)]) == 0
+    warnings = json.loads(out.read_text())["diagnostics"]["warnings"]
+    assert [w for w in warnings if w.startswith("optimizer hit max iterations at portfolios: ")]
+    assert "\nwarning: optimizer hit max iterations at portfolios: " in capsys.readouterr().out
+
+
+def test_cli_scenario_that_is_not_json_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text('{"schema_version": 1,')
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid JSON (")
+    assert "Traceback" not in err
 
 
 def test_cli_analyze_numerical_exit_code(tmp_path, capsys):
@@ -324,6 +364,8 @@ def test_cli_analyze_numerical_exit_code(tmp_path, capsys):
             2,
             "error: model.cdf.k: unknown field",
         ),
+        # a matrix field that is not an array
+        ({"kind": "linear", "a": [1.0, 1.0], "B": 5}, 2, "error: model.B: expected a nonempty array of rows"),
     ],
 )
 def test_cli_degenerate_model_ends_with_documented_exit_code(tmp_path, capsys, model, code, message):
@@ -366,6 +408,7 @@ def test_cli_sweep_records_non_finite_profit_as_numerical(tmp_path, capsys):
         ({"merging_pair": [1, 2], "ownership": [[1], [2], [3, 4]]}, "bargaining.ownership"),
         ({"merging_pair": [1, 2], "ownership": [1, 2, 3]}, "bargaining.ownership[0]"),
         ({"merging_pair": [1, 2], "ownershp": [[1, 2], [3]]}, "bargaining.ownershp"),
+        ({"merging_pair": [1, 2], "ownership": 5}, "bargaining.ownership"),
     ],
 )
 def test_cli_bad_merging_pair_fails_before_analysis(tmp_path, capsys, monkeypatch, bargaining, field):
@@ -598,6 +641,35 @@ def test_cli_sweep_unknown_range_key_fails_every_node(tmp_path, capsys):
     rows = json.loads(out.read_text())["rows"]
     assert len(rows) == 3
     assert all(row["error"].startswith("validation: model.gama: unknown field") for row in rows)
+
+
+@pytest.mark.parametrize(
+    "ranges,message",
+    [
+        ([], "error: sweep needs at least one --range"),
+        (["--range", "model.b=x:1:3"], "error: range 'model.b=x:1:3': could not convert string to float"),
+        (["--range", "model.b=0:1:0"], "error: range 'model.b=0:1:0': need at least one point"),
+    ],
+)
+def test_cli_sweep_bad_range_is_validation_error(tmp_path, capsys, monkeypatch, ranges, message):
+    def no_node(*args, **kwargs):
+        raise AssertionError("a node ran on an invalid range")
+
+    monkeypatch.setattr("mergerfees.cli._sweep_node", no_node)
+    assert main(["sweep", write_scenario(tmp_path, eq7_scenario()), *ranges]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
+def test_cli_sweep_key_under_a_missing_block_fails_every_node(tmp_path, capsys):
+    # the key creates a region block that lacks its required bounds
+    path = write_scenario(tmp_path, eq7_scenario())
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", path, "--range", "region.resolution=3:3:1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["error"] for row in rows] == ["validation: region.lower: missing required field"]
 
 
 def test_cli_sweep_output_repeatable_in_range_order(tmp_path, capsys):
