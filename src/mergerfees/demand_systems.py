@@ -14,6 +14,9 @@ Two grid diagnostics operate on these families:
 * gross_relation samples dD_i/dp_j over a price region and classifies each
   product pair as strict gross complements (all sampled cross-price slopes
   negative), strict gross substitutes (all positive), independent, or mixed.
+  The linear, eq7, appendix_b and one_stop families evaluate the slopes of
+  the whole grid in one batched call (demand_jacobians); other models keep
+  the per-node loop.
 * inverse_modularity samples the cross partials d2P_m/dq_i dq_j (i != j)
   over a quantity region and reports whether the inverse demands are weakly
   supermodular, weakly submodular, both, or neither.
@@ -25,7 +28,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
@@ -77,9 +80,9 @@ class EvaluationRegion:
             for lo, hi in zip(self.lower, self.upper)
         ]
 
-    def nodes(self) -> Iterator[np.ndarray]:
-        for combo in itertools.product(*self.axes()):
-            yield np.array(combo)
+    def nodes(self) -> np.ndarray:
+        """Every grid node as a row of an (N, dim) array, in itertools.product order."""
+        return np.stack(np.meshgrid(*self.axes(), indexing="ij"), axis=-1).reshape(-1, self.dim)
 
 
 def _as_vector(x: Sequence[float], n: int, label: str) -> np.ndarray:
@@ -118,6 +121,16 @@ class DemandModel:
         """dD/dp matrix; central finite differences unless overridden."""
         p = _as_vector(p, self.n, "p")
         return _fd_jacobian(self.demand, p)
+
+    def demand_jacobians(self, nodes: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        """dD/dp at every row of ``nodes`` (N, n).
+
+        Returns the (N_ok, n, n) stack of the usable nodes and a failure
+        line for each other node, both in row order. Default: one
+        demand_jacobian call per node.
+        """
+        jacobians = np.empty((len(nodes), self.n, self.n))
+        return self._per_node(nodes, jacobians, np.zeros(len(nodes), bool))
 
     def inverse_jacobian(self, q: Sequence[float]) -> np.ndarray:
         """dP/dq matrix; defaults to inverting the demand Jacobian at P(q)."""
@@ -162,6 +175,24 @@ class DemandModel:
         return {"kind": self.kind, "n": self.n, "costs": self.costs.tolist()}
 
     # -- helpers ------------------------------------------------------------
+
+    def _per_node(
+        self, nodes: np.ndarray, jacobians: np.ndarray, ok: np.ndarray
+    ) -> tuple[np.ndarray, list[str]]:
+        """Complete a batched demand_jacobians: rows of ``jacobians`` where
+        ``ok`` is set are kept, and every other node goes through
+        demand_jacobian, so its slopes or failure are the per-node ones."""
+        failures = []
+        if not ok.all():
+            ok = ok.copy()
+            for r in np.flatnonzero(~ok):
+                try:
+                    jacobians[r] = self.demand_jacobian(nodes[r])
+                    ok[r] = True
+                except (DomainError, ConvergenceError) as exc:
+                    failures.append(_node_failure(nodes[r], exc))
+            jacobians = jacobians[ok]
+        return jacobians, failures
 
     def _invert(
         self,
@@ -226,6 +257,21 @@ def _fd_jacobian(
     return np.column_stack(cols)
 
 
+def _fd_jacobians(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """_fd_jacobian at every row of x (N, n) for a row-wise fn, with its steps."""
+    cols = []
+    for k in range(x.shape[1]):
+        h = FD_STEP * np.maximum(1.0, np.abs(x[:, k]))
+        e = np.zeros_like(x)
+        e[:, k] = h
+        cols.append((fn(x + e) - fn(x - e)) / (2 * h)[:, None])
+    return np.stack(cols, axis=2)
+
+
+def _node_failure(node: np.ndarray, reason) -> str:
+    return f"node {tuple(round(float(x), 6) for x in node)}: {reason}"
+
+
 def _fd_cross_partial(
     fn: Callable[[np.ndarray], np.ndarray], q: np.ndarray, m: int, i: int, j: int
 ) -> float:
@@ -283,6 +329,9 @@ class LinearDemand(DemandModel):
     def demand_jacobian(self, p):
         return -np.linalg.inv(self.B)
 
+    def demand_jacobians(self, nodes):
+        return np.broadcast_to(-np.linalg.inv(self.B), (len(nodes), self.n, self.n)), []
+
     def inverse_jacobian(self, q):
         return -self.B
 
@@ -308,6 +357,9 @@ class LinearDemand(DemandModel):
             "a": self.a.tolist(),
             "B": self.B.tolist(),
         }
+
+
+_EQ7_SLOPE_DOMAIN = "cross-price slope of product 3 undefined at p1 + p2 >= 2"
 
 
 class Eq7Demand(DemandModel):
@@ -352,6 +404,19 @@ class Eq7Demand(DemandModel):
     def demand_jacobian(self, p):
         return self._slopes(_as_vector(p, 3, "p"), (1, 2, 3))
 
+    def demand_jacobians(self, nodes):
+        # _slopes of the full system, row by row: -1 on the diagonal, -b
+        # across products 1 and 2, -gamma/(2 sqrt(u)) from products 1 and 2
+        # to product 3, with u = (1-p1) + (1-p2)
+        u = (1.0 - nodes[:, 0]) + (1.0 - nodes[:, 1])
+        bad = u <= 0
+        slope = -0.5 * self.gamma / np.sqrt(u[~bad])
+        jac = np.empty((len(slope), 3, 3))
+        jac[:, :2, :] = -self.b
+        jac[:, 2, :2] = slope[:, None]
+        jac[:, [0, 1, 2], [0, 1, 2]] = -1.0
+        return jac, [_node_failure(node, _EQ7_SLOPE_DOMAIN) for node in nodes[bad]]
+
     def inverse_demand(self, q):
         q = _as_vector(q, 3, "q")
         return self._restricted_inverse(q, (1, 2, 3))
@@ -389,9 +454,7 @@ class Eq7Demand(DemandModel):
                 if pair:
                     u = sum(1.0 - p[i - 1] for i in pair)
                     if u <= 0:
-                        raise DomainError(
-                            "cross-price slope of product 3 undefined at p1 + p2 >= 2"
-                        )
+                        raise DomainError(_EQ7_SLOPE_DOMAIN)
                     slope = -0.5 * g / math.sqrt(u)
                     for i in pair:
                         jac_d[r, pos[i]] = slope
@@ -508,6 +571,75 @@ class AppendixBDemand(DemandModel):
         q = self.demand(p)
         return np.linalg.inv(self.inverse_jacobian(q))
 
+    def demand_jacobians(self, nodes):
+        # _invert's damped Newton solve for all rows at once, each row taking
+        # the steps it takes alone. A row that stalls or runs out of steps,
+        # and every row still iterating when one Jacobian is singular, goes
+        # through the per-node path
+        p = nodes
+        q = np.maximum(1.0 - p, -0.5)
+        resid = self._inverse_rows(q) - p
+        norm = np.max(np.abs(resid), axis=1)
+        done = np.zeros(len(p), bool)
+        ok = np.ones(len(p), bool)
+        for _ in range(INVERSION_STEPS):
+            done |= norm <= INVERSION_TOL
+            rows = np.flatnonzero(ok & ~done)
+            if not rows.size:
+                break
+            try:
+                jac = self._inverse_jacobian_rows(q[rows])
+                step = np.linalg.solve(jac, -resid[rows, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                ok[rows] = False
+                break
+            scale = 1.0
+            for _ in range(40):
+                cand = q[rows] + scale * step
+                cand_resid = self._inverse_rows(cand) - p[rows]
+                cand_norm = np.max(np.abs(cand_resid), axis=1)
+                # inverse_demand's domain rule, then "the residual must fall"
+                take = ~((cand[:, 0] <= -1) | (cand[:, 1] <= -1)) & (cand_norm < norm[rows])
+                hit = rows[take]
+                q[hit], resid[hit], norm[hit] = cand[take], cand_resid[take], cand_norm[take]
+                rows, step = rows[~take], step[~take]
+                if not rows.size:
+                    break
+                scale *= 0.5
+            ok[rows] = False  # stalled
+        ok &= done
+        jac = np.empty((len(p), 3, 3))
+        jac[ok] = np.linalg.inv(self._inverse_jacobian_rows(q[ok]))
+        return self._per_node(nodes, jac, ok)
+
+    def _inverse_rows(self, q: np.ndarray) -> np.ndarray:
+        """inverse_demand at every row of q (N, 3), NaN where q1 or q2 is <= -1.
+
+        math.log1p, not numpy's, so that each row is inverse_demand's value
+        bit for bit.
+        """
+        b, g, a = self.b, self.gamma, self.alpha
+        log1p = np.array(
+            [math.log1p(x) if x > -1 else math.nan for x in q[:, :2].ravel().tolist()]
+        ).reshape(-1, 2)
+        return np.column_stack(
+            (
+                1.0 - q[:, 0] + b * log1p[:, 1] + a * q[:, 2],
+                1.0 - q[:, 1] + b * log1p[:, 0] + a * q[:, 2],
+                1.0 - q[:, 2] + g * (q[:, 0] + q[:, 1]),
+            )
+        )
+
+    def _inverse_jacobian_rows(self, q: np.ndarray) -> np.ndarray:
+        """inverse_jacobian at every row of q (N, 3)."""
+        jac = np.empty((len(q), 3, 3))
+        jac[:, 0, 1] = self.b / (1.0 + q[:, 1])
+        jac[:, 1, 0] = self.b / (1.0 + q[:, 0])
+        jac[:, :2, 2] = self.alpha
+        jac[:, 2, :2] = self.gamma
+        jac[:, [0, 1, 2], [0, 1, 2]] = -1.0
+        return jac
+
     def inverse_cross_partial(self, q, m, i, j):
         return 0.0
 
@@ -568,6 +700,15 @@ class OneStopDemand(DemandModel):
         p = _as_vector(p, self.n, "p")
         traffic = self.cdf(float(np.sum(self.surplus(p))))
         return self.sub_demand(p) * traffic
+
+    def demand_jacobians(self, nodes):
+        # the shopping-cost CDFs raise nothing, so every node is usable
+        return _fd_jacobians(self._demand_rows, nodes), []
+
+    def _demand_rows(self, p: np.ndarray) -> np.ndarray:
+        """demand at every row of p (N, n); the CDF is called once per row."""
+        traffic = [self.cdf(float(s)) for s in np.sum(self.surplus(p), axis=1)]
+        return self.sub_demand(p) * np.array(traffic)[:, None]
 
     def inverse_demand(self, q):
         q = _as_vector(q, self.n, "q")
@@ -713,19 +854,12 @@ def gross_relation(
         region = model.default_price_region()
     if region.dim != model.n:
         raise ValueError(f"region dimension {region.dim} != product count {model.n}")
-    jacobians = []
-    failures: list[str] = []
-    for node in region.nodes():
-        try:
-            jacobians.append(model.demand_jacobian(node))
-        except (DomainError, ConvergenceError) as exc:
-            failures.append(f"node {tuple(round(float(x), 6) for x in node)}: {exc}")
-    if not jacobians:
+    slopes, failures = model.demand_jacobians(region.nodes())
+    if not len(slopes):
         raise ConvergenceError(
             "no usable grid node for gross classification; failures: "
             + "; ".join(failures[:3])
         )
-    slopes = np.array(jacobians, dtype=float)
     pairs = {}
     for i, j in itertools.combinations(range(model.n), 2):
         # dD_i/dp_j then dD_j/dp_i, node by node; unlike numpy's, the builtin
@@ -783,22 +917,26 @@ def inverse_modularity(
     best_hi: ModularitySample | None = None
     best_lo: ModularitySample | None = None
     skipped: list[str] = []
+    partials = [
+        (m, i, j)
+        for m in range(1, model.n + 1)
+        for i, j in itertools.combinations(range(1, model.n + 1), 2)
+    ]
     for node in region.nodes():
-        coords = tuple(float(x) for x in node)
-        for m in range(1, model.n + 1):
-            for i, j in itertools.combinations(range(1, model.n + 1), 2):
-                try:
-                    val = model.inverse_cross_partial(node, m, i, j)
-                    if val is None:
-                        val = _fd_cross_partial(model.inverse_demand, node, m, i, j)
-                except (DomainError, ConvergenceError) as exc:
-                    skipped.append(f"node {coords} P_{m} d(q{i},q{j}): {exc}")
-                    continue
-                sample = ModularitySample(coords, m, i, j, float(val))
-                if best_hi is None or sample.value > best_hi.value:
-                    best_hi = sample
-                if best_lo is None or sample.value < best_lo.value:
-                    best_lo = sample
+        for m, i, j in partials:
+            try:
+                val = model.inverse_cross_partial(node, m, i, j)
+                if val is None:
+                    val = _fd_cross_partial(model.inverse_demand, node, m, i, j)
+            except (DomainError, ConvergenceError) as exc:
+                skipped.append(f"node {tuple(node.tolist())} P_{m} d(q{i},q{j}): {exc}")
+                continue
+            # a sample is built only when it is a new extreme; ties keep the first
+            val = float(val)
+            if best_hi is None or val > best_hi.value:
+                best_hi = ModularitySample(tuple(node.tolist()), m, i, j, val)
+            if best_lo is None or val < best_lo.value:
+                best_lo = ModularitySample(tuple(node.tolist()), m, i, j, val)
     if best_hi is None or best_lo is None:
         raise ConvergenceError("no usable grid node for inverse modularity")
     sup_ok = best_lo.value >= -MODULARITY_TOLERANCE

@@ -19,7 +19,14 @@ from mergerfees.demand_systems import (
 )
 from mergerfees.errors import ConvergenceError, DomainError
 from mergerfees.portfolios import GROSS_KIND, overall_gross_kind, sign_kind
-from mergerfees.reduced_form import ExponentialCdf, saturated_cdf
+from mergerfees.reduced_form import (
+    AffineClampedCdf,
+    ExponentialCdf,
+    PowerCdf,
+    StepCdf,
+    TableCdf,
+    saturated_cdf,
+)
 from mergerfees.sampling import random_linear_demand
 
 
@@ -586,6 +593,96 @@ def test_gross_relation_without_usable_node_raises_like_reference():
         reference_gross_relation(model)
     with pytest.raises(ConvergenceError, match="no usable grid node"):
         gross_relation(model)
+
+
+def per_node_jacobians(model, nodes):
+    """``demand_jacobians`` by one ``demand_jacobian`` call per node, as
+    gross_relation once scanned the grid."""
+    jacobians, failures = [], []
+    for node in nodes:
+        try:
+            jacobians.append(model.demand_jacobian(node))
+        except (DomainError, ConvergenceError) as exc:
+            failures.append(f"node {tuple(round(float(x), 6) for x in node)}: {exc}")
+    return np.array(jacobians, dtype=float).reshape(-1, model.n, model.n), failures
+
+
+def _one_stop_models(alpha, beta):
+    """The model under each CDF family, scaled to its total surplus at zero prices."""
+    total = float(np.sum(np.square(alpha) / (2.0 * np.asarray(beta))))
+    cdfs = [
+        AffineClampedCdf(0.0, 1.5 * total),
+        ExponentialCdf(1.2 / total),
+        PowerCdf(2.0, 1.5 * total),
+        StepCdf([0.3 * total, 0.8 * total], [0.4, 0.6]),
+        TableCdf([(0.0, 0.0), (0.4 * total, 0.3), (0.9 * total, 0.8), (1.5 * total, 1.0)]),
+    ]
+    return [OneStopDemand(alpha, beta, cdf) for cdf in cdfs]
+
+
+def _batched_jacobian_cases():
+    """(model, region) pairs: seeded draws of each family on its default
+    region, plus regions where some nodes fail."""
+    rng = np.random.default_rng(31)
+    cases = [(Eq7Demand(rng.uniform(-0.3, 0.3), rng.uniform(-0.7, 0.7)), None) for _ in range(3)]
+    cases += [(Eq7Demand(0.0, g), None) for g in (0.5, -0.4)]
+    # p1 + p2 >= 2 at 1155 of these 9261 nodes
+    cases.append((Eq7Demand(0.1, 0.5), EvaluationRegion((0.05,) * 3, (1.3, 1.3, 0.95), 21)))
+    cases += [
+        (random_linear_demand(rng, n, kind), None)
+        for n in (2, 3, 4, 5)
+        for kind in ("complements", "substitutes")
+    ]
+    for sign in (1.0, -1.0):
+        b, gamma, alpha = (sign * rng.uniform(lo, hi) for lo, hi in ((0.02, 0.3), (0.1, 0.8), (1e-4, 0.2)))
+        cases.append((AppendixBDemand(b, gamma, alpha), None))
+    # wide price boxes where the inversion stalls at some nodes
+    cases.append((AppendixBDemand(0.9, 0.9, 0.5), EvaluationRegion((-3.0,) * 3, (3.0,) * 3, 5)))
+    cases.append((AppendixBDemand(-0.9, -0.9, -0.5), EvaluationRegion((-3.0,) * 3, (3.0,) * 3, 5)))
+    cases += [(m, None) for m in _one_stop_models(rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 3))]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "model,region", _batched_jacobian_cases(), ids=lambda x: getattr(x, "kind", "region")
+)
+def test_demand_jacobians_match_per_node_path(model, region):
+    nodes = (region or model.default_price_region()).nodes()
+    got, got_failures = model.demand_jacobians(nodes)
+    want, want_failures = per_node_jacobians(model, nodes)
+    assert got_failures == want_failures
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    if region is not None and model.kind == "eq7":
+        assert len(want_failures) == 1155
+    elif region is not None:
+        assert want_failures and len(want) > 0  # the per-node fallback ran, and not only it
+
+
+def _default_region_models():
+    models = [
+        random_linear_demand(np.random.default_rng(4), 3, "complements"),
+        Eq7Demand(0.1, 0.5),
+        Eq7Demand(0.0, -0.4),
+        AppendixBDemand(-0.125, -0.8, -1e-4),
+        AppendixBDemand(0.125, 0.3, 0.05),
+    ]
+    return models + _one_stop_models([1.1, 1.4, 1.9], [1.8, 1.2, 1.9])
+
+
+@pytest.mark.parametrize("model", _default_region_models(), ids=lambda m: m.kind)
+def test_gross_relation_makes_no_per_node_calls_on_default_region(model, monkeypatch):
+    calls = []
+    per_node = type(model).demand_jacobian
+
+    def counted(self, p):
+        calls.append(p)
+        return per_node(self, p)
+
+    monkeypatch.setattr(type(model), "demand_jacobian", counted)
+    report = gross_relation(model)
+    assert not report.failures
+    assert len(calls) == 0
 
 
 # ---------------------------------------------------------------------------
