@@ -16,7 +16,10 @@ Two grid diagnostics operate on these families:
   negative), strict gross substitutes (all positive), independent, or mixed.
   The linear, eq7, appendix_b and one_stop families evaluate the slopes of
   the whole grid in one batched call (demand_jacobians); other models keep
-  the per-node loop.
+  the per-node loop. Families without an explicit demand (appendix_b,
+  CustomDemand) invert P(q) = p with one damped Newton solve, _invert,
+  which runs on a stack of rows: a per-node demand is its one-row case and
+  appendix_b's grid is one call.
 * inverse_modularity samples the cross partials d2P_m/dq_i dq_j (i != j)
   over a quantity region and reports whether the inverse demands are weakly
   supermodular, weakly submodular, both, or neither.
@@ -110,9 +113,9 @@ class DemandModel:
     # -- core maps ---------------------------------------------------------
 
     def demand(self, p: Sequence[float]) -> np.ndarray:
-        """Quantities at prices p; numeric inversion of P unless overridden."""
+        """Quantities at prices p; the one-row case of _invert unless overridden."""
         p = _as_vector(p, self.n, "p")
-        return self._invert(self.inverse_demand, p, start=np.ones(self.n))
+        return _one_row(*self._invert(p[None], np.ones((1, self.n))))
 
     def inverse_demand(self, q: Sequence[float]) -> np.ndarray:
         raise NotImplementedError
@@ -130,7 +133,15 @@ class DemandModel:
         demand_jacobian call per node.
         """
         jacobians = np.empty((len(nodes), self.n, self.n))
-        return self._per_node(nodes, jacobians, np.zeros(len(nodes), bool))
+        ok = np.ones(len(nodes), bool)
+        failures = []
+        for r, node in enumerate(nodes):
+            try:
+                jacobians[r] = self.demand_jacobian(node)
+            except (DomainError, ConvergenceError) as exc:
+                ok[r] = False
+                failures.append(_node_failure(node, exc))
+        return jacobians[ok], failures
 
     def inverse_jacobian(self, q: Sequence[float]) -> np.ndarray:
         """dP/dq matrix; defaults to inverting the demand Jacobian at P(q)."""
@@ -158,7 +169,7 @@ class DemandModel:
         """dP_c/dq_c over the carried coordinates at the zero-padded q."""
         full = self.inverse_jacobian(q)
         idx = [i - 1 for i in carried]
-        return full[np.ix_(idx, idx)]
+        return full[:, idx][idx]
 
     # -- defaults for diagnostics and optimization -------------------------
 
@@ -176,65 +187,74 @@ class DemandModel:
 
     # -- helpers ------------------------------------------------------------
 
-    def _per_node(
-        self, nodes: np.ndarray, jacobians: np.ndarray, ok: np.ndarray
-    ) -> tuple[np.ndarray, list[str]]:
-        """Complete a batched demand_jacobians: rows of ``jacobians`` where
-        ``ok`` is set are kept, and every other node goes through
-        demand_jacobian, so its slopes or failure are the per-node ones."""
-        failures = []
-        if not ok.all():
-            ok = ok.copy()
-            for r in np.flatnonzero(~ok):
-                try:
-                    jacobians[r] = self.demand_jacobian(nodes[r])
-                    ok[r] = True
-                except (DomainError, ConvergenceError) as exc:
-                    failures.append(_node_failure(nodes[r], exc))
-            jacobians = jacobians[ok]
-        return jacobians, failures
+    def _inverse_rows(self, q: np.ndarray) -> np.ndarray:
+        """inverse_demand at every row of q (N, n)."""
+        return np.array([self.inverse_demand(row) for row in q])
 
-    def _invert(
-        self,
-        forward: Callable[[np.ndarray], np.ndarray],
-        target: np.ndarray,
-        start: np.ndarray,
-        jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """Damped Newton solve forward(x) = target.
+    def _inverse_jacobian_rows(self, q: np.ndarray) -> np.ndarray:
+        """dP/dq at every row of q (N, n): central differences of _inverse_rows."""
+        return _fd_jacobians(self._inverse_rows, q)
 
-        ``jacobian`` gives d forward / dx; central differences of
-        ``forward`` stand in when it is None.
+    def _candidate_rows(self, q: np.ndarray) -> np.ndarray:
+        """_inverse_rows at every row of q (N, n), NaN in each row where the
+        model raises DomainError or ValueError."""
+        try:
+            return self._inverse_rows(q)
+        except (DomainError, ValueError):
+            if len(q) == 1:
+                return np.full(q.shape, np.nan)
+        return np.concatenate([self._candidate_rows(q[r : r + 1]) for r in range(len(q))])
+
+    def _invert(self, target: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, list]:
+        """Damped Newton solve of P(q) = target at every row of target (N, n).
+
+        Each row takes the steps it takes alone. Returns the (N, n) rows
+        reached and each row's ConvergenceError, or None where the row
+        converged. A model error at the start or in a Jacobian propagates;
+        a line-search candidate the model rejects (NaN from _candidate_rows)
+        is halved like one whose residual does not fall.
         """
-        x = np.array(start, dtype=float)
-        resid = forward(x) - target
-        norm = float(np.max(np.abs(resid)))
+        q = np.array(start, dtype=float)
+        resid = self._inverse_rows(q) - target
+        norm = np.max(np.abs(resid), axis=1)
+        errors: list[ConvergenceError | None] = [None] * len(q)
+        live = np.arange(len(q))
         for _ in range(INVERSION_STEPS):
-            if norm <= INVERSION_TOL:
-                return x
-            jac = _fd_jacobian(forward, x) if jacobian is None else jacobian(x)
+            live = live[~(norm[live] <= INVERSION_TOL)]  # a NaN residual is not done
+            if not live.size:
+                return q, errors
+            jac = self._inverse_jacobian_rows(q[live])
             try:
-                step = np.linalg.solve(jac, -resid)
-            except np.linalg.LinAlgError as exc:
-                raise ConvergenceError(f"singular Jacobian during inversion: {exc}") from exc
-            scale = 1.0
+                step = np.linalg.solve(jac, -resid[live, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:
+                # the stacked solve fails as a whole: find the singular rows
+                step = np.empty((len(live), self.n))
+                for k, r in enumerate(live):
+                    try:
+                        step[k] = np.linalg.solve(jac[k], -resid[r])
+                    except np.linalg.LinAlgError as exc:
+                        errors[r] = ConvergenceError(f"singular Jacobian during inversion: {exc}")
+                regular = [errors[r] is None for r in live]
+                live, step = live[regular], step[regular]
+            rows, scale = live, 1.0
             for _ in range(40):
-                cand = x + scale * step
-                try:
-                    cand_resid = forward(cand) - target
-                except (DomainError, ValueError):
-                    scale *= 0.5
-                    continue
-                cand_norm = float(np.max(np.abs(cand_resid)))
-                if cand_norm < norm:
-                    x, resid, norm = cand, cand_resid, cand_norm
+                if not rows.size:
                     break
-                scale *= 0.5
-            else:
-                raise ConvergenceError(
-                    f"inversion stalled at residual {norm:.3e} (target {INVERSION_TOL:.1e})"
+                cand = q[rows] + scale * step
+                cand_resid = self._candidate_rows(cand) - target[rows]
+                cand_norm = np.max(np.abs(cand_resid), axis=1)
+                take = cand_norm < norm[rows]
+                hit = rows[take]
+                q[hit], resid[hit], norm[hit] = cand[take], cand_resid[take], cand_norm[take]
+                rows, step, scale = rows[~take], step[~take], scale * 0.5
+            for r in rows:
+                errors[r] = ConvergenceError(
+                    f"inversion stalled at residual {norm[r]:.3e} (target {INVERSION_TOL:.1e})"
                 )
-        raise ConvergenceError(f"inversion did not converge: residual {norm:.3e}")
+            live = live[[errors[r] is None for r in live]]
+        for r in live:
+            errors[r] = ConvergenceError(f"inversion did not converge: residual {norm[r]:.3e}")
+        return q, errors
 
 
 def _fd_jacobian(
@@ -270,6 +290,13 @@ def _fd_jacobians(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.n
 
 def _node_failure(node: np.ndarray, reason) -> str:
     return f"node {tuple(round(float(x), 6) for x in node)}: {reason}"
+
+
+def _one_row(q: np.ndarray, errors: list) -> np.ndarray:
+    """The solution of a one-row _invert, or that row's error raised."""
+    if errors[0] is not None:
+        raise errors[0]
+    return q[0]
 
 
 def _fd_cross_partial(
@@ -563,8 +590,7 @@ class AppendixBDemand(DemandModel):
 
     def demand(self, p):
         p = _as_vector(p, 3, "p")
-        start = np.maximum(1.0 - p, -0.5)
-        return self._invert(self.inverse_demand, p, start=start, jacobian=self.inverse_jacobian)
+        return _one_row(*self._invert(p[None], np.maximum(1.0 - p, -0.5)[None]))
 
     def demand_jacobian(self, p):
         p = _as_vector(p, 3, "p")
@@ -572,48 +598,14 @@ class AppendixBDemand(DemandModel):
         return np.linalg.inv(self.inverse_jacobian(q))
 
     def demand_jacobians(self, nodes):
-        # _invert's damped Newton solve for all rows at once, each row taking
-        # the steps it takes alone. A row that stalls or runs out of steps,
-        # and every row still iterating when one Jacobian is singular, goes
-        # through the per-node path
-        p = nodes
-        q = np.maximum(1.0 - p, -0.5)
-        resid = self._inverse_rows(q) - p
-        norm = np.max(np.abs(resid), axis=1)
-        done = np.zeros(len(p), bool)
-        ok = np.ones(len(p), bool)
-        for _ in range(INVERSION_STEPS):
-            done |= norm <= INVERSION_TOL
-            rows = np.flatnonzero(ok & ~done)
-            if not rows.size:
-                break
-            try:
-                jac = self._inverse_jacobian_rows(q[rows])
-                step = np.linalg.solve(jac, -resid[rows, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:
-                ok[rows] = False
-                break
-            scale = 1.0
-            for _ in range(40):
-                cand = q[rows] + scale * step
-                cand_resid = self._inverse_rows(cand) - p[rows]
-                cand_norm = np.max(np.abs(cand_resid), axis=1)
-                # inverse_demand's domain rule, then "the residual must fall"
-                take = ~((cand[:, 0] <= -1) | (cand[:, 1] <= -1)) & (cand_norm < norm[rows])
-                hit = rows[take]
-                q[hit], resid[hit], norm[hit] = cand[take], cand_resid[take], cand_norm[take]
-                rows, step = rows[~take], step[~take]
-                if not rows.size:
-                    break
-                scale *= 0.5
-            ok[rows] = False  # stalled
-        ok &= done
-        jac = np.empty((len(p), 3, 3))
-        jac[ok] = np.linalg.inv(self._inverse_jacobian_rows(q[ok]))
-        return self._per_node(nodes, jac, ok)
+        q, errors = self._invert(nodes, np.maximum(1.0 - nodes, -0.5))
+        ok = np.array([error is None for error in errors], bool)
+        failures = [_node_failure(node, e) for node, e in zip(nodes, errors) if e is not None]
+        return np.linalg.inv(self._inverse_jacobian_rows(q[ok])), failures
 
     def _inverse_rows(self, q: np.ndarray) -> np.ndarray:
-        """inverse_demand at every row of q (N, 3), NaN where q1 or q2 is <= -1.
+        """inverse_demand at every row of q (N, 3), NaN where q1 or q2 is <= -1
+        (where inverse_demand raises), which _invert's line search rejects.
 
         math.log1p, not numpy's, so that each row is inverse_demand's value
         bit for bit.

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from mergerfees.demand_systems import (
+    INVERSION_STEPS,
+    INVERSION_TOL,
     AppendixBDemand,
     CustomDemand,
     DemandModel,
@@ -14,6 +16,7 @@ from mergerfees.demand_systems import (
     InverseModularityKind,
     LinearDemand,
     OneStopDemand,
+    _fd_jacobian,
     gross_relation,
     inverse_modularity,
 )
@@ -683,6 +686,138 @@ def test_gross_relation_makes_no_per_node_calls_on_default_region(model, monkeyp
     report = gross_relation(model)
     assert not report.failures
     assert len(calls) == 0
+
+
+def reference_invert(forward, target, start, jacobian=None):
+    """Damped Newton solve forward(x) = target for one row, as the per-node
+    loop that DemandModel._invert replaced; ``jacobian`` None means central
+    differences of ``forward``."""
+    x = np.array(start, dtype=float)
+    resid = forward(x) - target
+    norm = float(np.max(np.abs(resid)))
+    for _ in range(INVERSION_STEPS):
+        if norm <= INVERSION_TOL:
+            return x
+        jac = _fd_jacobian(forward, x) if jacobian is None else jacobian(x)
+        try:
+            step = np.linalg.solve(jac, -resid)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"singular Jacobian during inversion: {exc}") from exc
+        scale = 1.0
+        for _ in range(40):
+            cand = x + scale * step
+            try:
+                cand_resid = forward(cand) - target
+            except (DomainError, ValueError):
+                scale *= 0.5
+                continue
+            cand_norm = float(np.max(np.abs(cand_resid)))
+            if cand_norm < norm:
+                x, resid, norm = cand, cand_resid, cand_norm
+                break
+            scale *= 0.5
+        else:
+            raise ConvergenceError(
+                f"inversion stalled at residual {norm:.3e} (target {INVERSION_TOL:.1e})"
+            )
+    raise ConvergenceError(f"inversion did not converge: residual {norm:.3e}")
+
+
+# the appendix_b box where the inversion fails at 533 of 729 nodes
+FAILING_BOX = (AppendixBDemand(0.5, 0.8, 0.2), EvaluationRegion((-1.0,) * 3, (4.0,) * 3))
+
+
+def _log_coupled_custom():
+    """Two-product log coupling given as a callback: math.log1p raises
+    ValueError below -1, so line-search candidates there are halved."""
+    return CustomDemand(
+        2,
+        lambda q: np.array([1.0 - q[0] + 0.6 * math.log1p(q[1]), 1.0 - q[1] + 0.6 * math.log1p(q[0])]),
+    )
+
+
+def _kinked_custom():
+    """P2 = P1 where q2 <= 0, so the difference Jacobian is exactly singular
+    there and regular (slope 2 in q2) where q2 > 0."""
+    return CustomDemand(2, lambda q: np.array([q[0] + q[1], q[0] + q[1] + max(q[1], 0.0)]))
+
+
+def _invert_cases():
+    """(model, targets, starts, reference Jacobian, failing rows): every
+    appendix_b case of _batched_jacobian_cases and the failing box, with
+    appendix_b's start and closed-form Jacobian, and two CustomDemand grids
+    on the difference path. ``failing rows`` is a count, or a text that
+    some but not all failure lines hold."""
+    boxes = [(m, r) for m, r in _batched_jacobian_cases() if m.kind == "appendix_b"]
+    cases = []
+    for k, (model, region) in enumerate(boxes + [FAILING_BOX]):
+        nodes = (region or model.default_price_region()).nodes()
+        failing = 533 if region is FAILING_BOX[1] else 0 if region is None else "stalled"
+        start = np.maximum(1.0 - nodes, -0.5)
+        cases.append(pytest.param(model, nodes, start, model.inverse_jacobian, failing, id=f"appendix_b-{k}"))
+    nodes = EvaluationRegion((-3.0, -3.0), (3.0, 3.0), 9).nodes()
+    start = np.ones_like(nodes)
+    cases.append(pytest.param(_log_coupled_custom(), nodes, start, None, "stalled", id="custom-log1p"))
+    # one stacked solve with singular and regular rows: starts alternate q2 = -1 and q2 = 1
+    nodes = EvaluationRegion((-1.0, 0.5), (3.0, 4.0), 5).nodes()
+    start = np.column_stack((np.ones(len(nodes)), np.resize([-1.0, 1.0], len(nodes))))
+    cases.append(pytest.param(_kinked_custom(), nodes, start, None, "singular", id="custom-singular"))
+    return cases
+
+
+@pytest.mark.parametrize("model,targets,starts,jacobian,failing", _invert_cases())
+def test_invert_matches_per_node_reference(model, targets, starts, jacobian, failing):
+    got, errors = model._invert(targets, starts)
+    want_failures = []
+    for r, (target, start) in enumerate(zip(targets, starts)):
+        try:
+            want = reference_invert(model.inverse_demand, target, start, jacobian)
+        except ConvergenceError as exc:
+            want_failures.append((r, str(exc)))
+            continue
+        assert errors[r] is None
+        assert np.array_equal(got[r], want)
+        assert np.array_equal(np.signbit(got[r]), np.signbit(want))
+    assert [(r, str(e)) for r, e in enumerate(errors) if e is not None] == want_failures
+    if isinstance(failing, int):
+        assert len(want_failures) == failing
+    else:
+        assert any(failing in text for _, text in want_failures)
+        assert len(want_failures) < len(targets)
+
+
+def test_gross_relation_on_failing_box_makes_no_per_node_calls(monkeypatch):
+    calls = []
+    for name in ("demand", "demand_jacobian"):
+        per_node = getattr(AppendixBDemand, name)
+
+        def counted(self, p, per_node=per_node):
+            calls.append(p)
+            return per_node(self, p)
+
+        monkeypatch.setattr(AppendixBDemand, name, counted)
+    report = gross_relation(*FAILING_BOX)
+    assert len(report.failures) == 533
+    assert len(calls) == 0
+
+
+def test_custom_demand_error_at_the_start_propagates():
+    """A model error at the inversion's start is raised as it is, not read
+    as a rejected point: demand raises it and each grid node reports it."""
+
+    def inverse(q):
+        if q[0] > 0.9:
+            raise DomainError(f"q1 = {q[0]} is above 0.9")
+        return 1.0 - q
+
+    model = CustomDemand(2, inverse, price_region=EvaluationRegion((0.1, 0.1), (0.9, 0.9), 3))
+    with pytest.raises(DomainError, match="q1 = 1.0 is above 0.9"):
+        model.demand([0.5, 0.5])
+    _, failures = model.demand_jacobians(model.default_price_region().nodes())
+    assert len(failures) == 9
+    assert all(line.endswith("q1 = 1.0 is above 0.9") for line in failures)
+    with pytest.raises(ConvergenceError, match=r"failures: node \(0\.1, 0\.1\): q1 = 1\.0 is above 0\.9"):
+        gross_relation(model)
 
 
 # ---------------------------------------------------------------------------
