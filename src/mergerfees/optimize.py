@@ -245,24 +245,22 @@ def max_profit(
     return OptResult(obj.pad(best_z), best_val, best_kkt, status, used)
 
 
-def profit_oracle(
-    model: DemandModel,
-    cfg: OptimizerConfig = DEFAULT_CONFIG,
-    statuses: dict[str, str] | None = None,
-) -> SetFunction:
+def profit_oracle(model: DemandModel, cfg: OptimizerConfig = DEFAULT_CONFIG) -> SetFunction:
     """Memoizable portfolio -> optimized profit map.
 
-    When ``statuses`` is given, each evaluated portfolio's optimizer status
-    is recorded there keyed by the portfolio bit string.
+    Its ``results`` dict keeps the ``OptResult`` of every portfolio it has
+    solved, keyed by the portfolio bit string: the one copy of each status
+    and optimal q.
     """
+    results: dict[str, OptResult] = {}
 
     def evaluate(x: Portfolio) -> float:
-        result = max_profit(model, x, cfg)
-        if statuses is not None:
-            statuses[x.key()] = result.status.value
+        result = results[x.key()] = max_profit(model, x, cfg)
         return result.value
 
-    return SetFunction(model.n, evaluate, name=f"max_profit[{model.kind}]")
+    oracle = SetFunction(model.n, evaluate, name=f"max_profit[{model.kind}]")
+    oracle.results = results
+    return oracle
 
 
 def partial_max(

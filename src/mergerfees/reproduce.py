@@ -24,8 +24,7 @@ import numpy as np
 
 from .bargaining import BargainingEnv, OwnershipStructure, merger_report
 from .demand_systems import AppendixBDemand, Eq7Demand, gross_relation, inverse_modularity
-from .optimize import FocVariant, max_profit, merger_delta, mixed_partial_grid, solve_foc_eq7
-from .portfolios import Portfolio
+from .optimize import FocVariant, merger_delta, mixed_partial_grid, profit_oracle, solve_foc_eq7
 from .reduced_form import ExponentialCdf, ReducedFormMarket, hin_step_cdf
 from .sampling import STRICT_FAMILIES, random_reduced_form_market
 
@@ -73,8 +72,11 @@ def suite_appendix_a() -> list[Row]:
                        "q_one": 0.437, "q3_one": 0.335, "v_one": 0.358}),
     ):
         model = Eq7Demand(0.0, gamma)
-        full = max_profit(model, Portfolio.full(3))
-        one = max_profit(model, Portfolio.from_indices(3, (1, 3)))
+        oracle = profit_oracle(model)
+        delta = merger_delta(model, oracle=oracle)  # solves the portfolios read below
+        full, one = oracle.results["111"], oracle.results["101"]
+        if tag == "pos":
+            third = oracle.results["001"]  # product 3 alone: merger_delta's rest portfolio
         rows += [
             Row(f"q_pair[{tag}]", float(full.q[0]), bench["q_pair"], q_tol),
             Row(f"q3_full[{tag}]", float(full.q[2]), bench["q3_pair"], q_tol),
@@ -90,15 +92,7 @@ def suite_appendix_a() -> list[Row]:
                 note="scalar stationarity condition agrees with the optimizer"),
             Row(f"foc_vs_opt_single[{tag}]", abs(foc_one.value - one.value), 0.0, 1e-3),
         ]
-        rows.append(
-            Row(
-                f"delta[{tag}]",
-                merger_delta(model),
-                -0.112 if gamma > 0 else 0.099,
-                v_tol,
-            )
-        )
-    third = max_profit(Eq7Demand(0.0, 0.5), Portfolio.from_indices(3, (3,)))
+        rows.append(Row(f"delta[{tag}]", delta, -0.112 if gamma > 0 else 0.099, v_tol))
     rows.append(Row("value_third_alone", third.value, 0.25, v_tol))
     return rows
 

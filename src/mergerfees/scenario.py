@@ -343,58 +343,35 @@ def build_market_or_model(spec: dict) -> ReducedFormMarket | DemandModel:
 def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = False) -> dict:
     """Full pipeline: classification, oracle, bargaining, diagnostics."""
     model = scenario.built
-    n = model.n
-    pair = scenario.merging_pair
-    warnings: list[str] = []
-    statuses: dict[str, str] = {}
-
+    i, j = pair = scenario.merging_pair
     if isinstance(model, ReducedFormMarket):
-        oracle = model.profit_function()
-        gross = gross_relations(model)
-        optimizer_diag = None
+        oracle, gross, cfg = model.profit_function(), gross_relations(model), None
     else:
         cfg = scenario.optimizer.with_seed(seed)
-        oracle = profit_oracle(model, cfg, statuses)
-        gross = gross_relation(model, scenario.region).describe()
-        optimizer_diag = {"config": asdict(cfg)}
+        oracle, gross = profit_oracle(model, cfg), gross_relation(model, scenario.region).describe()
 
     env = BargainingEnv(scenario.beta, scenario.ownership, oracle)
     report_m = merger_report(env, pair)
-
-    i, j = pair
     all_rests = classify_pair(oracle, i, j)
     table = oracle.table()
 
-    spillover = None
-    loss_ratios = None
-    condition = None
-    if isinstance(model, ReducedFormMarket) and n == 3:
-        target = next(k for k in (1, 2, 3) if k not in pair)
-        spillover = model.spillover(pair, target).describe()
-        if set(pair) == {1, 2}:
-            loss_ratios = model.loss_ratios().describe()
-            condition = {
-                "x3_0": model.complementarity_condition(0).describe(),
-                "x3_1": model.complementarity_condition(1).describe(),
-            }
-
-    if statuses:
-        degenerate = sorted(k for k, v in statuses.items() if v == OptStatus.DEGENERATE.value)
-        stuck = sorted(k for k, v in statuses.items() if v == OptStatus.MAXITER.value)
-        if degenerate:
-            warnings.append(
-                "multiple local optima at portfolios: " + ", ".join(degenerate)
-            )
-        if stuck:
-            warnings.append("optimizer hit max iterations at portfolios: " + ", ".join(stuck))
-        optimizer_diag["statuses"] = dict(sorted(statuses.items()))
-
+    warnings: list[str] = []
+    optimizer_diag = None
+    if cfg is not None:
+        results = sorted(oracle.results.items())
+        for status, what in ((OptStatus.DEGENERATE, "multiple local optima"),
+                             (OptStatus.MAXITER, "optimizer hit max iterations")):
+            keys = [key for key, result in results if result.status is status]
+            if keys:
+                warnings.append(f"{what} at portfolios: " + ", ".join(keys))
+        statuses = {key: result.status.value for key, result in results}
+        optimizer_diag = {"config": asdict(cfg), "statuses": statuses}
     if abs(report_m.sign_identity_residual) > 1e-9:
         warnings.append(
             f"bargaining sign identity residual {report_m.sign_identity_residual:.3e}"
         )
 
-    report = {
+    return {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
         "scenario": scenario.echo,
@@ -411,9 +388,7 @@ def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = Fals
             "tolerance": all_rests.tolerance,
             "differences": {w.rest.key(): w.value for w in all_rests.witnesses},
         },
-        "spillover": spillover,
-        "loss_ratios": loss_ratios,
-        "complementarity_condition": condition,
+        **_three_product_explanations(model, pair),
         "fees": {
             "beta": scenario.beta,
             "t_pre": report_m.t_pre,
@@ -425,7 +400,7 @@ def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = Fals
             "retailer_net_pre": report_m.pre.retailer_net,
             "retailer_net_post": report_m.post.retailer_net,
         },
-        "shapley": None,
+        "shapley": _shapley_block(env, i, j) if include_shapley else None,
         "oracle_table": table,
         "diagnostics": {
             "optimizer": optimizer_diag,
@@ -433,16 +408,33 @@ def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = Fals
             "warnings": warnings,
         },
     }
-    if include_shapley:
-        pre = shapley_fees(env)
-        post = shapley_fees(env.merged(i, j))
-        report["shapley"] = {
-            "pre": pre.describe(),
-            "post": post.describe(),
-            "pair_total_pre": pre.fee_of(i) + pre.fee_of(j),
-            "pair_total_post": post.fee_of(i, j),
-        }
-    return report
+
+
+def _three_product_explanations(model: ReducedFormMarket | DemandModel, pair: tuple[int, int]) -> dict:
+    """The blocks that explain a three-product reduced-form verdict; None elsewhere."""
+    spillover = loss_ratios = condition = None
+    if isinstance(model, ReducedFormMarket) and model.n == 3:
+        target = next(k for k in (1, 2, 3) if k not in pair)
+        spillover = model.spillover(pair, target).describe()
+        if set(pair) == {1, 2}:
+            loss_ratios = model.loss_ratios().describe()
+            condition = {
+                "x3_0": model.complementarity_condition(0).describe(),
+                "x3_1": model.complementarity_condition(1).describe(),
+            }
+    return {"spillover": spillover, "loss_ratios": loss_ratios, "complementarity_condition": condition}
+
+
+def _shapley_block(env: BargainingEnv, i: int, j: int) -> dict:
+    """Shapley fees before and after products i and j merge."""
+    pre = shapley_fees(env)
+    post = shapley_fees(env.merged(i, j))
+    return {
+        "pre": pre.describe(),
+        "post": post.describe(),
+        "pair_total_pre": pre.fee_of(i) + pre.fee_of(j),
+        "pair_total_post": post.fee_of(i, j),
+    }
 
 
 def render_human(report: dict) -> str:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from mergerfees.optimize import (
 )
 from mergerfees.portfolios import Portfolio, classify_modularity
 from mergerfees.reduced_form import ExponentialCdf
+from mergerfees.reproduce import run_suite
 from mergerfees.sampling import eq7_sampler, random_linear_demand
 
 CFG = OptimizerConfig()
@@ -261,10 +263,34 @@ def test_one_stop_optimum_reached_after_a_step_lands_on_the_floor():
 
 
 def test_profit_oracle_records_statuses():
-    statuses = {}
-    oracle = profit_oracle(Eq7Demand(0.0, 0.5), FAST, statuses)
+    model = Eq7Demand(0.0, 0.5)
+    oracle = profit_oracle(model, FAST)
     oracle(Portfolio.full(3))
-    assert statuses == {"111": "converged"}
+    direct = max_profit(model, Portfolio.full(3), FAST)
+    assert list(oracle.results) == ["111"]
+    kept = oracle.results["111"]
+    assert kept.status is direct.status is OptStatus.CONVERGED
+    assert kept.value == direct.value
+    assert np.array_equal(kept.q, direct.q)
+
+
+def test_reproduce_appendix_a_solves_each_portfolio_once(monkeypatch):
+    # wrap every package module attribute bound to max_profit, as perfbench/tracing.py
+    # does: a reference bound out of its reach would go uncounted there and here
+    solved = []
+    solve = optimize.max_profit
+
+    def counted(model, x, cfg=optimize.DEFAULT_CONFIG):
+        solved.append((model.gamma, x.key()))
+        return solve(model, x, cfg)
+
+    for name, module in list(sys.modules.items()):
+        if name == "mergerfees" or name.startswith("mergerfees."):
+            for attr, value in list(vars(module).items()):
+                if value is solve:
+                    monkeypatch.setattr(module, attr, counted)
+    run_suite("appendix-a")
+    assert len(solved) == 8 and len(set(solved)) == 8
 
 
 # ---------------------------------------------------------------------------
