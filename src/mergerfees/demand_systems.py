@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError
 from .portfolios import GROSS_KIND, GrossKind, overall_gross_kind, sign_kind
@@ -710,25 +709,26 @@ class OneStopDemand(DemandModel):
         if not np.any(q > 0):
             return choke.copy()
 
-        def residual(theta: float) -> float:
-            qs = q / theta
-            total = float(np.sum(qs * qs / (2.0 * self.beta)))
-            return theta - self.cdf(total)
+        # theta - G(k / theta^2) rises strictly in theta (G is nondecreasing), so halving
+        # [0, 1] down to adjacent floats leaves hi the smallest theta with residual >= 0
+        k = float(np.sum(q * q / (2.0 * self.beta)))
 
-        hi = 1.0
-        if residual(hi) < 0:  # cannot happen for a true CDF; guards bad tables
+        def residual(theta: float) -> float:
+            return theta - self.cdf(k / (theta * theta))
+
+        if residual(1.0) < 0:  # cannot happen for a true CDF; guards bad tables
             raise ConvergenceError("traffic equation has no root at theta = 1")
-        lo = 1.0
-        for _ in range(80):
-            lo *= 0.5
-            if residual(lo) < 0:
-                break
-        else:
-            raise ConvergenceError("required store traffic is unattainable under this CDF")
-        theta = float(brentq(residual, lo, hi, xtol=1e-15, rtol=8.9e-16))
-        if abs(residual(theta)) > 1e-9:
+        lo, hi = 0.0, 1.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if mid < 2.0**-80:
+                raise ConvergenceError("required store traffic is unattainable under this CDF")
+            if residual(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        if residual(hi) > 1e-9:
             raise ConvergenceError("traffic equation residual too large (discontinuous CDF?)")
-        return (self.alpha - q / theta) / self.beta
+        return (self.alpha - q / hi) / self.beta
 
     def choke_quantities(self):
         return self.alpha.copy()

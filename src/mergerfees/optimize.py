@@ -337,19 +337,14 @@ def mixed_partial_grid(
     step = 1e-3
     axis1 = np.linspace(lo[0], hi[0], resolution)
     axis2 = np.linspace(lo[1], hi[1], resolution)
-    cache: dict[tuple[float, float], float] = {}
-
-    def m_of(a: float, b: float) -> float:
-        key = (round(a, 12), round(b, 12))
-        if key not in cache:
-            cache[key] = partial_max(model, a, b, cfg=cfg)
-        return cache[key]
-
     values = np.zeros((resolution, resolution))
     for r, a in enumerate(axis1):
         for c, b in enumerate(axis2):
             values[r, c] = (
-                m_of(a + step, b + step) - m_of(a + step, b) - m_of(a, b + step) + m_of(a, b)
+                partial_max(model, a + step, b + step, cfg=cfg)
+                - partial_max(model, a + step, b, cfg=cfg)
+                - partial_max(model, a, b + step, cfg=cfg)
+                + partial_max(model, a, b, cfg=cfg)
             ) / (step * step)
     rmin, cmin = np.unravel_index(np.argmin(values), values.shape)
     return {

@@ -139,7 +139,7 @@ class StepCdf(ShoppingCostCdf):
         acc = 0.0
         for x in self.weights:
             acc += x
-            cum.append(acc)
+            cum.append(min(acc, 1.0))  # rounding in the weights never lifts G above 1
         self._cum = tuple(cum)
 
     def __call__(self, s: float) -> float:

@@ -109,6 +109,13 @@ def _reject_unknown(obj: dict, allowed: tuple[str, ...], prefix: str) -> None:
             f"{prefix}{unknown[0]}: unknown field; expected one of {', '.join(allowed)}"
         )
 
+def _required(obj: dict, path: str) -> Any:
+    """The field that ``path`` ends with; ``obj`` must hold it, ``null`` included."""
+    name = path.rpartition(".")[2]
+    if name not in obj:
+        raise ScenarioError(f"{path}: missing required field")
+    return obj[name]
+
 def _expect_number(obj: Any, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ScenarioError(f"{path}: expected a number, got {type(obj).__name__}")
@@ -167,10 +174,8 @@ def _build(spec: Any, path: str, block: Block, tag: tuple[str, ...] = (), **cont
     _reject_unknown(spec, tag + tuple(block.required) + tuple(block.optional), f"{path}.")
     kwargs = {}
     for name, parse in (block.required | block.optional).items():
-        if name in spec:
-            kwargs[name] = parse(spec[name], f"{path}.{name}")
-        elif name in block.required:
-            raise ScenarioError(f"{path}.{name}: missing required field")
+        if name in spec or name in block.required:
+            kwargs[name] = parse(_required(spec, f"{path}.{name}"), f"{path}.{name}")
     try:
         return block.build(**context, **kwargs)
     except ScenarioError:
@@ -250,22 +255,22 @@ class Scenario:
 def parse_scenario(obj: Any) -> Scenario:
     obj = _expect_mapping(obj, "scenario")
     _reject_unknown(obj, ("schema_version", "model", "bargaining", "optimizer", "region"), "")
-    version = _expect_int(obj.get("schema_version", 0), "schema_version")
+    version = _expect_int(_required(obj, "schema_version"), "schema_version")
     if version != SCHEMA_VERSION:
         raise ScenarioError(
             f"schema_version: expected {SCHEMA_VERSION}, got {version}"
         )
-    model = _expect_mapping(obj.get("model"), "model")
+    model = _expect_mapping(_required(obj, "model"), "model")
     built = build_market_or_model(model)
     n = built.n
     if n > MAX_PRODUCTS:
         raise ScenarioError(f"model: {n} products, above the limit of {MAX_PRODUCTS}")
-    bargaining = _expect_mapping(obj.get("bargaining"), "bargaining")
+    bargaining = _expect_mapping(_required(obj, "bargaining"), "bargaining")
     _reject_unknown(bargaining, ("beta", "merging_pair", "ownership"), "bargaining.")
-    beta = _expect_number(bargaining.get("beta"), "bargaining.beta")
+    beta = _expect_number(_required(bargaining, "bargaining.beta"), "bargaining.beta")
     if not 0 < beta < 1:
         raise ScenarioError(f"bargaining.beta: must be in (0, 1), got {beta}")
-    pair_raw = bargaining.get("merging_pair")
+    pair_raw = _required(bargaining, "bargaining.merging_pair")
     if not isinstance(pair_raw, (list, tuple)) or len(pair_raw) != 2:
         raise ScenarioError("bargaining.merging_pair: expected an array of two indices")
     pair = tuple(_expect_ints(pair_raw, "bargaining.merging_pair", "two indices"))

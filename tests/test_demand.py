@@ -26,6 +26,7 @@ from mergerfees.reduced_form import (
     AffineClampedCdf,
     ExponentialCdf,
     PowerCdf,
+    ShoppingCostCdf,
     StepCdf,
     TableCdf,
     saturated_cdf,
@@ -367,6 +368,58 @@ def test_one_stop_round_trip():
         q = m.demand(np.array(p))
         assert np.max(np.abs(m.demand(m.inverse_demand(q)) - q)) < 1e-10
     assert np.allclose(m.inverse_demand(np.zeros(3)), m.alpha / m.beta)
+
+
+def test_one_stop_traffic_is_the_smallest_float_root():
+    # residual(theta) = theta - G(k / theta^2) rises in theta; inverse_demand's
+    # prices must come from the first float at which it is >= 0
+    rng = np.random.default_rng(19)
+    alpha, beta = rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 3)
+    models = [m for m in _one_stop_models(alpha, beta) if m.cdf.family != "step"]
+    for m in models + [OneStopDemand(alpha, beta, saturated_cdf())]:
+        region = m.default_quantity_region()
+        for _ in range(10):
+            q = rng.uniform(region.lower, region.upper)
+            p = m.inverse_demand(q)
+            k = float(np.sum(q * q / (2.0 * m.beta)))
+
+            def residual(theta):
+                return theta - m.cdf(k / (theta * theta))
+
+            # walk from the traffic p implies to the float where the sign changes
+            theta = float(np.max(q / (m.alpha - m.beta * p)))
+            for _ in range(1000):
+                if residual(theta) < 0:
+                    theta = np.nextafter(theta, 2.0)
+                elif residual(np.nextafter(theta, 0.0)) >= 0:
+                    theta = np.nextafter(theta, 0.0)
+                else:
+                    break
+            assert residual(theta) >= 0 > residual(np.nextafter(theta, 0.0)), m.cdf.family
+            assert np.array_equal(p, (m.alpha - q / theta) / m.beta), m.cdf.family
+            assert np.max(np.abs(m.demand(p) - q)) <= 1e-12, m.cdf.family
+
+
+class _AboveOneCdf(ShoppingCostCdf):
+    family = "above_one"
+
+    def __call__(self, s):
+        return 1.5
+
+
+@pytest.mark.parametrize(
+    "cdf,q,message",
+    [
+        # G = 0 everywhere: no traffic level above 2^-80 is self-consistent
+        (TableCdf([(0.0, 0.0), (1.0, 0.0)]), [0.1, 0.1], "unattainable"),
+        # G jumps from 1 to 0.5 at theta = 0.79, so the residual jumps over 0
+        (StepCdf([0.0, 10.0]), [2.5, 2.5], "residual too large"),
+        (_AboveOneCdf(), [0.1, 0.1], "no root at theta = 1"),
+    ],
+)
+def test_one_stop_traffic_failures_are_convergence_errors(cdf, q, message):
+    with pytest.raises(ConvergenceError, match=message):
+        OneStopDemand([3.0, 3.0], [1.0, 1.0], cdf).inverse_demand(q)
 
 
 def test_custom_demand_inverts_numerically():

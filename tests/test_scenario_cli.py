@@ -98,6 +98,15 @@ def test_parse_scenario_happy_path():
         # a present field must parse, null included; an absent required one is named
         (lambda s: s["model"].update(gamma=None), "model.gamma: expected a number, got NoneType"),
         (lambda s: s["model"].pop("b"), "model.b: missing required field"),
+        (lambda s: s["bargaining"].pop("beta"), "bargaining.beta: missing required field"),
+        (
+            lambda s: s["bargaining"].pop("merging_pair"),
+            "bargaining.merging_pair: missing required field",
+        ),
+        (lambda s: s.pop("model"), "model: missing required field"),
+        (lambda s: s.pop("bargaining"), "bargaining: missing required field"),
+        (lambda s: s.pop("schema_version"), "schema_version: missing required field"),
+        (lambda s: s["bargaining"].update(beta=None), "bargaining.beta: expected a number, got NoneType"),
         (lambda s: s.update(region={"upper": [0.9] * 3}), "region.lower: missing required field"),
         (
             lambda s: s.update(
@@ -325,6 +334,19 @@ def test_cli_analyze_numerical_exit_code(tmp_path, capsys):
     path = write_scenario(tmp_path, payload)
     assert main(["analyze", path]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_analyze_step_cdf_whose_weights_round_above_one(tmp_path, capsys):
+    # the weights sum to 1 + 5e-13, inside the validation tolerance; G must
+    # still stop at 1, or the traffic equation has no root at theta = 1
+    cdf = {"family": "step", "thresholds": [0.0, 0.0, 0.0], "weights": [0.1, 0.2, 0.7000000000005]}
+    payload = {
+        "schema_version": 1,
+        "model": {"kind": "one_stop", "alpha": [1.0, 1.2, 0.9], "beta": [1.0, 0.8, 1.1], "cdf": cdf},
+        "bargaining": {"beta": 0.5, "merging_pair": [1, 2]},
+    }
+    assert main(["analyze", write_scenario(tmp_path, payload)]) == 0
+    assert "numerical failure" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
