@@ -21,7 +21,6 @@ from .portfolios import (
     all_portfolios,
     classify_modularity,
     classify_pair,
-    classify_pair_at,
     rest_portfolios,
     second_difference,
 )

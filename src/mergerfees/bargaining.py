@@ -22,7 +22,7 @@ from math import comb
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .portfolios import PairRelation, Portfolio, SetFunction, classify_pair_at
+from .portfolios import PairKind, Portfolio, SetFunction, second_difference, sign_kind
 
 MAX_SHAPLEY_PLAYERS = 12  # exact subset enumeration only
 
@@ -167,7 +167,8 @@ class MergerReport:
     t_pre: float
     t_post: float
     gap: float
-    pair_relation: PairRelation  # at the full rest portfolio
+    rest: Portfolio  # every product but the pair
+    kind: PairKind  # the pair's profit relation at rest
     second_difference: float
     non_merging_pre: Mapping[frozenset[int], float]
     non_merging_post: Mapping[frozenset[int], float]
@@ -211,8 +212,7 @@ def merger_report(env: BargainingEnv, pair: tuple[int, int]) -> MergerReport:
     rest = Portfolio.from_indices(
         env.oracle.n, [k for k in range(1, env.oracle.n + 1) if k not in (i, j)]
     )
-    relation = classify_pair_at(env.oracle, i, j, rest)
-    diff = relation.witnesses[0].value
+    diff = second_difference(env.oracle, i, j, rest)
     merged_firm = frozenset((i, j))
     non_pre = {f: v for f, v in pre.fees.items() if f not in (frozenset([i]), frozenset([j]))}
     non_post = {f: v for f, v in post.fees.items() if f != merged_firm}
@@ -222,7 +222,8 @@ def merger_report(env: BargainingEnv, pair: tuple[int, int]) -> MergerReport:
         t_pre=t_pre,
         t_post=t_post,
         gap=t_post - t_pre,
-        pair_relation=relation,
+        rest=rest,
+        kind=sign_kind(diff, diff),
         second_difference=diff,
         non_merging_pre=non_pre,
         non_merging_post=non_post,

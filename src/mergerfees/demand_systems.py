@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .portfolios import GROSS_KIND, GrossKind, overall_gross_kind, sign_kind
+from .portfolios import GrossKind, gross_verdicts
 from .reduced_form import ShoppingCostCdf
 
 INVERSION_TOL = 1e-11  # residual ||P(D(p)) - p||_inf target for numeric inversions
@@ -802,32 +802,22 @@ class CustomDemand(DemandModel):
 
 
 @dataclass(frozen=True)
-class PairGrossRelation:
-    i: int
-    j: int
-    kind: GrossKind
-
-
-@dataclass(frozen=True)
 class GrossRelationReport:
-    pairs: dict[tuple[int, int], PairGrossRelation]
+    pairs: dict[tuple[int, int], GrossKind]
     overall: GrossKind
-    tolerance: float
+    block: dict  # the report's {"overall", "pairs", "tolerance"}
     region: EvaluationRegion
     failures: tuple[str, ...] = ()
 
-    def pair(self, i: int, j: int) -> PairGrossRelation:
+    @property
+    def tolerance(self) -> float:
+        return self.block["tolerance"]
+
+    def pair(self, i: int, j: int) -> GrossKind:
         return self.pairs[(min(i, j), max(i, j))]
 
     def describe(self) -> dict:
-        return {
-            "overall": self.overall.value,
-            "tolerance": self.tolerance,
-            "pairs": {
-                f"{i},{j}": rel.kind.value for (i, j), rel in sorted(self.pairs.items())
-            },
-            "failures": list(self.failures),
-        }
+        return {**self.block, "failures": list(self.failures)}
 
 
 def gross_relation(
@@ -852,16 +842,14 @@ def gross_relation(
             "no usable grid node for gross classification; failures: "
             + "; ".join(failures[:3])
         )
-    pairs = {}
+    extremes = {}
     for i, j in itertools.combinations(range(model.n), 2):
         # dD_i/dp_j then dD_j/dp_i, node by node; unlike numpy's, the builtin
         # min and max pass over a NaN that is not the first value
         values = np.stack((slopes[:, i, j], slopes[:, j, i]), axis=1).ravel().tolist()
         # a negative cross-price slope means complements, so the slopes enter negated
-        kind = GROSS_KIND[sign_kind(-max(values), -min(values), GROSS_TOLERANCE)]
-        pairs[(i + 1, j + 1)] = PairGrossRelation(i + 1, j + 1, kind)
-    overall = overall_gross_kind(rel.kind for rel in pairs.values())
-    return GrossRelationReport(pairs, overall, GROSS_TOLERANCE, region, tuple(failures))
+        extremes[(i + 1, j + 1)] = (-max(values), -min(values))
+    return GrossRelationReport(*gross_verdicts(extremes, GROSS_TOLERANCE), region, tuple(failures))
 
 
 @dataclass(frozen=True)

@@ -200,13 +200,12 @@ def max_profit(
     if cfg.multistart > 1:
         starts.extend(_latin_hypercube(rng, cfg.multistart - 1, np.maximum(lb, 1e-4), choke))
 
-    def safe_start(z0: np.ndarray) -> np.ndarray | None:
+    def safe_start(z0: np.ndarray) -> tuple[np.ndarray, float] | None:
         z = np.clip(z0, lb, ub)
         anchor = 0.5 * choke
         for _ in range(12):
             try:
-                obj.value(z)
-                return z
+                return z, obj.value(z)
             except _EVAL_ERRORS:
                 z = 0.5 * (z + anchor)
         return None
@@ -216,13 +215,13 @@ def max_profit(
     # an overflowing profit reaches the caller as a non-finite value, not as warnings
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for z0 in starts:
-            z0 = safe_start(np.asarray(z0))
-            if z0 is None:
+            start = safe_start(np.asarray(z0))
+            if start is None:
                 continue
             used += 1
             try:
                 z, val, kkt = _polish(
-                    obj.value, obj.gradient, z0, obj.value(z0), lb, ub, cfg.gradient_tol, cfg.max_iter
+                    obj.value, obj.gradient, *start, lb, ub, cfg.gradient_tol, cfg.max_iter
                 )
             except _EVAL_ERRORS:
                 continue

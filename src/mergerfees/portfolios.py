@@ -70,10 +70,24 @@ GROSS_KIND = {
 }
 
 
-def overall_gross_kind(kinds: Iterable[GrossKind]) -> GrossKind:
-    """The kind every pair shares, or mixed."""
-    distinct = set(kinds)
-    return distinct.pop() if len(distinct) == 1 else GrossKind.MIXED
+def gross_verdicts(
+    extremes: Mapping[tuple[int, int], tuple[float, float]], tolerance: float
+) -> tuple[dict[tuple[int, int], GrossKind], GrossKind, dict]:
+    """Gross verdicts from the extremes (lo, hi) of each pair's demand effects.
+
+    A positive effect means complements, as in ``sign_kind``. Returns each
+    pair's kind, the kind every pair shares (or mixed), and the report block
+    ``{"overall", "pairs", "tolerance"}`` that holds both.
+    """
+    kinds = {pair: GROSS_KIND[sign_kind(lo, hi, tolerance)] for pair, (lo, hi) in extremes.items()}
+    distinct = set(kinds.values())
+    overall = distinct.pop() if len(distinct) == 1 else GrossKind.MIXED
+    block = {
+        "overall": overall.value,
+        "pairs": {f"{i},{j}": kind.value for (i, j), kind in sorted(kinds.items())},
+        "tolerance": tolerance,
+    }
+    return kinds, overall, block
 
 
 @dataclass(frozen=True)
@@ -175,11 +189,9 @@ def rest_portfolios(n: int, i: int, j: int) -> Iterator[Portfolio]:
 class SetFunction:
     """Memoized real-valued function on the n-product hypercube.
 
-    Evaluation must be pure: the cache stores the first computed value per
-    bit pattern and is never invalidated. Writes are single-writer-per-key
-    in effect because re-computation yields the identical value, so
-    concurrent hypercube scans are safe. A value that is not finite raises
-    DomainError naming the portfolio: no verdict or fee can rest on it.
+    Evaluation must be pure: the cache keeps the first value computed for
+    each bit pattern and is never invalidated. A value that is not finite
+    raises DomainError naming the portfolio: no verdict or fee can rest on it.
     """
 
     def __init__(self, n: int, fn: Callable[[Portfolio], float], name: str = ""):
@@ -299,13 +311,6 @@ def classify_pair(
     hi = max(witnesses, key=lambda w: w.value)
     lo = min(witnesses, key=lambda w: w.value)
     return PairRelation(i, j, sign_kind(lo.value, hi.value, tolerance), tolerance, witnesses, hi, lo)
-
-
-def classify_pair_at(f: SetFunction, i: int, j: int, rest: Portfolio) -> PairRelation:
-    """Single-rest variant of classify_pair (one witness, one difference)."""
-    w = Witness(rest, second_difference(f, i, j, rest))
-    kind = sign_kind(w.value, w.value)
-    return PairRelation(i, j, kind, DEFAULT_TOLERANCE, (w,), w, w)
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .portfolios import (
-    GROSS_KIND,
-    PairKind,
-    Portfolio,
-    SetFunction,
-    overall_gross_kind,
-    sign_kind,
-)
+from .portfolios import PairKind, Portfolio, SetFunction, gross_verdicts, sign_kind
 
 TRAFFIC_TOLERANCE = 1e-12  # dead zone of gross_relations, in store-traffic shares
 
@@ -421,8 +414,7 @@ def gross_relations(market: ReducedFormMarket) -> dict:
     n = market.n
     traffic = market.traffic_table()
     masks = np.arange(1 << n)
-    pairs = {}
-    verdicts = set()
+    extremes = {}
     for i in range(1, n + 1):
         bit_i = 1 << (i - 1)
         for j in range(i + 1, n + 1):
@@ -430,8 +422,5 @@ def gross_relations(market: ReducedFormMarket) -> dict:
             rest = masks[(masks & (bit_i | bit_j)) == 0]
             both = traffic[rest | bit_i | bit_j]
             diffs = np.concatenate((both - traffic[rest | bit_i], both - traffic[rest | bit_j]))
-            kind = GROSS_KIND[sign_kind(diffs.min(), diffs.max(), TRAFFIC_TOLERANCE)]
-            pairs[f"{i},{j}"] = kind.value
-            verdicts.add(kind)
-    overall = overall_gross_kind(verdicts)
-    return {"overall": overall.value, "pairs": pairs, "tolerance": TRAFFIC_TOLERANCE}
+            extremes[(i, j)] = (diffs.min(), diffs.max())
+    return gross_verdicts(extremes, TRAFFIC_TOLERANCE)[2]

@@ -187,7 +187,7 @@ def _build(spec: Any, path: str, block: Block, tag: tuple[str, ...] = (), **cont
 def _build_variant(spec: Any, path: str, tag: str, variants: dict[str, Block], noun: str) -> Any:
     """Build the block of ``variants`` that the ``tag`` field of ``spec`` names."""
     spec = _expect_mapping(spec, path)
-    name = spec.get(tag)
+    name = _required(spec, f"{path}.{tag}")
     if not isinstance(name, str) or name not in variants:
         raise ScenarioError(
             f"{path}.{tag}: unknown {noun} {name!r}; expected one of {', '.join(variants)}"
@@ -384,9 +384,9 @@ def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = Fals
         "gross_relations": gross,
         "profit_relation": {
             "pair": list(pair),
-            "kind": report_m.pair_relation.kind.value,
+            "kind": report_m.kind.value,
             "second_difference": report_m.second_difference,
-            "rest": report_m.pair_relation.witnesses[0].rest.key(),
+            "rest": report_m.rest.key(),
         },
         "pair_classification": {
             "kind": all_rests.kind.value,

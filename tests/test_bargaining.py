@@ -1,5 +1,7 @@
 import math
+import re
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,14 +118,14 @@ def test_merger_additive_oracle_is_neutral():
     env = BargainingEnv(0.3, OwnershipStructure.singletons(3), additive_function((1.0, 2.0, 3.0)))
     rep = merger_report(env, (1, 2))
     assert rep.gap == pytest.approx(0.0, abs=1e-12)
-    assert rep.pair_relation.kind.value == "additive"
+    assert rep.kind.value == "additive"
 
 
 def test_merger_raises_fees_with_third_product():
     env = BargainingEnv(0.5, OwnershipStructure.singletons(3), exp_market_oracle())
     rep = merger_report(env, (1, 2))
     assert rep.gap > 0.6
-    assert rep.pair_relation.kind.value == "strict_substitutes"
+    assert rep.kind.value == "strict_substitutes"
     assert rep.max_non_merging_change == 0.0
     assert abs(rep.sign_identity_residual) < 1e-12
 
@@ -135,6 +137,16 @@ def test_merger_lowers_fees_without_third_product():
     assert rep.t_pre == pytest.approx(1.097, abs=1e-3)
     assert rep.t_post == pytest.approx(0.865, abs=1e-3)
     assert rep.gap < 0
+
+
+def test_readme_library_example_runs(capsys):
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## Library example") :]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    gap, kind = capsys.readouterr().out.splitlines()[:2]
+    assert float(gap) > 0
+    assert kind == "strict_substitutes"
 
 
 def test_merger_requires_singleton_pair():

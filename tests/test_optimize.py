@@ -253,6 +253,31 @@ def test_max_profit_computes_no_gradient_outside_polish(monkeypatch):
     assert outside == []
 
 
+def test_max_profit_values_each_start_once_before_polish(monkeypatch):
+    since_polish = [0]
+    before_polish = []
+    value = optimize._PortfolioObjective.value
+    polish = optimize._polish
+
+    def counted_value(self, z):
+        since_polish[0] += 1
+        return value(self, z)
+
+    def tracked_polish(*args):
+        before_polish.append(since_polish[0])
+        try:
+            return polish(*args)
+        finally:
+            since_polish[0] = 0
+
+    monkeypatch.setattr(optimize._PortfolioObjective, "value", counted_value)
+    monkeypatch.setattr(optimize, "_polish", tracked_polish)
+    model = LinearDemand([1.0, 1.0], [[1.0, 0.2], [0.2, 1.0]])
+    res = max_profit(model, Portfolio.full(2), OptimizerConfig(multistart=4))
+    assert res.starts_used == 4
+    assert before_polish == [1, 1, 1, 1]
+
+
 def test_one_stop_optimum_reached_after_a_step_lands_on_the_floor():
     # Newton steps overshoot product 3 onto q = 0, where the Hessian cannot be differenced
     m = OneStopDemand([1.31, 1.59, 0.89], [1.25, 1.39, 1.17], ExponentialCdf(0.26))

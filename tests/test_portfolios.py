@@ -13,7 +13,6 @@ from mergerfees.portfolios import (
     all_portfolios,
     classify_modularity,
     classify_pair,
-    classify_pair_at,
     rest_portfolios,
     second_difference,
     sign_kind,
@@ -156,13 +155,6 @@ def test_classify_pair_mixed_carries_extreme_witnesses():
     assert rel.most_positive.value > 0 > rel.most_negative.value
     assert rel.most_positive.rest.mask == 0
     assert rel.most_negative.rest.contains(3)
-
-
-def test_classify_pair_at_single_rest():
-    f = SetFunction(3, lambda x: float(x.contains(1) and x.contains(2)))
-    rel = classify_pair_at(f, 1, 2, Portfolio.from_indices(3, (3,)))
-    assert rel.kind is PairKind.STRICT_COMPLEMENTS
-    assert len(rel.witnesses) == 1
 
 
 def test_classify_modularity_product_interaction():

@@ -108,6 +108,11 @@ def test_parse_scenario_happy_path():
         (lambda s: s.pop("schema_version"), "schema_version: missing required field"),
         (lambda s: s["bargaining"].update(beta=None), "bargaining.beta: expected a number, got NoneType"),
         (lambda s: s.update(region={"upper": [0.9] * 3}), "region.lower: missing required field"),
+        (lambda s: s["model"].pop("kind"), "model.kind: missing required field"),
+        (
+            lambda s: s.update(model=dict(reduced_scenario()["model"], cdf={"lam": 1.0})),
+            "model.cdf.family: missing required field",
+        ),
         (
             lambda s: s.update(
                 model=dict(reduced_scenario()["model"], cdf={"family": "power", "k": 2.0})
