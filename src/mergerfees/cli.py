@@ -153,6 +153,8 @@ def _range_parts(spec: str) -> tuple[str, float, float, int]:
         a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ScenarioError(f"range {spec!r}: {exc}") from exc
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ScenarioError(f"range {spec!r}: endpoints must be finite")
     if n < 1:
         raise ScenarioError(f"range {spec!r}: need at least one point")
     return key.strip(), a, b, n
@@ -210,8 +212,15 @@ def cmd_sweep(args) -> int:
 
     if not args.range:
         raise ScenarioError("sweep needs at least one --range")
-    # count the nodes before any grid is built: one range may ask for 10^13 points
-    total = math.prod(_range_parts(spec)[3] for spec in args.range)
+    # check every range and count the nodes before any grid is built: one
+    # range may ask for 10^13 points
+    parts = [_range_parts(spec) for spec in args.range]
+    seen: set[str] = set()
+    for key, *_ in parts:
+        if key in seen:
+            raise ScenarioError(f"--range: path {key!r} given more than once")
+        seen.add(key)
+    total = math.prod(n for *_, n in parts)
     if total > args.max_nodes:
         raise ScenarioError(
             f"sweep would evaluate {total} nodes, above the --max-nodes cap {args.max_nodes}"

@@ -9,6 +9,13 @@ square-root-spillover family with cross-price coupling the restricted
 subsystem is inverted in closed form instead (the full system has no real
 inverse at such corners).
 
+The optimizer's Newton steps also take the Hessian of the restricted
+inverse, portfolio_inverse_hessian: zero for linear demand, explicit for
+appendix_b, and for eq7 and one_stop the implicit-function theorem on
+D(P(q)) = q applied to the family's demand_hessian (one_stop's needs G'
+and G'' from its CDF, so step and table CDFs have none). A family without
+one returns None and the optimizer differences its gradient instead.
+
 Two grid diagnostics operate on these families:
 
 * gross_relation samples dD_i/dp_j over a price region and classifies each
@@ -169,6 +176,31 @@ class DemandModel:
         full = self.inverse_jacobian(q)
         idx = [i - 1 for i in carried]
         return full[:, idx][idx]
+
+    def demand_hessian(self, p: np.ndarray, carried: tuple[int, ...]) -> np.ndarray | None:
+        """d2D_m/dp_k dp_l of the carried subsystem at the full-length prices p.
+
+        A (k, k, k) array indexed [m, k, l] in carried order, or None where
+        the family has no exact form there. Default: None.
+        """
+        return None
+
+    def portfolio_inverse_hessian(
+        self, q: np.ndarray, p: np.ndarray, jac: np.ndarray, carried: tuple[int, ...]
+    ) -> np.ndarray | None:
+        """d2P_i/dq_k dq_l over the carried coordinates at the zero-padded q.
+
+        A (k, k, k) array indexed [i, k, l] in carried order, or None where
+        the family has no exact form; the optimizer then differences its
+        gradient. ``p`` and ``jac`` are portfolio_inverse and
+        portfolio_inverse_jacobian at q, so no P(q) solve is repeated.
+        Default: the implicit-function theorem on D(P(q)) = q applied to
+        demand_hessian, -sum_m jac[i, m] (jac^T H_m jac)[k, l].
+        """
+        curvature = self.demand_hessian(p, carried)
+        if curvature is None:
+            return None
+        return -np.tensordot(jac, jac.T @ curvature @ jac, axes=1)
 
     # -- defaults for diagnostics and optimization -------------------------
 
@@ -364,6 +396,10 @@ class LinearDemand(DemandModel):
     def inverse_cross_partial(self, q, m, i, j):
         return 0.0
 
+    def portfolio_inverse_hessian(self, q, p, jac, carried):
+        k = len(carried)
+        return np.zeros((k, k, k))
+
     def choke_quantities(self):
         q = np.linalg.solve(self.B, self.a - self.costs)
         return np.abs(q)
@@ -463,6 +499,20 @@ class Eq7Demand(DemandModel):
     def portfolio_inverse_jacobian(self, q, carried):
         p = self._restricted_inverse(np.asarray(q, dtype=float), carried)
         return np.linalg.inv(self._slopes(p, carried))
+
+    def demand_hessian(self, p, carried):
+        # D3's gamma sqrt(u), u = (1-p1) + (1-p2) over the carried pair, is the
+        # only curvature: -gamma / (4 u^1.5) on the pair's block of D3
+        k = len(carried)
+        hess = np.zeros((k, k, k))
+        pair = [carried.index(i) for i in (1, 2) if i in carried]
+        if 3 in carried and pair:
+            u = sum(1.0 - p[carried[a] - 1] for a in pair)
+            if u <= 0:
+                raise DomainError(_EQ7_SLOPE_DOMAIN)
+            for a, b in itertools.product(pair, pair):
+                hess[carried.index(3), a, b] = -self.gamma / (4.0 * u**1.5)
+        return hess
 
     def _slopes(self, p: np.ndarray, carried: tuple[int, ...]) -> np.ndarray:
         """dD_c/dp_c of the carried subsystem at prices p (absent entries unused)."""
@@ -634,6 +684,16 @@ class AppendixBDemand(DemandModel):
     def inverse_cross_partial(self, q, m, i, j):
         return 0.0
 
+    def portfolio_inverse_hessian(self, q, p, jac, carried):
+        # the only curvature: d2P1/dq2^2 = -b/(1+q2)^2 and d2P2/dq1^2 = -b/(1+q1)^2
+        k = len(carried)
+        hess = np.zeros((k, k, k))
+        if 1 in carried and 2 in carried:
+            one, two = carried.index(1), carried.index(2)
+            hess[one, two, two] = -self.b / (1.0 + q[1]) ** 2
+            hess[two, one, one] = -self.b / (1.0 + q[0]) ** 2
+        return hess
+
     def default_price_region(self):
         return EvaluationRegion((0.05,) * 3, (0.95,) * 3)
 
@@ -679,6 +739,7 @@ class OneStopDemand(DemandModel):
         self.alpha = alpha
         self.beta = beta
         self.cdf = cdf
+        self._last_traffic = (math.nan, math.nan)  # (k, theta) of the last traffic solve
 
     def sub_demand(self, p: np.ndarray) -> np.ndarray:
         return np.maximum(self.alpha - self.beta * p, 0.0)
@@ -709,10 +770,19 @@ class OneStopDemand(DemandModel):
         if not np.any(q > 0):
             return choke.copy()
 
+        # the solve depends on q only through k; the optimizer asks for the
+        # prices at one point again for its Jacobian, so the last one is kept
+        k = float(np.sum(q * q / (2.0 * self.beta)))
+        last_k, theta = self._last_traffic
+        if k != last_k:
+            theta = self._traffic_share(k)
+            self._last_traffic = (k, theta)
+        return (self.alpha - q / theta) / self.beta
+
+    def _traffic_share(self, k: float) -> float:
+        """The store traffic theta = G(k / theta^2) at the sub-demand mass k > 0."""
         # theta - G(k / theta^2) rises strictly in theta (G is nondecreasing), so halving
         # [0, 1] down to adjacent floats leaves hi the smallest theta with residual >= 0
-        k = float(np.sum(q * q / (2.0 * self.beta)))
-
         def residual(theta: float) -> float:
             return theta - self.cdf(k / (theta * theta))
 
@@ -728,7 +798,26 @@ class OneStopDemand(DemandModel):
                 hi = mid
         if residual(hi) > 1e-9:
             raise ConvergenceError("traffic equation residual too large (discontinuous CDF?)")
-        return (self.alpha - q / hi) / self.beta
+        return hi
+
+    def demand_hessian(self, p, carried):
+        # D_m = s_m G(V), s_m = alpha_m - beta_m p_m, dV/dp_k = -s_k:
+        # d2D_m/dp_k dp_l = G' (beta_m d_mk s_l + beta_m d_ml s_k + beta_k d_kl s_m)
+        #                   + G'' s_m s_k s_l
+        # off the kinks of G and of each carried max(alpha - beta p, 0) at its choke price
+        idx = [i - 1 for i in carried]
+        derivatives = self.cdf.derivatives(float(np.sum(self.surplus(p))))
+        if derivatives is None or np.any(p[idx] >= (self.alpha / self.beta)[idx]):
+            return None
+        g1, g2 = derivatives
+        s = self.sub_demand(p)[idx]
+        slope = g1 * np.diag(self.beta[idx])
+        return (
+            slope[:, :, None] * s
+            + slope[:, None, :] * s[:, None]
+            + slope * s[:, None, None]
+            + g2 * s[:, None, None] * s[:, None] * s
+        )
 
     def choke_quantities(self):
         return self.alpha.copy()

@@ -5,11 +5,15 @@ For a demand model and a portfolio x, the intermediary's gross profit is
     max_q  sum_{i in x} (P_i(q) - c_i) q_i   s.t.  q_i = 0 for i not in x
 
 solved by damped Newton ascent from several starts, with coordinates held
-at a bound by their slope kept fixed. The resulting value function over
+at a bound by their slope kept fixed. The Newton Hessian is exact where the
+model gives portfolio_inverse_hessian, d2R = J + J^T + sum_i z_i d2P_i, and
+central differences of the gradient otherwise; one P(q) solve serves the
+value, gradient and Hessian at a point. The resulting value function over
 portfolios feeds the set-function classifiers and the bargaining layer.
 The module also provides the partial maximum M(q1, q2) (profit maximized
 over every carried product except 1 and 2, whose quantities are held
-fixed), closed-form first-order conditions for the square-root-spillover
+fixed) and its mixed partial from the Hessian at the inner optimum,
+closed-form first-order conditions for the square-root-spillover
 family, the pair second difference of the optimized profit at the full
 complement portfolio (negative means the pair are profit substitutes, so
 merging them raises total fees), and a seeded search for parameter draws
@@ -77,29 +81,53 @@ class OptResult:
 
 
 class _PortfolioObjective:
-    """R and its gradient over the active coordinates of one portfolio."""
+    """R, its gradient and its Hessian over the active coordinates of one portfolio.
+
+    The prices at the last point asked about, and their Jacobian once asked
+    for, are kept: the value, gradient and Hessian at one point share one
+    P(q) solve.
+    """
 
     def __init__(self, model: DemandModel, carried: tuple[int, ...]):
         self.model = model
         self.carried = carried
         self.idx = np.array([i - 1 for i in carried])
         self.costs = model.costs[self.idx]
+        self._z: np.ndarray | None = None
 
     def pad(self, z: np.ndarray) -> np.ndarray:
         q = np.zeros(self.model.n)
         q[self.idx] = z
         return q
 
+    def _prices(self, z: np.ndarray) -> np.ndarray:
+        if self._z is None or not np.array_equal(z, self._z):
+            q = self.pad(z)
+            p = self.model.portfolio_inverse(q, self.carried)
+            self._z, self._q, self._p, self._jac = z.copy(), q, p, None
+        return self._p
+
+    def _jacobian(self, z: np.ndarray) -> np.ndarray:
+        self._prices(z)
+        if self._jac is None:
+            self._jac = self.model.portfolio_inverse_jacobian(self._q, self.carried)
+        return self._jac
+
     def value(self, z: np.ndarray) -> float:
-        q = self.pad(z)
-        p = self.model.portfolio_inverse(q, self.carried)
-        return float(np.dot(p[self.idx] - self.costs, z))
+        return float(np.dot(self._prices(z)[self.idx] - self.costs, z))
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
-        q = self.pad(z)
-        p = self.model.portfolio_inverse(q, self.carried)
-        jac = self.model.portfolio_inverse_jacobian(q, self.carried)
-        return p[self.idx] - self.costs + jac.T @ z
+        return self._prices(z)[self.idx] - self.costs + self._jacobian(z).T @ z
+
+    def hessian(self, z: np.ndarray, free: list[int]) -> np.ndarray:
+        """d2R/dz dz over the coordinates ``free``: jac + jac^T + sum_i z_i d2P_i,
+        exact where the model has portfolio_inverse_hessian, central
+        differences of the gradient where it returns None."""
+        p, jac = self._prices(z), self._jacobian(z)
+        curvature = self.model.portfolio_inverse_hessian(self._q, p, jac, self.carried)
+        if curvature is None:
+            return _fd_jacobian(self.gradient, z, 1e-6, free)[free]
+        return (jac + jac.T + np.tensordot(z, curvature, axes=1))[free][:, free]
 
 
 def _latin_hypercube(rng: np.random.Generator, count: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -111,6 +139,7 @@ def _latin_hypercube(rng: np.random.Generator, count: int, lo: np.ndarray, hi: n
 def _polish(
     value: Callable[[np.ndarray], float],
     gradient: Callable[[np.ndarray], np.ndarray],
+    hessian: Callable[[np.ndarray, list[int]], np.ndarray],
     z: np.ndarray,
     fz: float,
     lb: np.ndarray,
@@ -120,13 +149,13 @@ def _polish(
 ) -> tuple[np.ndarray, float, float]:
     """Damped Newton ascent of ``value`` from z, whose value is fz, in the box [lb, ub].
 
-    Coordinates held at a bound by their slope stay fixed; the Hessian of
-    the others comes from central differences of ``gradient``. The step
+    Coordinates held at a bound by their slope stay fixed; ``hessian(z,
+    free)`` gives the Hessian over the others, the list ``free``. The step
     follows the gradient instead where the Hessian's symmetric part is not
     negative definite, since a Newton step could then head for a saddle or
     a minimum (Nocedal & Wright, Numerical Optimization, sec. 3.4), and
-    where the Hessian cannot be evaluated, as on a bound that the
-    differences would cross. Each step is halved until the value does not
+    where ``hessian`` raises, as a difference Hessian does on a bound that
+    its differences would cross. Each step is halved until the value does not
     fall. Returns the last accepted point, its value, and its KKT residual:
     the largest slope over the coordinates no bound holds, NaN if the
     gradient there is NaN. The search stops once the residual reaches
@@ -147,7 +176,7 @@ def _polish(
         if residual <= tol or steps == max_steps or stalled:
             return z, fz, residual
         try:
-            hess = _fd_jacobian(gradient, z, 1e-6, free)[free]
+            hess = hessian(z, free)
             if np.linalg.eigvalsh(0.5 * (hess + hess.T)).max() < 0:
                 step = np.linalg.solve(hess, -step)
         except _EVAL_ERRORS:
@@ -221,7 +250,8 @@ def max_profit(
             used += 1
             try:
                 z, val, kkt = _polish(
-                    obj.value, obj.gradient, *start, lb, ub, cfg.gradient_tol, cfg.max_iter
+                    obj.value, obj.gradient, obj.hessian, *start, lb, ub, cfg.gradient_tol,
+                    cfg.max_iter,
                 )
             except _EVAL_ERRORS:
                 continue
@@ -262,27 +292,29 @@ def profit_oracle(model: DemandModel, cfg: OptimizerConfig = DEFAULT_CONFIG) -> 
     return oracle
 
 
-def partial_max(
-    model: DemandModel,
-    q1: float,
-    q2: float,
-    cfg: OptimizerConfig = DEFAULT_CONFIG,
-) -> float:
+def partial_max(model: DemandModel, q1: float, q2: float) -> float:
     """Profit with q1, q2 held fixed, maximized over products 3..n.
 
     The inner maximization is over stationary points (no nonnegativity
     constraint): this is the smooth envelope whose mixed partial carries the
     supermodularity-preservation argument, and it coincides with the
     portfolio optimum whenever that optimum is interior. With n = 2 it is
-    just the two-product profit itself.
+    just the two-product profit itself. The starts come from DEFAULT_CONFIG.
     """
+    return _inner_optimum(model, q1, q2, DEFAULT_CONFIG)[0]
+
+
+def _inner_optimum(
+    model: DemandModel, q1: float, q2: float, cfg: OptimizerConfig
+) -> tuple[float, np.ndarray, _PortfolioObjective]:
+    """partial_max's solve: the best value, its point (q1, q2, w) over
+    products 1..n, and the objective over those products."""
     carried = tuple(range(3, model.n + 1))
-    system = (1, 2) + carried
-    obj = _PortfolioObjective(model, system)
+    obj = _PortfolioObjective(model, (1, 2) + carried)
 
     fixed = np.array([q1, q2], dtype=float)
     if not carried:
-        return obj.value(fixed)
+        return obj.value(fixed), fixed, obj
 
     m = len(carried)
     inner_idx = np.arange(2, 2 + m)
@@ -298,27 +330,31 @@ def partial_max(
             # fixed quantities zero); the value is still smooth in w
             return _fd_jacobian(value_of, w, 1e-6)[0]
 
+    def hess_of(w: np.ndarray, free: list[int]) -> np.ndarray:
+        return obj.hessian(np.concatenate([fixed, w]), [2 + a for a in free])
+
     choke = np.maximum(np.abs(model.choke_quantities()[[i - 1 for i in carried]]), 1.0)
     rng = np.random.default_rng(cfg.seed)
     starts = [0.5 * choke, 0.25 * choke]
     starts.extend(0.1 * choke + rng.random((2, m)) * choke)
 
     unbounded = np.full(m, np.inf)
-    best: float | None = None
+    best: tuple[float, np.ndarray] | None = None
     for w in starts:
         try:
-            _, val, residual = _polish(
-                value_of, grad_of, w, value_of(w), -unbounded, unbounded, cfg.gradient_tol, 80
+            end, val, residual = _polish(
+                value_of, grad_of, hess_of, w, value_of(w), -unbounded, unbounded,
+                cfg.gradient_tol, 80,
             )
         except _EVAL_ERRORS:
             continue
-        if residual <= cfg.gradient_tol and (best is None or val > best):
-            best = val
+        if residual <= cfg.gradient_tol and (best is None or val > best[0]):
+            best = val, end
     if best is None:
         raise ConvergenceError(
             f"inner maximization failed at fixed quantities ({q1}, {q2})"
         )
-    return best
+    return best[0], np.concatenate([fixed, best[1]]), obj
 
 
 def mixed_partial_grid(
@@ -328,23 +364,20 @@ def mixed_partial_grid(
     resolution: int = 5,
     cfg: OptimizerConfig = DEFAULT_CONFIG,
 ) -> dict:
-    """Finite-difference d2M/dq1 dq2 of the partial maximum on a grid.
+    """d2M/dq1 dq2 of the partial maximum M on a grid.
 
-    Uses the forward cross stencil anchored at each node so the fixed pair
-    of quantities never goes negative.
+    At each node the inner optimum w of partial_max gives it by the envelope
+    theorem from the profit Hessian H there: H_12 - H_1w H_ww^-1 H_w2, one
+    inner solve per node.
     """
-    step = 1e-3
     axis1 = np.linspace(lo[0], hi[0], resolution)
     axis2 = np.linspace(lo[1], hi[1], resolution)
     values = np.zeros((resolution, resolution))
     for r, a in enumerate(axis1):
         for c, b in enumerate(axis2):
-            values[r, c] = (
-                partial_max(model, a + step, b + step, cfg=cfg)
-                - partial_max(model, a + step, b, cfg=cfg)
-                - partial_max(model, a, b + step, cfg=cfg)
-                + partial_max(model, a, b, cfg=cfg)
-            ) / (step * step)
+            _, z, obj = _inner_optimum(model, a, b, cfg)
+            hess = obj.hessian(z, list(range(len(z))))
+            values[r, c] = hess[0, 1] - hess[0, 2:] @ np.linalg.solve(hess[2:, 2:], hess[2:, 1])
     rmin, cmin = np.unravel_index(np.argmin(values), values.shape)
     return {
         "axis1": axis1.tolist(),
@@ -352,7 +385,6 @@ def mixed_partial_grid(
         "values": values.tolist(),
         "min": float(values[rmin, cmin]),
         "argmin": [float(axis1[rmin]), float(axis2[cmin])],
-        "step": step,
     }
 
 

@@ -34,6 +34,14 @@ class ShoppingCostCdf:
     def __call__(self, s: float) -> float:
         raise NotImplementedError
 
+    def derivatives(self, s: float) -> tuple[float, float] | None:
+        """(G'(s), G''(s)) where G is twice differentiable at s, else None.
+
+        Default: None everywhere. Every family clamps s at 0, so s <= 0 is a
+        kink of each one.
+        """
+        return None
+
     def params(self) -> dict:
         raise NotImplementedError
 
@@ -57,6 +65,11 @@ class AffineClampedCdf(ShoppingCostCdf):
         s = max(s, 0.0)
         return min(max((s - self.a) / (self.b - self.a), 0.0), 1.0)
 
+    def derivatives(self, s):
+        if s <= 0 or s == self.a or s == self.b:
+            return None
+        return (1.0 / (self.b - self.a) if self.a < s < self.b else 0.0), 0.0
+
     def params(self) -> dict:
         return {"a": self.a, "b": self.b}
 
@@ -75,6 +88,12 @@ class ExponentialCdf(ShoppingCostCdf):
     def __call__(self, s: float) -> float:
         s = max(s, 0.0)
         return 1.0 - math.exp(-self.lam * s)
+
+    def derivatives(self, s):
+        if s <= 0:
+            return None
+        tail = math.exp(-self.lam * s)
+        return self.lam * tail, -self.lam * self.lam * tail
 
     def params(self) -> dict:
         return {"lam": self.lam}
@@ -97,6 +116,14 @@ class PowerCdf(ShoppingCostCdf):
         if s >= self.s_bar:
             return 1.0
         return (s / self.s_bar) ** self.k
+
+    def derivatives(self, s):
+        if s <= 0 or s == self.s_bar:
+            return None
+        if s > self.s_bar:
+            return 0.0, 0.0
+        k, x = self.k, s / self.s_bar
+        return k * x ** (k - 1) / self.s_bar, k * (k - 1) * x ** (k - 2) / self.s_bar**2
 
     def params(self) -> dict:
         return {"k": self.k, "s_bar": self.s_bar}

@@ -453,6 +453,106 @@ def test_round_trip_every_family_on_interior_points():
 
 
 # ---------------------------------------------------------------------------
+# Exact inverse Hessians
+# ---------------------------------------------------------------------------
+
+
+def _hessian_cases():
+    """(model, carried, quantity draw) over every family with an exact
+    Hessian: seeded parameters, interior quantities off every kink."""
+    rng = np.random.default_rng(47)
+    cases = []
+    for relation in ("complements", "substitutes"):
+        cases.append((random_linear_demand(rng, 3, relation), (1, 2, 3), (0.1, 0.6)))
+    for b in (0.0, 0.0, rng.uniform(0.05, 0.3), -rng.uniform(0.05, 0.3)):
+        gamma = rng.uniform(0.2, 0.7) * (1 if b >= 0 else -1)
+        for carried in ((1, 2, 3), (1, 3), (2, 3), (1, 2)):
+            cases.append((Eq7Demand(b, gamma), carried, (0.2, 0.8)))
+    for sign in (1.0, -1.0):
+        b, gamma, alpha = sign * rng.uniform(0.02, 0.3), sign * rng.uniform(0.1, 0.8), sign * rng.uniform(0, 0.2)
+        for carried in ((1, 2, 3), (1, 2), (2, 3)):
+            cases.append((AppendixBDemand(b, gamma, alpha), carried, (0.1, 0.9)))
+    for _ in range(2):
+        alpha, beta = rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 3)
+        total = float(np.sum(np.square(alpha) / (2.0 * beta)))
+        for cdf in (
+            ExponentialCdf(rng.uniform(0.5, 3.0) / total),
+            AffineClampedCdf(0.0, rng.uniform(1.05, 2.0) * total),
+            PowerCdf(rng.uniform(0.5, 3.0), rng.uniform(1.05, 2.0) * total),
+        ):
+            for carried in ((1, 2, 3), (1, 3)):
+                cases.append((OneStopDemand(alpha, beta, cdf), carried, (0.1, 0.5)))
+    return rng, cases
+
+
+def _second_differences(fn, x, h=1e-4):
+    """Central second differences d2 fn / dx_k dx_l of a vector fn, indexed [i, k, l]."""
+    k = len(x)
+    out = np.empty((len(fn(x)), k, k))
+    for a, b in itertools.product(range(k), repeat=2):
+        ea, eb = np.eye(k)[a] * h, np.eye(k)[b] * h
+        out[:, a, b] = (fn(x + ea + eb) - fn(x + ea - eb) - fn(x - ea + eb) + fn(x - ea - eb)) / (4 * h * h)
+    return out
+
+
+def test_exact_inverse_hessians_match_second_differences():
+    rng, cases = _hessian_cases()
+    families = set()
+    for model, carried, (lo, hi) in cases:
+        idx = [i - 1 for i in carried]
+
+        def prices(z):
+            q = np.zeros(model.n)
+            q[idx] = z
+            return model.portfolio_inverse(q, carried)[idx]
+
+        for _ in range(3):
+            z = rng.uniform(lo, hi, len(carried))
+            if model.kind == "one_stop":
+                z = z * model.alpha[idx]
+            q = np.zeros(model.n)
+            q[idx] = z
+            p = model.portfolio_inverse(q, carried)
+            jac = model.portfolio_inverse_jacobian(q, carried)
+            exact = model.portfolio_inverse_hessian(q, p, jac, carried)
+            assert exact is not None, (model.describe(), carried)
+            assert exact.shape == (len(carried),) * 3
+            reference = _second_differences(prices, z)
+            err = np.max(np.abs(exact - reference)) / max(1.0, np.max(np.abs(reference)))
+            assert err < 1e-6, (model.describe(), carried, z, err)
+        families.add(model.cdf.family if model.kind == "one_stop" else model.kind)
+    assert families == {"linear", "eq7", "appendix_b", "exponential", "affine", "power"}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        OneStopDemand([1.0, 1.2], [1.0, 0.8], StepCdf([0.2, 0.6], [0.5, 0.5])),
+        OneStopDemand([1.0, 1.2], [1.0, 0.8], TableCdf([(0.0, 0.0), (0.5, 0.4), (1.5, 1.0)])),
+        CustomDemand(2, lambda q: np.array([1.0 - q[0] - 0.2 * q[1], 1.0 - q[1] - 0.2 * q[0]])),
+    ],
+    ids=["step", "table", "custom"],
+)
+def test_families_without_an_exact_form_have_no_inverse_hessian(model):
+    q = np.array([0.2, 0.3])
+    p = model.portfolio_inverse(q, (1, 2))
+    jac = model.portfolio_inverse_jacobian(q, (1, 2))
+    assert model.portfolio_inverse_hessian(q, p, jac, (1, 2)) is None
+
+
+def test_one_stop_has_no_inverse_hessian_on_a_kink():
+    m = OneStopDemand([1.0, 1.2], [1.0, 0.8], AffineClampedCdf(0.0, 2.0))
+    for q in ([0.0, 0.3], [0.0, 0.0]):  # a carried product at its choke price
+        q = np.array(q)
+        assert m.demand_hessian(m.portfolio_inverse(q, (1, 2)), (1, 2)) is None
+    # store traffic exactly on the CDF's corner at s = a
+    kinked = OneStopDemand([1.0, 1.2], [1.0, 0.8], AffineClampedCdf(0.5, 2.0))
+    p = np.array([0.0, 1.2 / 0.8])  # product 2 is not carried
+    assert kinked.demand_hessian(p, (1,)) is None
+    assert kinked.demand_hessian(p + [0.1, 0.0], (1,)) is not None
+
+
+# ---------------------------------------------------------------------------
 # Gross relations
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,7 @@
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from mergerfees.demand_systems import (
     EvaluationRegion,
     LinearDemand,
     OneStopDemand,
+    _fd_jacobian,
 )
 from mergerfees.errors import DomainError
 from mergerfees.optimize import (
@@ -27,10 +30,12 @@ from mergerfees.optimize import (
     solve_foc_eq7,
 )
 from mergerfees.portfolios import Portfolio, classify_modularity
-from mergerfees.reduced_form import ExponentialCdf
+from mergerfees.reduced_form import ExponentialCdf, StepCdf, TableCdf
 from mergerfees.reproduce import run_suite
 from mergerfees.sampling import eq7_sampler, random_linear_demand
+from mergerfees.scenario import load_scenario, run_analysis
 
+ROOT = Path(__file__).resolve().parents[1]
 CFG = OptimizerConfig()
 FAST = OptimizerConfig(multistart=2)
 
@@ -176,9 +181,14 @@ def test_polish_climbs_out_of_a_non_concave_region():
     def gradient(z):
         return np.array([-4 * z[0] * (z[0] ** 2 - 1)])
 
+    def hessian(z, free):
+        return np.array([[4 - 12 * z[0] ** 2]])
+
     z0 = np.array([0.1])
     unbounded = np.full(1, np.inf)
-    z, val, residual = optimize._polish(value, gradient, z0, value(z0), -unbounded, unbounded, 1e-9, 80)
+    z, val, residual = optimize._polish(
+        value, gradient, hessian, z0, value(z0), -unbounded, unbounded, 1e-9, 80
+    )
     assert residual <= 1e-9
     assert z[0] == pytest.approx(1.0, abs=1e-9)
     assert val == pytest.approx(0.0, abs=1e-15)
@@ -195,8 +205,13 @@ def test_polish_steps_off_a_bound_where_the_hessian_cannot_be_differenced():
         value(z)
         return np.array([-2 * (z[0] - 1)])
 
+    def hessian(z, free):
+        return _fd_jacobian(gradient, z, 1e-6, free)[free]
+
     z0 = np.zeros(1)
-    z, _, residual = optimize._polish(value, gradient, z0, value(z0), np.zeros(1), np.full(1, 10.0), 1e-9, 30)
+    z, _, residual = optimize._polish(
+        value, gradient, hessian, z0, value(z0), np.zeros(1), np.full(1, 10.0), 1e-9, 30
+    )
     assert residual <= 1e-9
     assert z[0] == pytest.approx(1.0, abs=1e-9)
 
@@ -208,8 +223,13 @@ def test_polish_never_reads_a_nan_gradient_as_converged():
     def gradient(z):
         return np.full(len(z), np.nan)
 
+    def hessian(z, free):
+        return -2 * np.eye(len(free))
+
     z0 = np.array([0.5, 0.5])
-    z, val, residual = optimize._polish(value, gradient, z0, value(z0), np.zeros(2), np.full(2, 10.0), 1e-9, 30)
+    z, val, residual = optimize._polish(
+        value, gradient, hessian, z0, value(z0), np.zeros(2), np.full(2, 10.0), 1e-9, 30
+    )
     assert math.isnan(residual)
     assert np.array_equal(z, z0) and val == value(z0)
 
@@ -287,6 +307,58 @@ def test_one_stop_optimum_reached_after_a_step_lands_on_the_floor():
     assert res.q[0] > 0.1 and res.q[2] > 0.05
 
 
+@pytest.mark.parametrize(
+    "model,value",
+    [
+        (OneStopDemand([1.0, 1.2], [1.0, 0.8], StepCdf([0.02, 0.05], [0.5, 0.5])), 0.7),
+        (OneStopDemand([1.0, 1.2], [1.0, 0.8], TableCdf([(0.0, 0.0), (0.5, 0.4), (1.5, 1.0)])), None),
+        (CustomDemand(2, lambda q: np.array([1.0 - q[0] - 0.2 * q[1], 1.0 - q[1] - 0.2 * q[0]])), 5 / 12),
+    ],
+    ids=["one_stop-step", "one_stop-table", "custom"],
+)
+def test_families_without_an_exact_hessian_difference_it_and_converge(monkeypatch, model, value):
+    differenced = []
+
+    def counted(*args):
+        differenced.append(args[1].copy())
+        return _fd_jacobian(*args)
+
+    monkeypatch.setattr(optimize, "_fd_jacobian", counted)
+    res = max_profit(model, Portfolio.full(2), CFG)
+    assert differenced
+    assert res.status is OptStatus.CONVERGED
+    assert res.gradient_norm <= CFG.gradient_tol
+    if value is not None:
+        assert res.value == pytest.approx(value, rel=1e-12)
+
+
+def _exact_hessian_inputs():
+    """Golden analyze inputs whose model family has an exact profit Hessian."""
+    inputs = []
+    for path in sorted((ROOT / "scenarios").glob("*.json")) + sorted((ROOT / "tests" / "golden").glob("*.json")):
+        spec = json.loads(path.read_text())["model"]
+        if spec["kind"] in ("linear", "eq7", "appendix_b") or (
+            spec["kind"] == "one_stop" and spec["cdf"]["family"] in ("exponential", "affine", "power")
+        ):
+            inputs.append(path)
+    return inputs
+
+
+@pytest.mark.parametrize("path", _exact_hessian_inputs(), ids=lambda p: p.stem)
+def test_exact_hessian_families_never_difference_the_gradient(monkeypatch, path):
+    # a family with an exact Hessian that drops back to differences fails here
+    def no_differences(*args):
+        raise AssertionError("the optimizer differenced a gradient")
+
+    monkeypatch.setattr(optimize, "_fd_jacobian", no_differences)
+    run_analysis(load_scenario(str(path)), include_shapley=True)
+
+
+def test_exact_hessian_guard_covers_every_priced_family():
+    kinds = {json.loads(p.read_text())["model"]["kind"] for p in _exact_hessian_inputs()}
+    assert kinds == {"linear", "eq7", "appendix_b", "one_stop"}
+
+
 def test_profit_oracle_records_statuses():
     model = Eq7Demand(0.0, 0.5)
     oracle = profit_oracle(model, FAST)
@@ -343,8 +415,28 @@ def test_partial_max_envelope_mixed_partial_bound():
     for r, q1 in enumerate(grid["axis1"]):
         for c, q2 in enumerate(grid["axis2"]):
             analytic = (a + g) ** 2 / 2 + b / (1 + q1) + b / (1 + q2)
-            assert grid["values"][r][c] == pytest.approx(analytic, abs=5e-4)
+            assert grid["values"][r][c] == pytest.approx(analytic, abs=1e-12)
     assert grid["min"] >= 0.07 - 1e-3
+
+
+def test_mixed_partial_grid_solves_each_node_once(monkeypatch):
+    solves = []
+    inner = optimize._inner_optimum
+
+    def counted(*args):
+        solves.append(args[1:3])
+        return inner(*args)
+
+    monkeypatch.setattr(optimize, "_inner_optimum", counted)
+    mixed_partial_grid(AppendixBDemand(-0.125, -0.8, -1e-4), resolution=5, cfg=FAST)
+    assert len(solves) == 25 and len(set(solves)) == 25
+
+
+def test_mixed_partial_without_inner_products_is_the_cross_partial():
+    m = LinearDemand([1.0, 1.0], [[1.0, 0.3], [-0.1, 1.0]])
+    grid = mixed_partial_grid(m, resolution=3, cfg=FAST)
+    # M = (a - B q) . q, so d2M/dq1 dq2 = -(B12 + B21) everywhere
+    assert np.array(grid["values"]) == pytest.approx(np.full((3, 3), -0.2), abs=1e-15)
 
 
 def test_partial_max_supermodularity_preserved_for_linear_complements():

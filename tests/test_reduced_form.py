@@ -97,6 +97,32 @@ def test_all_cdf_families_nondecreasing_in_unit_range():
         assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize(
+    "cdf,kinks",
+    [
+        (ExponentialCdf(1.3), (0.0,)),
+        (AffineClampedCdf(0.4, 2.5), (0.0, 0.4, 2.5)),
+        (PowerCdf(2.6, 2.0), (0.0, 2.0)),
+        (PowerCdf(0.7, 2.0), (0.0, 2.0)),
+    ],
+)
+def test_cdf_derivatives_match_differences_off_the_kinks(cdf, kinks):
+    h = 1e-5
+    for s in np.linspace(0.05, 3.0, 40):
+        if min(abs(s - k) for k in kinks) < 10 * h:
+            continue
+        g1, g2 = cdf.derivatives(s)
+        assert g1 == pytest.approx((cdf(s + h) - cdf(s - h)) / (2 * h), rel=1e-7, abs=1e-9)
+        assert g2 == pytest.approx((cdf(s + h) - 2 * cdf(s) + cdf(s - h)) / (h * h), rel=1e-4, abs=1e-4)
+    for s in kinks + (-1.0,):
+        assert cdf.derivatives(s) is None
+
+
+def test_step_and_table_cdfs_have_no_derivatives():
+    for cdf in (StepCdf([0.5, 1.5]), TableCdf([(0.0, 0.0), (1.0, 0.6), (2.0, 1.0)])):
+        assert all(cdf.derivatives(s) is None for s in (0.25, 0.7, 1.8))
+
+
 # ---------------------------------------------------------------------------
 # Profit, demand, utility
 # ---------------------------------------------------------------------------

@@ -676,6 +676,12 @@ def test_cli_sweep_unknown_range_key_fails_every_node(tmp_path, capsys):
         ([], "error: sweep needs at least one --range"),
         (["--range", "model.b=x:1:3"], "error: range 'model.b=x:1:3': could not convert string to float"),
         (["--range", "model.b=0:1:0"], "error: range 'model.b=0:1:0': need at least one point"),
+        (["--range", "model.gamma=0:nan:3"], "error: range 'model.gamma=0:nan:3': endpoints must be finite"),
+        (["--range", "model.gamma=-inf:1:3"], "error: range 'model.gamma=-inf:1:3': endpoints must be finite"),
+        (
+            ["--range", "model.gamma=0:1:2", "--range", "model.gamma=0:1:2"],
+            "error: --range: path 'model.gamma' given more than once",
+        ),
     ],
 )
 def test_cli_sweep_bad_range_is_validation_error(tmp_path, capsys, monkeypatch, ranges, message):
