@@ -93,7 +93,9 @@ class _PortfolioObjective:
         self.carried = carried
         self.idx = np.array([i - 1 for i in carried])
         self.costs = model.costs[self.idx]
+        # the last point asked about: z, its padded q, prices, and Jacobian once asked for
         self._z: np.ndarray | None = None
+        self._q = self._p = self._jac = None
 
     def pad(self, z: np.ndarray) -> np.ndarray:
         q = np.zeros(self.model.n)
