@@ -9,12 +9,20 @@ square-root-spillover family with cross-price coupling the restricted
 subsystem is inverted in closed form instead (the full system has no real
 inverse at such corners).
 
-The optimizer's Newton steps also take the Hessian of the restricted
-inverse, portfolio_inverse_hessian: zero for linear demand, explicit for
-appendix_b, and for eq7 and one_stop the implicit-function theorem on
-D(P(q)) = q applied to the family's demand_hessian (one_stop's needs G'
-and G'' from its CDF, so step and table CDFs have none). A family without
-one returns None and the optimizer differences its gradient instead.
+The optimizer steps all starts of a portfolio together, so it asks for
+the restricted inverse, its Jacobian and its Hessian at a stack of points:
+portfolio_inverses, portfolio_inverse_jacobians and
+portfolio_inverse_hessians, one row per point. Their defaults loop over the
+rows with the one-point hooks (portfolio_inverse, portfolio_inverse_jacobian,
+demand_hessian), and a row whose hook raises is NaN and flagged, so the
+other rows go on. Linear, eq7 and appendix_b evaluate the stack in closed
+form; there the one-point hook is the one-row case, so each formula has one
+copy. The Jacobian and Hessian hooks take the prices already solved, so a
+point costs one P(q) solve. The Hessian of the restricted inverse is zero
+for linear demand, explicit for appendix_b, and for eq7 and one_stop the
+implicit-function theorem on D(P(q)) = q applied to the family's demand
+Hessian (one_stop's needs G' and G'' from its CDF, so step and table CDFs
+have none). Where a row has none the optimizer differences its gradient.
 
 Two grid diagnostics operate on these families:
 
@@ -52,6 +60,8 @@ GROSS_TOLERANCE = 1e-10
 MODULARITY_TOLERANCE = 1e-8
 FD_STEP = 1e-5  # first-derivative step factor
 FD2_STEP = 5e-4  # mixed-second-derivative step factor (roundoff/truncation balance)
+# a model's rejection of one point of a stack (numpy's LinAlgError is a ValueError)
+ROW_ERRORS = (DomainError, ConvergenceError, ValueError)
 
 
 class InverseModularityKind(str, enum.Enum):
@@ -171,11 +181,12 @@ class DemandModel:
         """
         return self.inverse_demand(q)
 
-    def portfolio_inverse_jacobian(self, q: np.ndarray, carried: tuple[int, ...]) -> np.ndarray:
-        """dP_c/dq_c over the carried coordinates at the zero-padded q."""
-        full = self.inverse_jacobian(q)
-        idx = [i - 1 for i in carried]
-        return full[:, idx][idx]
+    def portfolio_inverse_jacobian(
+        self, q: np.ndarray, p: np.ndarray, carried: tuple[int, ...]
+    ) -> np.ndarray:
+        """dP_c/dq_c over the carried coordinates at the zero-padded q, where
+        ``p`` is portfolio_inverse at q."""
+        return _block(self.inverse_jacobian(q), carried)
 
     def demand_hessian(self, p: np.ndarray, carried: tuple[int, ...]) -> np.ndarray | None:
         """d2D_m/dp_k dp_l of the carried subsystem at the full-length prices p.
@@ -191,16 +202,77 @@ class DemandModel:
         """d2P_i/dq_k dq_l over the carried coordinates at the zero-padded q.
 
         A (k, k, k) array indexed [i, k, l] in carried order, or None where
-        the family has no exact form; the optimizer then differences its
-        gradient. ``p`` and ``jac`` are portfolio_inverse and
-        portfolio_inverse_jacobian at q, so no P(q) solve is repeated.
-        Default: the implicit-function theorem on D(P(q)) = q applied to
-        demand_hessian, -sum_m jac[i, m] (jac^T H_m jac)[k, l].
+        the family has no exact form. ``p`` and ``jac`` are
+        portfolio_inverse and portfolio_inverse_jacobian at q. The one-row
+        case of portfolio_inverse_hessians.
         """
-        curvature = self.demand_hessian(p, carried)
-        if curvature is None:
-            return None
-        return -np.tensordot(jac, jac.T @ curvature @ jac, axes=1)
+        curvature, exact = self.portfolio_inverse_hessians(q[None], p[None], jac[None], carried)
+        return curvature[0] if exact[0] else None
+
+    def portfolio_inverses(self, q: np.ndarray, carried: tuple[int, ...]) -> np.ndarray:
+        """portfolio_inverse at every row of q (S, n), NaN in each row where
+        it raises. Default: one portfolio_inverse call per row."""
+        prices = np.empty(q.shape)
+        for r, row in enumerate(q):
+            try:
+                prices[r] = self.portfolio_inverse(row, carried)
+            except ROW_ERRORS:
+                prices[r] = np.nan
+        return prices
+
+    def portfolio_inverse_jacobians(
+        self, q: np.ndarray, p: np.ndarray, carried: tuple[int, ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """portfolio_inverse_jacobian at every row of q (S, n), whose prices
+        are the rows of p. Returns the (S, k, k) stack and the rows where
+        the hook did not raise; the others are NaN. Default: one call per
+        row."""
+        k = len(carried)
+        jacobians = np.full((len(q), k, k), np.nan)
+        ok = np.ones(len(q), bool)
+        for r in range(len(q)):
+            try:
+                jacobians[r] = self.portfolio_inverse_jacobian(q[r], p[r], carried)
+            except ROW_ERRORS:
+                ok[r] = False
+        return jacobians, ok
+
+    def demand_hessians(
+        self, p: np.ndarray, carried: tuple[int, ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """demand_hessian at every row of the prices p (S, n). Returns the
+        (S, k, k, k) stack and the rows where the family has an exact form;
+        the others, where it returns None or raises, are NaN. Default: one
+        call per row."""
+        k = len(carried)
+        hessians = np.full((len(p), k, k, k), np.nan)
+        exact = np.zeros(len(p), bool)
+        for r in range(len(p)):
+            try:
+                hess = self.demand_hessian(p[r], carried)
+            except ROW_ERRORS:
+                continue
+            if hess is not None:
+                hessians[r], exact[r] = hess, True
+        return hessians, exact
+
+    def portfolio_inverse_hessians(
+        self, q: np.ndarray, p: np.ndarray, jac: np.ndarray, carried: tuple[int, ...]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """portfolio_inverse_hessian at every row of q (S, n), with the rows
+        of p and jac (S, k, k). Returns the (S, k, k, k) stack and the rows
+        that have an exact form; the others are NaN and the optimizer
+        differences its gradient there.
+
+        Default: the implicit-function theorem on D(P(q)) = q applied to
+        demand_hessians, -sum_m jac[i, m] (jac^T H_m jac)[k, l].
+        """
+        curvature, exact = self.demand_hessians(p, carried)
+        if not exact.any():
+            return curvature, exact
+        s, k = jac.shape[:2]
+        sandwich = jac.transpose(0, 2, 1)[:, None] @ curvature @ jac[:, None]
+        return -(jac @ sandwich.reshape(s, k, k * k)).reshape(s, k, k, k), exact
 
     # -- defaults for diagnostics and optimization -------------------------
 
@@ -226,25 +298,17 @@ class DemandModel:
         """dP/dq at every row of q (N, n): central differences of _inverse_rows."""
         return _fd_jacobians(self._inverse_rows, q)
 
-    def _candidate_rows(self, q: np.ndarray) -> np.ndarray:
-        """_inverse_rows at every row of q (N, n), NaN in each row where the
-        model raises DomainError or ValueError."""
-        try:
-            return self._inverse_rows(q)
-        except (DomainError, ValueError):
-            if len(q) == 1:
-                return np.full(q.shape, np.nan)
-        return np.concatenate([self._candidate_rows(q[r : r + 1]) for r in range(len(q))])
-
     def _invert(self, target: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, list]:
         """Damped Newton solve of P(q) = target at every row of target (N, n).
 
         Each row takes the steps it takes alone. Returns the (N, n) rows
         reached and each row's ConvergenceError, or None where the row
         converged. A model error at the start or in a Jacobian propagates;
-        a line-search candidate the model rejects (NaN from _candidate_rows)
-        is halved like one whose residual does not fall.
+        a line-search candidate the model rejects (NaN from
+        portfolio_inverses over every product) is halved like one whose
+        residual does not fall.
         """
+        every = tuple(range(1, self.n + 1))
         q = np.array(start, dtype=float)
         resid = self._inverse_rows(q) - target
         norm = np.max(np.abs(resid), axis=1)
@@ -272,7 +336,7 @@ class DemandModel:
                 if not rows.size:
                     break
                 cand = q[rows] + scale * step
-                cand_resid = self._candidate_rows(cand) - target[rows]
+                cand_resid = self.portfolio_inverses(cand, every) - target[rows]
                 cand_norm = np.max(np.abs(cand_resid), axis=1)
                 take = cand_norm < norm[rows]
                 hit = rows[take]
@@ -317,6 +381,50 @@ def _fd_jacobians(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.n
         e[:, k] = h
         cols.append((fn(x + e) - fn(x - e)) / (2 * h)[:, None])
     return np.stack(cols, axis=2)
+
+
+def _block(full: np.ndarray, carried: tuple[int, ...]) -> np.ndarray:
+    """The carried rows and columns of a full (n, n) matrix, in C order."""
+    idx = [i - 1 for i in carried]
+    return full[:, idx][idx]
+
+
+def _linalg_rows(fn: Callable, use: np.ndarray, *stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``fn``, a numpy.linalg function, at the rows ``use`` (a mask) of stacks.
+
+    One call for those rows, or one call per row where that call raises
+    LinAlgError; each row's result is the one it gets alone. Returns the
+    results, NaN at every other row and at each row that raised, and the
+    rows that have one.
+    """
+    rows = np.flatnonzero(use)
+    args = [s[rows] for s in stacks]
+    try:
+        part, solved = fn(*args), np.ones(len(rows), bool)
+        if len(rows) == len(use):
+            return part, solved
+    except np.linalg.LinAlgError:
+        shape = fn(*(a[:0] for a in args)).shape[1:]  # a row's result, from an empty stack
+        part = np.full((len(rows),) + shape, np.nan)
+        solved = np.zeros(len(rows), bool)
+        for r in range(len(rows)):
+            try:
+                part[r], solved[r] = fn(*(a[r] for a in args)), True
+            except np.linalg.LinAlgError:
+                pass
+    out = np.full((len(use),) + part.shape[1:], np.nan)
+    out[rows[solved]] = part[solved]
+    ok = np.zeros(len(use), bool)
+    ok[rows[solved]] = True
+    return out, ok
+
+
+def _first_row(stack: np.ndarray, bad: np.ndarray, message: str) -> np.ndarray:
+    """Row 0 of a one-row stack, or a DomainError where that row is outside
+    the family's domain: a one-point hook as the one-row case of a stacked one."""
+    if bad[0]:
+        raise DomainError(message)
+    return stack[0]
 
 
 def _node_failure(node: np.ndarray, reason) -> str:
@@ -381,8 +489,10 @@ class LinearDemand(DemandModel):
         return np.linalg.solve(self.B, self.a - p)
 
     def inverse_demand(self, q):
-        q = _as_vector(q, self.n, "q")
-        return self.a - self.B @ q
+        return self._inverse_rows(_as_vector(q, self.n, "q")[None])[0]
+
+    def _inverse_rows(self, q):
+        return self.a - (self.B @ q[:, :, None])[:, :, 0]
 
     def demand_jacobian(self, p):
         return -np.linalg.inv(self.B)
@@ -396,9 +506,16 @@ class LinearDemand(DemandModel):
     def inverse_cross_partial(self, q, m, i, j):
         return 0.0
 
-    def portfolio_inverse_hessian(self, q, p, jac, carried):
+    def portfolio_inverses(self, q, carried):
+        return self._inverse_rows(q)
+
+    def portfolio_inverse_jacobians(self, q, p, carried):
         k = len(carried)
-        return np.zeros((k, k, k))
+        return np.broadcast_to(_block(-self.B, carried), (len(q), k, k)), np.ones(len(q), bool)
+
+    def portfolio_inverse_hessians(self, q, p, jac, carried):
+        k = len(carried)
+        return np.zeros((len(q), k, k, k)), np.ones(len(q), bool)
 
     def choke_quantities(self):
         q = np.linalg.solve(self.B, self.a - self.costs)
@@ -464,24 +581,14 @@ class Eq7Demand(DemandModel):
         )
 
     def demand_jacobian(self, p):
-        return self._slopes(_as_vector(p, 3, "p"), (1, 2, 3))
+        return _first_row(*self._slopes(_as_vector(p, 3, "p")[None], (1, 2, 3)), _EQ7_SLOPE_DOMAIN)
 
     def demand_jacobians(self, nodes):
-        # _slopes of the full system, row by row: -1 on the diagonal, -b
-        # across products 1 and 2, -gamma/(2 sqrt(u)) from products 1 and 2
-        # to product 3, with u = (1-p1) + (1-p2)
-        u = (1.0 - nodes[:, 0]) + (1.0 - nodes[:, 1])
-        bad = u <= 0
-        slope = -0.5 * self.gamma / np.sqrt(u[~bad])
-        jac = np.empty((len(slope), 3, 3))
-        jac[:, :2, :] = -self.b
-        jac[:, 2, :2] = slope[:, None]
-        jac[:, [0, 1, 2], [0, 1, 2]] = -1.0
-        return jac, [_node_failure(node, _EQ7_SLOPE_DOMAIN) for node in nodes[bad]]
+        slopes, bad = self._slopes(nodes, (1, 2, 3))
+        return slopes[~bad], [_node_failure(node, _EQ7_SLOPE_DOMAIN) for node in nodes[bad]]
 
     def inverse_demand(self, q):
-        q = _as_vector(q, 3, "q")
-        return self._restricted_inverse(q, (1, 2, 3))
+        return self.portfolio_inverse(_as_vector(q, 3, "q"), (1, 2, 3))
 
     def inverse_cross_partial(self, q, m, i, j):
         if self.b != 0.0:
@@ -494,87 +601,107 @@ class Eq7Demand(DemandModel):
         return 0.0
 
     def portfolio_inverse(self, q, carried):
-        return self._restricted_inverse(np.asarray(q, dtype=float), carried)
-
-    def portfolio_inverse_jacobian(self, q, carried):
-        p = self._restricted_inverse(np.asarray(q, dtype=float), carried)
-        return np.linalg.inv(self._slopes(p, carried))
-
-    def demand_hessian(self, p, carried):
-        # D3's gamma sqrt(u), u = (1-p1) + (1-p2) over the carried pair, is the
-        # only curvature: -gamma / (4 u^1.5) on the pair's block of D3
-        k = len(carried)
-        hess = np.zeros((k, k, k))
-        pair = [carried.index(i) for i in (1, 2) if i in carried]
-        if 3 in carried and pair:
-            u = sum(1.0 - p[carried[a] - 1] for a in pair)
-            if u <= 0:
-                raise DomainError(_EQ7_SLOPE_DOMAIN)
-            for a, b in itertools.product(pair, pair):
-                hess[carried.index(3), a, b] = -self.gamma / (4.0 * u**1.5)
-        return hess
-
-    def _slopes(self, p: np.ndarray, carried: tuple[int, ...]) -> np.ndarray:
-        """dD_c/dp_c of the carried subsystem at prices p (absent entries unused)."""
-        pair = [i for i in (1, 2) if i in carried]
-        b, g = self.b, self.gamma
-        k = len(carried)
-        jac_d = np.zeros((k, k))
-        pos = {prod: idx for idx, prod in enumerate(carried)}
-        for prod in carried:
-            r = pos[prod]
-            if prod in (1, 2):
-                for other in carried:
-                    jac_d[r, pos[other]] = -1.0 if other == prod else -b
-            else:
-                if pair:
-                    u = sum(1.0 - p[i - 1] for i in pair)
-                    if u <= 0:
-                        raise DomainError(_EQ7_SLOPE_DOMAIN)
-                    slope = -0.5 * g / math.sqrt(u)
-                    for i in pair:
-                        jac_d[r, pos[i]] = slope
-                jac_d[r, r] = -1.0
-        return jac_d
-
-    def _restricted_inverse(self, q: np.ndarray, carried: tuple[int, ...]) -> np.ndarray:
-        """Invert the subsystem of carried products, quantities of absent
-        products pinned at zero. Returns a full-length price vector with
-        NaN at absent coordinates.
-        """
+        q = np.asarray(q, dtype=float)
         if q.shape != (3,):
             raise ValueError(f"q must have shape (3,), got {q.shape}")
         for i in range(3):
             if (i + 1) not in carried and q[i] != 0.0:
                 raise ValueError(f"quantity of absent product {i + 1} must be 0")
+        return _first_row(
+            *self._restricted_inverse(q[None], carried), "quantity vector outside the invertible region"
+        )
+
+    def portfolio_inverses(self, q, carried):
+        prices, bad = self._restricted_inverse(q, carried)
+        prices[bad] = np.nan
+        return prices
+
+    def portfolio_inverse_jacobian(self, q, p, carried):
+        return np.linalg.inv(_first_row(*self._slopes(p[None], carried), _EQ7_SLOPE_DOMAIN))
+
+    def portfolio_inverse_jacobians(self, q, p, carried):
+        slopes, bad = self._slopes(p, carried)
+        return _linalg_rows(np.linalg.inv, ~bad, slopes)
+
+    def demand_hessian(self, p, carried):
+        hessians, exact = self.demand_hessians(p[None], carried)
+        return _first_row(hessians, ~exact, _EQ7_SLOPE_DOMAIN)
+
+    def demand_hessians(self, p, carried):
+        # D3's gamma sqrt(u), u = (1-p1) + (1-p2) over the carried pair, is the
+        # only curvature: -gamma / (4 u^1.5) on the pair's block of D3, in
+        # Python's float power, so that each row is bit for bit the one-point value
+        k = len(carried)
+        hess = np.zeros((len(p), k, k, k))
+        pair = [carried.index(i) for i in (1, 2) if i in carried]
+        if 3 not in carried or not pair:
+            return hess, np.ones(len(p), bool)
+        u = sum(1.0 - p[:, carried[a] - 1] for a in pair)
+        curvature = [-self.gamma / (4.0 * x**1.5) if x > 0 else math.nan for x in u.tolist()]
+        for a, b in itertools.product(pair, pair):
+            hess[:, carried.index(3), a, b] = curvature
+        hess[u <= 0] = np.nan
+        return hess, ~(u <= 0)
+
+    def _slopes(self, p: np.ndarray, carried: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """dD_c/dp_c of the carried subsystem at each row of prices p (S, 3)
+        (absent entries unused), and the rows where product 3's slope is
+        undefined."""
+        pair = [i for i in (1, 2) if i in carried]
+        b, g = self.b, self.gamma
+        k = len(carried)
+        jac_d = np.zeros((len(p), k, k))
+        bad = np.zeros(len(p), bool)
+        pos = {prod: idx for idx, prod in enumerate(carried)}
+        for prod in carried:
+            r = pos[prod]
+            if prod in (1, 2):
+                for other in carried:
+                    jac_d[:, r, pos[other]] = -1.0 if other == prod else -b
+            else:
+                if pair:
+                    u = sum(1.0 - p[:, i - 1] for i in pair)
+                    bad = u <= 0
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        slope = -0.5 * g / np.sqrt(u)
+                    for i in pair:
+                        jac_d[:, r, pos[i]] = slope
+                jac_d[:, r, r] = -1.0
+        return jac_d, bad
+
+    def _restricted_inverse(self, q: np.ndarray, carried: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """Invert the subsystem of carried products at each row of q (S, 3),
+        quantities of absent products pinned at zero. Returns the (S, 3)
+        prices, NaN at absent coordinates, and the rows outside the
+        invertible region.
+        """
         b, g = self.b, self.gamma
         pair = [i - 1 for i in (1, 2) if i in carried]
         m = len(pair)
-        s = np.full(3, np.nan)
+        s = np.full(q.shape, np.nan)
+        bad = np.zeros(len(q), bool)
         if 3 in carried and m:
             # (1 + b(m-1)) t^2 - m b g t - (sum of pair q - m b q3) = 0,
             # t = sqrt(sum of pair s)
             a = 1.0 + b * (m - 1)
-            c = (q[0] + q[1] if m == 2 else q[pair[0]]) - m * b * q[2]
+            c = (q[:, 0] + q[:, 1] if m == 2 else q[:, pair[0]]) - m * b * q[:, 2]
             disc = (m * b * g) ** 2 + 4.0 * a * c
-            if disc < 0:
-                raise DomainError("quantity vector outside the invertible region")
-            t = (m * b * g + math.sqrt(disc)) / (2.0 * a)
-            if t < 0:
-                raise DomainError("quantity vector outside the invertible region")
+            with np.errstate(invalid="ignore"):
+                t = (m * b * g + np.sqrt(disc)) / (2.0 * a)
+            bad = (disc < 0) | (t < 0)
             if m == 2:
-                delta = (q[0] - q[1]) / (1.0 - b)
-                s[0] = 0.5 * (t * t + delta)
-                s[1] = 0.5 * (t * t - delta)
+                delta = (q[:, 0] - q[:, 1]) / (1.0 - b)
+                s[:, 0] = 0.5 * (t * t + delta)
+                s[:, 1] = 0.5 * (t * t - delta)
             else:
-                s[pair[0]] = t * t
-            s[2] = q[2] - g * t
+                s[:, pair[0]] = t * t
+            s[:, 2] = q[:, 2] - g * t
         elif m == 2:
-            s[0], s[1] = np.linalg.solve(np.array([[1.0, b], [b, 1.0]]), q[:2])
+            s[:, :2] = np.linalg.solve(np.array([[1.0, b], [b, 1.0]]), q[:, :2, None])[:, :, 0]
         else:
             for i in carried:
-                s[i - 1] = q[i - 1]
-        return 1.0 - s
+                s[:, i - 1] = q[:, i - 1]
+        return 1.0 - s, bad
 
     def choke_quantities(self):
         return np.abs(self.demand(np.zeros(3)))
@@ -617,25 +744,10 @@ class AppendixBDemand(DemandModel):
         q = _as_vector(q, 3, "q")
         if q[0] <= -1 or q[1] <= -1:
             raise DomainError("need q1 > -1 and q2 > -1 for the log terms")
-        b, g, a = self.b, self.gamma, self.alpha
-        return np.array(
-            [
-                1.0 - q[0] + b * math.log1p(q[1]) + a * q[2],
-                1.0 - q[1] + b * math.log1p(q[0]) + a * q[2],
-                1.0 - q[2] + g * (q[0] + q[1]),
-            ]
-        )
+        return self._inverse_rows(q[None])[0]
 
     def inverse_jacobian(self, q):
-        q = _as_vector(q, 3, "q")
-        b, g, a = self.b, self.gamma, self.alpha
-        return np.array(
-            [
-                [-1.0, b / (1.0 + q[1]), a],
-                [b / (1.0 + q[0]), -1.0, a],
-                [g, g, -1.0],
-            ]
-        )
+        return self._inverse_jacobian_rows(_as_vector(q, 3, "q")[None])[0]
 
     def demand(self, p):
         p = _as_vector(p, 3, "p")
@@ -653,23 +765,25 @@ class AppendixBDemand(DemandModel):
         return np.linalg.inv(self._inverse_jacobian_rows(q[ok])), failures
 
     def _inverse_rows(self, q: np.ndarray) -> np.ndarray:
-        """inverse_demand at every row of q (N, 3), NaN where q1 or q2 is <= -1
-        (where inverse_demand raises), which _invert's line search rejects.
+        """inverse_demand at every row of q (N, 3), NaN in each row where q1 or
+        q2 is <= -1 (where inverse_demand raises), which line searches reject.
 
-        math.log1p, not numpy's, so that each row is inverse_demand's value
-        bit for bit.
+        math.log1p, not numpy's, so that each row is the one-point value bit
+        for bit.
         """
         b, g, a = self.b, self.gamma, self.alpha
         log1p = np.array(
             [math.log1p(x) if x > -1 else math.nan for x in q[:, :2].ravel().tolist()]
         ).reshape(-1, 2)
-        return np.column_stack(
+        prices = np.column_stack(
             (
                 1.0 - q[:, 0] + b * log1p[:, 1] + a * q[:, 2],
                 1.0 - q[:, 1] + b * log1p[:, 0] + a * q[:, 2],
                 1.0 - q[:, 2] + g * (q[:, 0] + q[:, 1]),
             )
         )
+        prices[(q[:, :2] <= -1).any(axis=1)] = np.nan
+        return prices
 
     def _inverse_jacobian_rows(self, q: np.ndarray) -> np.ndarray:
         """inverse_jacobian at every row of q (N, 3)."""
@@ -684,15 +798,23 @@ class AppendixBDemand(DemandModel):
     def inverse_cross_partial(self, q, m, i, j):
         return 0.0
 
-    def portfolio_inverse_hessian(self, q, p, jac, carried):
-        # the only curvature: d2P1/dq2^2 = -b/(1+q2)^2 and d2P2/dq1^2 = -b/(1+q1)^2
+    def portfolio_inverses(self, q, carried):
+        return self._inverse_rows(q)
+
+    def portfolio_inverse_jacobians(self, q, p, carried):
+        idx = [i - 1 for i in carried]
+        return self._inverse_jacobian_rows(q)[:, :, idx][:, idx], np.ones(len(q), bool)
+
+    def portfolio_inverse_hessians(self, q, p, jac, carried):
+        # the only curvature: d2P1/dq2^2 = -b/(1+q2)^2 and d2P2/dq1^2 = -b/(1+q1)^2,
+        # in Python's float power, so that each row is the one-point value bit for bit
         k = len(carried)
-        hess = np.zeros((k, k, k))
+        hess = np.zeros((len(q), k, k, k))
         if 1 in carried and 2 in carried:
             one, two = carried.index(1), carried.index(2)
-            hess[one, two, two] = -self.b / (1.0 + q[1]) ** 2
-            hess[two, one, one] = -self.b / (1.0 + q[0]) ** 2
-        return hess
+            hess[:, one, two, two] = [-self.b / (1.0 + x) ** 2 for x in q[:, 1].tolist()]
+            hess[:, two, one, one] = [-self.b / (1.0 + x) ** 2 for x in q[:, 0].tolist()]
+        return hess, np.ones(len(q), bool)
 
     def default_price_region(self):
         return EvaluationRegion((0.05,) * 3, (0.95,) * 3)
@@ -739,7 +861,6 @@ class OneStopDemand(DemandModel):
         self.alpha = alpha
         self.beta = beta
         self.cdf = cdf
-        self._last_traffic = (math.nan, math.nan)  # (k, theta) of the last traffic solve
 
     def sub_demand(self, p: np.ndarray) -> np.ndarray:
         return np.maximum(self.alpha - self.beta * p, 0.0)
@@ -770,14 +891,12 @@ class OneStopDemand(DemandModel):
         if not np.any(q > 0):
             return choke.copy()
 
-        # the solve depends on q only through k; the optimizer asks for the
-        # prices at one point again for its Jacobian, so the last one is kept
-        k = float(np.sum(q * q / (2.0 * self.beta)))
-        last_k, theta = self._last_traffic
-        if k != last_k:
-            theta = self._traffic_share(k)
-            self._last_traffic = (k, theta)
+        theta = self._traffic_share(float(np.sum(q * q / (2.0 * self.beta))))
         return (self.alpha - q / theta) / self.beta
+
+    def portfolio_inverse_jacobian(self, q, p, carried):
+        # the demand Jacobian at the prices held: inverse_jacobian(q) would solve the traffic again
+        return _block(np.linalg.inv(self.demand_jacobian(p)), carried)
 
     def _traffic_share(self, k: float) -> float:
         """The store traffic theta = G(k / theta^2) at the sub-demand mass k > 0."""

@@ -5,10 +5,13 @@ For a demand model and a portfolio x, the intermediary's gross profit is
     max_q  sum_{i in x} (P_i(q) - c_i) q_i   s.t.  q_i = 0 for i not in x
 
 solved by damped Newton ascent from several starts, with coordinates held
-at a bound by their slope kept fixed. The Newton Hessian is exact where the
-model gives portfolio_inverse_hessian, d2R = J + J^T + sum_i z_i d2P_i, and
-central differences of the gradient otherwise; one P(q) solve serves the
-value, gradient and Hessian at a point. The resulting value function over
+at a bound by their slope kept fixed. The starts are stepped together as
+the rows of one stack, each taking the steps it would take alone, so one
+Newton iteration is one call of each stacked model hook for all of them.
+The Newton Hessian is exact where the model gives
+portfolio_inverse_hessians, d2R = J + J^T + sum_i z_i d2P_i, and central
+differences of the gradient otherwise; one P(q) solve serves the value,
+gradient and Hessian at a point. The resulting value function over
 portfolios feeds the set-function classifiers and the bargaining layer.
 The module also provides the partial maximum M(q1, q2) (profit maximized
 over every carried product except 1 and 2, whose quantities are held
@@ -29,12 +32,12 @@ from typing import Callable
 
 import numpy as np
 
-from .demand_systems import DemandModel, GrossRelationReport, _fd_jacobian, gross_relation
-from .errors import ConvergenceError, DomainError
+from .demand_systems import DemandModel, GrossRelationReport, _fd_jacobian, _linalg_rows, gross_relation
+from .errors import ConvergenceError
 from .portfolios import Portfolio, SetFunction, second_difference
 
 MAX_MULTISTART = 10_000  # each start is a row of the Latin hypercube drawn up front
-_EVAL_ERRORS = (DomainError, ConvergenceError, np.linalg.LinAlgError)
+STACK_ROWS = 64  # starts stepped together; bounds a stack's (k, k, k) curvatures at large n
 
 
 class OptStatus(str, enum.Enum):
@@ -81,55 +84,94 @@ class OptResult:
 
 
 class _PortfolioObjective:
-    """R, its gradient and its Hessian over the active coordinates of one portfolio.
+    """R, its gradient and its Hessian over the active coordinates of one
+    portfolio, at a stack of points.
 
-    The prices at the last point asked about, and their Jacobian once asked
-    for, are kept: the value, gradient and Hessian at one point share one
-    P(q) solve.
+    Each call takes the points (m, k) and their rows, labels in 0..size-1
+    of the starts they belong to. A row's last point asked about keeps its
+    prices and, once asked for, its price Jacobian, so the value, gradient
+    and Hessian at one point share one P(q) solve.
     """
 
-    def __init__(self, model: DemandModel, carried: tuple[int, ...]):
+    def __init__(self, model: DemandModel, carried: tuple[int, ...], size: int):
         self.model = model
         self.carried = carried
         self.idx = np.array([i - 1 for i in carried])
         self.costs = model.costs[self.idx]
-        # the last point asked about: z, its padded q, prices, and Jacobian once asked for
-        self._z: np.ndarray | None = None
-        self._q = self._p = self._jac = None
+        k = len(carried)
+        # per row: the last point, its padded q and prices, and the Jacobian once asked for
+        self._z = np.full((size, k), np.nan)
+        self._q = np.zeros((size, model.n))
+        self._p = np.full((size, model.n), np.nan)
+        self._jac = np.full((size, k, k), np.nan)
+        self._jac_ok = np.zeros(size, bool)
+        self._has_jac = np.zeros(size, bool)
 
     def pad(self, z: np.ndarray) -> np.ndarray:
-        q = np.zeros(self.model.n)
-        q[self.idx] = z
+        q = np.zeros(z.shape[:-1] + (self.model.n,))
+        q[..., self.idx] = z
         return q
 
-    def _prices(self, z: np.ndarray) -> np.ndarray:
-        if self._z is None or not np.array_equal(z, self._z):
-            q = self.pad(z)
-            p = self.model.portfolio_inverse(q, self.carried)
-            self._z, self._q, self._p, self._jac = z.copy(), q, p, None
-        return self._p
+    def _prices(self, z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        new = ~(self._z[rows] == z).all(axis=1)
+        if new.any():
+            fresh = rows[new]
+            self._z[fresh] = z[new]
+            self._q[fresh] = self.pad(z[new])
+            self._p[fresh] = self.model.portfolio_inverses(self._q[fresh], self.carried)
+            self._has_jac[fresh] = False
+        return self._p[rows]
 
-    def _jacobian(self, z: np.ndarray) -> np.ndarray:
-        self._prices(z)
-        if self._jac is None:
-            self._jac = self.model.portfolio_inverse_jacobian(self._q, self.carried)
-        return self._jac
+    def _jacobians(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        need = rows[~self._has_jac[rows]]
+        if need.size:
+            self._jac[need], self._jac_ok[need] = self.model.portfolio_inverse_jacobians(
+                self._q[need], self._p[need], self.carried
+            )
+            self._has_jac[need] = True
+        return self._jac[rows], self._jac_ok[rows]
 
-    def value(self, z: np.ndarray) -> float:
-        return float(np.dot(self._prices(z)[self.idx] - self.costs, z))
+    def _value(self, z: np.ndarray, p: np.ndarray) -> np.ndarray:
+        margin = p[:, self.idx] - self.costs
+        return (margin[:, None, :] @ z[:, :, None])[:, 0, 0]
 
-    def gradient(self, z: np.ndarray) -> np.ndarray:
-        return self._prices(z)[self.idx] - self.costs + self._jacobian(z).T @ z
+    def _gradient(self, z: np.ndarray, p: np.ndarray, jac: np.ndarray) -> np.ndarray:
+        return p[:, self.idx] - self.costs + (jac.transpose(0, 2, 1) @ z[:, :, None])[:, :, 0]
 
-    def hessian(self, z: np.ndarray, free: list[int]) -> np.ndarray:
-        """d2R/dz dz over the coordinates ``free``: jac + jac^T + sum_i z_i d2P_i,
-        exact where the model has portfolio_inverse_hessian, central
-        differences of the gradient where it returns None."""
-        p, jac = self._prices(z), self._jacobian(z)
-        curvature = self.model.portfolio_inverse_hessian(self._q, p, jac, self.carried)
-        if curvature is None:
-            return _fd_jacobian(self.gradient, z, 1e-6, free)[free]
-        return (jac + jac.T + np.tensordot(z, curvature, axes=1))[free][:, free]
+    def values(self, z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """R at each point, NaN where the model rejects it."""
+        return self._value(z, self._prices(z, rows))
+
+    def gradients(self, z: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """dR/dz at each point, and the rows where the model gave a price Jacobian."""
+        p = self._prices(z, rows)
+        jac, ok = self._jacobians(rows)
+        return self._gradient(z, p, jac), ok
+
+    def hessians(self, z: np.ndarray, rows: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """d2R/dz dz at each point over its coordinates ``free`` (an (m, k)
+        mask; the other entries are not set): jac + jac^T + sum_i z_i d2P_i
+        where the model has portfolio_inverse_hessians, central differences
+        of the gradient where it has none. NaN where the model rejects a
+        point it needs."""
+        p = self._prices(z, rows)
+        jac, _ = self._jacobians(rows)
+        curvature, exact = self.model.portfolio_inverse_hessians(self._q[rows], p, jac, self.carried)
+        m, k = z.shape
+        hess = jac + jac.transpose(0, 2, 1) + (z[:, None, :] @ curvature.reshape(m, k, k * k)).reshape(m, k, k)
+        for r in np.flatnonzero(~exact):
+            f = np.flatnonzero(free[r])
+            hess[r][np.ix_(f, f)] = _fd_jacobian(self._gradient_at, z[r], 1e-6, f)[f]
+        return hess
+
+    def _gradient_at(self, z: np.ndarray) -> np.ndarray:
+        """dR/dz at one point, NaN where the model rejects it; no row's kept point changes."""
+        q = self.pad(z[None])
+        p = self.model.portfolio_inverses(q, self.carried)
+        if np.isnan(p[0, self.idx]).any():
+            return np.full(len(z), np.nan)
+        jac, _ = self.model.portfolio_inverse_jacobians(q, p, self.carried)
+        return self._gradient(z[None], p, jac)[0]
 
 
 def _latin_hypercube(rng: np.random.Generator, count: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -138,69 +180,98 @@ def _latin_hypercube(rng: np.random.Generator, count: int, lo: np.ndarray, hi: n
     return lo + u * (hi - lo)
 
 
+def _newton_steps(hess: np.ndarray, free: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Each row's Newton step over its free coordinates where its Hessian
+    there is finite with a negative definite symmetric part and can be
+    solved; its gradient step (``grad``, zero off the free coordinates)
+    elsewhere. Rows with one free set share each linear-algebra call."""
+    step = grad.copy()
+    if (free == free[0]).all():  # the common case: one free set
+        groups = [(np.arange(len(free)), free[0])]
+    else:
+        patterns, which = np.unique(free, axis=0, return_inverse=True)
+        groups = [(np.flatnonzero(which.ravel() == g), pattern) for g, pattern in enumerate(patterns)]
+    for sel, pattern in groups:
+        f = np.flatnonzero(pattern)
+        h = hess[sel][:, f][:, :, f]
+        eig, usable = _linalg_rows(
+            np.linalg.eigvalsh, np.isfinite(h).all(axis=(1, 2)), 0.5 * (h + h.transpose(0, 2, 1))
+        )
+        newton = usable & (eig.max(axis=1) < 0)
+        sol, solved = _linalg_rows(np.linalg.solve, newton, h, -grad[sel][:, f, None])
+        step[sel[solved][:, None], f] = sol[solved, :, 0]
+    return step
+
+
 def _polish(
-    value: Callable[[np.ndarray], float],
-    gradient: Callable[[np.ndarray], np.ndarray],
-    hessian: Callable[[np.ndarray, list[int]], np.ndarray],
+    value: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    gradient: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    hessian: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     z: np.ndarray,
-    fz: float,
+    fz: np.ndarray,
+    rows: np.ndarray,
     lb: np.ndarray,
     ub: np.ndarray,
     tol: float,
     max_steps: int,
-) -> tuple[np.ndarray, float, float]:
-    """Damped Newton ascent of ``value`` from z, whose value is fz, in the box [lb, ub].
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton ascent of ``value`` from each row of z (S, k), whose
+    values are fz, in the box [lb, ub]; every row takes the steps it would
+    take alone.
 
-    Coordinates held at a bound by their slope stay fixed; ``hessian(z,
-    free)`` gives the Hessian over the others, the list ``free``. The step
-    follows the gradient instead where the Hessian's symmetric part is not
+    The callables take points (m, k) and their labels, the matching entries
+    of ``rows``. ``value`` gives their values, NaN where a point is
+    rejected; ``gradient`` their slopes and the rows where those could be
+    evaluated; ``hessian(z, rows, free)`` their Hessians over the
+    coordinates ``free`` (an (m, k) mask), NaN where one cannot be
+    evaluated. Coordinates held at a bound by their slope stay fixed. A row
+    follows its gradient instead where its Hessian's symmetric part is not
     negative definite, since a Newton step could then head for a saddle or
     a minimum (Nocedal & Wright, Numerical Optimization, sec. 3.4), and
-    where ``hessian`` raises, as a difference Hessian does on a bound that
-    its differences would cross. Each step is halved until the value does not
-    fall. Returns the last accepted point, its value, and its KKT residual:
-    the largest slope over the coordinates no bound holds, NaN if the
-    gradient there is NaN. The search stops once the residual reaches
-    ``tol``, after ``max_steps`` steps, or when no step can be taken. An
-    error from ``gradient`` propagates.
+    where its Hessian cannot be evaluated, as a difference Hessian cannot
+    on a bound that its differences would cross. Each step is halved until
+    the value does not fall, 25 tries at most.
+
+    Returns each row's last accepted point, its value, its KKT residual (the
+    largest slope over the coordinates no bound holds, NaN if the gradient
+    there is NaN) and whether the row has a result: a row whose gradient
+    cannot be evaluated drops out. A row stops once its residual reaches
+    ``tol``, after ``max_steps`` steps, or when no step can be taken.
     """
-    stalled = False
+    z, fz = z.copy(), fz.copy()
+    residual = np.full(len(z), np.nan)
+    kept = np.ones(len(z), bool)
+    stalled = np.zeros(len(z), bool)
+    live = np.arange(len(z))
     for steps in range(max_steps + 1):
-        g = gradient(z)
-        free = [
-            a
-            for a in range(len(z))
-            if not (z[a] <= lb[a] + 1e-10 and g[a] <= 0)
-            and not (z[a] >= ub[a] - 1e-10 and g[a] >= 0)
-        ]
-        step = g[free]
-        residual = float(np.abs(step).max(initial=0.0))
-        if residual <= tol or steps == max_steps or stalled:
-            return z, fz, residual
-        try:
-            hess = hessian(z, free)
-            if np.linalg.eigvalsh(0.5 * (hess + hess.T)).max() < 0:
-                step = np.linalg.solve(hess, -step)
-        except _EVAL_ERRORS:
-            pass  # keep the gradient step
-        if not np.isfinite(step).all():
-            return z, fz, residual
-        scale = 1.0
+        g, ok = gradient(z[live], rows[live])
+        kept[live[~ok]] = False
+        live, g = live[ok], g[ok]
+        at = z[live]
+        free = ~((at <= lb + 1e-10) & (g <= 0) | (at >= ub - 1e-10) & (g >= 0))
+        step = np.where(free, g, 0.0)
+        residual[live] = np.abs(step).max(axis=1, initial=0.0)
+        going = ~((residual[live] <= tol) | stalled[live])
+        if steps == max_steps or not going.any():
+            break
+        live, at, free, step = live[going], at[going], free[going], step[going]
+        step = _newton_steps(hessian(at, rows[live], free), free, step)
+        finite = np.isfinite(step).all(axis=1)
+        live, at, free, step = live[finite], at[finite], free[finite], step[finite]
+        searching, scale = np.arange(len(live)), 1.0
         for _ in range(25):
-            cand = z.copy()
-            cand[free] = np.clip(z[free] + scale * step, lb[free], ub[free])
-            try:
-                val = value(cand)
-            except _EVAL_ERRORS:
-                scale *= 0.5
-                continue
-            if val >= fz - 1e-15:
-                stalled = np.abs(cand - z).max() < 1e-15
-                z, fz = cand, val
+            if not searching.size:
                 break
-            scale *= 0.5
-        else:
-            return z, fz, residual
+            r, base = live[searching], at[searching]
+            cand = np.where(free[searching], np.clip(base + scale * step[searching], lb, ub), base)
+            val = value(cand, rows[r])
+            take = val >= fz[r] - 1e-15
+            hit = r[take]
+            stalled[hit] = np.abs(cand[take] - base[take]).max(axis=1) < 1e-15
+            z[hit], fz[hit] = cand[take], val[take]
+            searching, scale = searching[~take], scale * 0.5
+        live = np.delete(live, searching)  # no step found: the row stops
+    return z, fz, residual, kept
 
 
 def max_profit(
@@ -208,10 +279,12 @@ def max_profit(
 ) -> OptResult:
     """Maximize portfolio profit over nonnegative carried quantities.
 
-    The best of ``cfg.multistart`` starts is returned. When several starts
-    settle on stationary points with materially different values the status
-    is degenerate: the value reported is still the best one, but uniqueness
-    of the optimum failed and callers may want to flag it.
+    The best of ``cfg.multistart`` starts is returned. The starts are
+    valued and stepped as one stack, or as blocks of STACK_ROWS. When
+    several starts settle on stationary points with materially different
+    values the status is degenerate: the value reported is still the best
+    one, but uniqueness of the optimum failed and callers may want to flag
+    it.
     """
     if x.n != model.n:
         raise ValueError(f"portfolio has {x.n} products, model has {model.n}")
@@ -219,7 +292,7 @@ def max_profit(
     if not carried:
         return OptResult(np.zeros(model.n), 0.0, 0.0, OptStatus.CONVERGED, 0)
 
-    obj = _PortfolioObjective(model, carried)
+    obj = _PortfolioObjective(model, carried, min(cfg.multistart, STACK_ROWS))
     k = len(carried)
     choke = np.maximum(np.abs(model.choke_quantities()[obj.idx]), 1.0)
     floor = cfg.floor if model.singular_at_zero else 0.0
@@ -227,37 +300,35 @@ def max_profit(
     ub = 10.0 * choke
     rng = np.random.default_rng(cfg.seed)
 
-    starts = [0.5 * choke]
+    anchor = 0.5 * choke
+    starts = anchor[None]
     if cfg.multistart > 1:
-        starts.extend(_latin_hypercube(rng, cfg.multistart - 1, np.maximum(lb, 1e-4), choke))
-
-    def safe_start(z0: np.ndarray) -> tuple[np.ndarray, float] | None:
-        z = np.clip(z0, lb, ub)
-        anchor = 0.5 * choke
-        for _ in range(12):
-            try:
-                return z, obj.value(z)
-            except _EVAL_ERRORS:
-                z = 0.5 * (z + anchor)
-        return None
+        starts = np.vstack([starts, _latin_hypercube(rng, cfg.multistart - 1, np.maximum(lb, 1e-4), choke)])
 
     solutions: list[tuple[float, np.ndarray, float]] = []  # (value, z, kkt)
     used = 0
     # an overflowing profit reaches the caller as a non-finite value, not as warnings
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for z0 in starts:
-            start = safe_start(np.asarray(z0))
-            if start is None:
-                continue
-            used += 1
-            try:
-                z, val, kkt = _polish(
-                    obj.value, obj.gradient, obj.hessian, *start, lb, ub, cfg.gradient_tol,
-                    cfg.max_iter,
-                )
-            except _EVAL_ERRORS:
-                continue
-            solutions.append((val, z, kkt))
+        for first in range(0, len(starts), STACK_ROWS):
+            # a start the model rejects moves halfway to the anchor, 12 tries at most
+            z = np.clip(starts[first : first + STACK_ROWS], lb, ub)
+            fz = np.full(len(z), np.nan)
+            todo = np.arange(len(z))
+            for _ in range(12):
+                fz[todo] = obj.values(z[todo], todo)
+                todo = todo[np.isnan(fz[todo])]
+                if not todo.size:
+                    break
+                z[todo] = 0.5 * (z[todo] + anchor)
+            rows = np.flatnonzero(~np.isnan(fz))
+            used += len(rows)
+            ends, vals, kkts, kept = _polish(
+                obj.values, obj.gradients, obj.hessians, z[rows], fz[rows], rows, lb, ub,
+                cfg.gradient_tol, cfg.max_iter,
+            )
+            solutions.extend(
+                (float(val), end, float(kkt)) for val, end, kkt, keep in zip(vals, ends, kkts, kept) if keep
+            )
 
     if not solutions:
         raise ConvergenceError(f"no start produced a usable solution for portfolio {x}")
@@ -312,51 +383,48 @@ def _inner_optimum(
     """partial_max's solve: the best value, its point (q1, q2, w) over
     products 1..n, and the objective over those products."""
     carried = tuple(range(3, model.n + 1))
-    obj = _PortfolioObjective(model, (1, 2) + carried)
-
-    fixed = np.array([q1, q2], dtype=float)
-    if not carried:
-        return obj.value(fixed), fixed, obj
-
+    obj = _PortfolioObjective(model, (1, 2) + carried, 4)
     m = len(carried)
-    inner_idx = np.arange(2, 2 + m)
-
-    def value_of(w: np.ndarray) -> float:
-        return obj.value(np.concatenate([fixed, w]))
-
-    def grad_of(w: np.ndarray) -> np.ndarray:
-        try:
-            return obj.gradient(np.concatenate([fixed, w]))[inner_idx]
-        except (DomainError, np.linalg.LinAlgError):
-            # price Jacobian can be singular at boundary anchors (e.g. both
-            # fixed quantities zero); the value is still smooth in w
-            return _fd_jacobian(value_of, w, 1e-6)[0]
-
-    def hess_of(w: np.ndarray, free: list[int]) -> np.ndarray:
-        return obj.hessian(np.concatenate([fixed, w]), [2 + a for a in free])
-
     choke = np.maximum(np.abs(model.choke_quantities()[[i - 1 for i in carried]]), 1.0)
     rng = np.random.default_rng(cfg.seed)
-    starts = [0.5 * choke, 0.25 * choke]
-    starts.extend(0.1 * choke + rng.random((2, m)) * choke)
+    starts = np.vstack([0.5 * choke, 0.25 * choke, 0.1 * choke + rng.random((2, m)) * choke])
+    fixed = np.broadcast_to(np.array([q1, q2], dtype=float), (len(starts), 2))
+
+    def full(w: np.ndarray) -> np.ndarray:
+        return np.concatenate([fixed[: len(w)], w], axis=1)
+
+    def value_of(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return obj.values(full(w), rows)
+
+    def grad_of(w: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g, ok = obj.gradients(full(w), rows)
+        g = g[:, 2:]
+        for r in np.flatnonzero(~ok):
+            # price Jacobian can be singular at boundary anchors (e.g. both
+            # fixed quantities zero); the value is still smooth in w
+            g[r] = _fd_jacobian(lambda v: value_of(v[None], rows[r : r + 1])[0], w[r], 1e-6)[0]
+        return g, np.ones(len(w), bool)
+
+    def hess_of(w: np.ndarray, rows: np.ndarray, free: np.ndarray) -> np.ndarray:
+        held = np.zeros((len(w), 2), bool)
+        return obj.hessians(full(w), rows, np.concatenate([held, free], axis=1))[:, 2:, 2:]
 
     unbounded = np.full(m, np.inf)
+    vals = value_of(starts, np.arange(len(starts)))
+    rows = np.flatnonzero(~np.isnan(vals))
+    ends, vals, residuals, kept = _polish(
+        value_of, grad_of, hess_of, starts[rows], vals[rows], rows, -unbounded, unbounded,
+        cfg.gradient_tol, 80,
+    )
     best: tuple[float, np.ndarray] | None = None
-    for w in starts:
-        try:
-            end, val, residual = _polish(
-                value_of, grad_of, hess_of, w, value_of(w), -unbounded, unbounded,
-                cfg.gradient_tol, 80,
-            )
-        except _EVAL_ERRORS:
-            continue
-        if residual <= cfg.gradient_tol and (best is None or val > best[0]):
-            best = val, end
+    for end, val, residual, keep in zip(ends, vals, residuals, kept):
+        if keep and residual <= cfg.gradient_tol and (best is None or val > best[0]):
+            best = float(val), end
     if best is None:
         raise ConvergenceError(
             f"inner maximization failed at fixed quantities ({q1}, {q2})"
         )
-    return best[0], np.concatenate([fixed, best[1]]), obj
+    return best[0], np.concatenate([fixed[0], best[1]]), obj
 
 
 def mixed_partial_grid(
@@ -378,7 +446,7 @@ def mixed_partial_grid(
     for r, a in enumerate(axis1):
         for c, b in enumerate(axis2):
             _, z, obj = _inner_optimum(model, a, b, cfg)
-            hess = obj.hessian(z, list(range(len(z))))
+            hess = obj.hessians(z[None], np.zeros(1, int), np.ones((1, len(z)), bool))[0]
             values[r, c] = hess[0, 1] - hess[0, 2:] @ np.linalg.solve(hess[2:, 2:], hess[2:, 1])
     rmin, cmin = np.unravel_index(np.argmin(values), values.shape)
     return {

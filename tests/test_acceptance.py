@@ -313,17 +313,18 @@ def test_criterion_10_optimizer_health():
     ]
     worst = 0.0
     for model, carried in cases:
-        obj = _PortfolioObjective(model, carried)
+        obj = _PortfolioObjective(model, carried, 1)
+        row = np.zeros(1, int)
         for _ in range(3):
             z = rng.uniform(0.2, 0.7, size=len(carried))
-            g = obj.gradient(z)
+            g = obj.gradients(z[None], row)[0][0]
             fd = np.zeros_like(z)
             for a in range(len(z)):
                 h = 1e-6
                 zp, zm = z.copy(), z.copy()
                 zp[a] += h
                 zm[a] -= h
-                fd[a] = (obj.value(zp) - obj.value(zm)) / (2 * h)
+                fd[a] = (obj.values(zp[None], row)[0] - obj.values(zm[None], row)[0]) / (2 * h)
             worst = max(worst, float(np.max(np.abs(g - fd) / np.maximum(1.0, np.abs(g)))))
     assert worst <= 1e-6, f"gradient agreement {worst}"
 

@@ -219,7 +219,7 @@ def test_eq7_slopes_match_reference_construction_bit_for_bit():
             q[i - 1] = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 1.2)
         pairs.append(
             (
-                _outcome(m.portfolio_inverse_jacobian, q, carried),
+                _outcome(lambda: m.portfolio_inverse_jacobian(q, m.portfolio_inverse(q, carried), carried)),
                 _outcome(_reference_eq7_portfolio_inverse_jacobian, m, q, carried),
             )
         )
@@ -513,7 +513,7 @@ def test_exact_inverse_hessians_match_second_differences():
             q = np.zeros(model.n)
             q[idx] = z
             p = model.portfolio_inverse(q, carried)
-            jac = model.portfolio_inverse_jacobian(q, carried)
+            jac = model.portfolio_inverse_jacobian(q, p, carried)
             exact = model.portfolio_inverse_hessian(q, p, jac, carried)
             assert exact is not None, (model.describe(), carried)
             assert exact.shape == (len(carried),) * 3
@@ -536,7 +536,7 @@ def test_exact_inverse_hessians_match_second_differences():
 def test_families_without_an_exact_form_have_no_inverse_hessian(model):
     q = np.array([0.2, 0.3])
     p = model.portfolio_inverse(q, (1, 2))
-    jac = model.portfolio_inverse_jacobian(q, (1, 2))
+    jac = model.portfolio_inverse_jacobian(q, p, (1, 2))
     assert model.portfolio_inverse_hessian(q, p, jac, (1, 2)) is None
 
 
@@ -972,6 +972,26 @@ def test_custom_demand_error_at_the_start_propagates():
     assert all(line.endswith("q1 = 1.0 is above 0.9") for line in failures)
     with pytest.raises(ConvergenceError, match=r"failures: node \(0\.1, 0\.1\): q1 = 1\.0 is above 0\.9"):
         gross_relation(model)
+
+
+def test_a_stack_with_a_rejected_row_prices_each_row_once():
+    """The per-row default of portfolio_inverses, which _invert's line search
+    also uses, calls inverse_demand once per row and gives the rejected row
+    NaN; it does not price the stack again row by row."""
+    calls = []
+
+    def inverse(q):
+        calls.append(q.copy())
+        if q[0] < 0:
+            raise DomainError("quantities must be nonnegative")
+        return 1.0 - q
+
+    model = CustomDemand(2, inverse)
+    q = np.array([[0.1, 0.2], [0.3, 0.1], [-0.5, 0.2], [0.3, 0.4], [0.6, 0.7]])
+    prices = model.portfolio_inverses(q, (1, 2))
+    assert len(calls) == 5
+    assert np.isnan(prices[2]).all()
+    assert np.array_equal(np.delete(prices, 2, axis=0), 1.0 - np.delete(q, 2, axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -117,17 +117,18 @@ def test_analytic_gradient_matches_differences_across_families():
     from mergerfees.optimize import _PortfolioObjective
 
     for model, carried in cases:
-        obj = _PortfolioObjective(model, carried)
+        obj = _PortfolioObjective(model, carried, 1)
+        row = np.zeros(1, int)
         for _ in range(4):
             z = rng.uniform(0.2, 0.8, size=len(carried))
-            g = obj.gradient(z)
+            g = obj.gradients(z[None], row)[0][0]
             fd = np.zeros_like(z)
             for k in range(len(z)):
                 h = 1e-6
                 zp, zm = z.copy(), z.copy()
                 zp[k] += h
                 zm[k] -= h
-                fd[k] = (obj.value(zp) - obj.value(zm)) / (2 * h)
+                fd[k] = (obj.values(zp[None], row)[0] - obj.values(zm[None], row)[0]) / (2 * h)
             rel = np.max(np.abs(g - fd) / np.maximum(1.0, np.abs(g)))
             assert rel < 1e-6, f"{model.kind}: gradient mismatch {rel}"
 
@@ -175,68 +176,72 @@ def test_max_iter_bounds_the_newton_steps_of_each_start(max_iter, status):
 
 def test_polish_climbs_out_of_a_non_concave_region():
     # f = -(z^2 - 1)^2 is convex near 0, where a Newton step heads for the minimum
-    def value(z):
-        return float(-((z[0] ** 2 - 1) ** 2))
+    def value(z, rows):
+        return -((z[:, 0] ** 2 - 1) ** 2)
 
-    def gradient(z):
-        return np.array([-4 * z[0] * (z[0] ** 2 - 1)])
+    def gradient(z, rows):
+        return -4 * z * (z**2 - 1), np.ones(len(z), bool)
 
-    def hessian(z, free):
-        return np.array([[4 - 12 * z[0] ** 2]])
+    def hessian(z, rows, free):
+        return (4 - 12 * z**2)[:, :, None]
 
-    z0 = np.array([0.1])
+    z0 = np.array([[0.1]])
     unbounded = np.full(1, np.inf)
-    z, val, residual = optimize._polish(
-        value, gradient, hessian, z0, value(z0), -unbounded, unbounded, 1e-9, 80
+    z, val, residual, kept = optimize._polish(
+        value, gradient, hessian, z0, value(z0, None), np.arange(1), -unbounded, unbounded, 1e-9, 80
     )
-    assert residual <= 1e-9
-    assert z[0] == pytest.approx(1.0, abs=1e-9)
-    assert val == pytest.approx(0.0, abs=1e-15)
+    assert kept[0]
+    assert residual[0] <= 1e-9
+    assert z[0, 0] == pytest.approx(1.0, abs=1e-9)
+    assert val[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_polish_steps_off_a_bound_where_the_hessian_cannot_be_differenced():
     # the central difference at z = 0 evaluates z < 0, where the objective is undefined
-    def value(z):
-        if z[0] < 0:
-            raise DomainError("quantities must be nonnegative")
-        return float(-((z[0] - 1) ** 2))
+    def value(z, rows):
+        return np.where(z[:, 0] < 0, np.nan, -((z[:, 0] - 1) ** 2))
 
-    def gradient(z):
-        value(z)
-        return np.array([-2 * (z[0] - 1)])
+    def slope(z):
+        return np.full(1, np.nan) if z[0] < 0 else -2 * (z - 1)
 
-    def hessian(z, free):
-        return _fd_jacobian(gradient, z, 1e-6, free)[free]
+    def gradient(z, rows):
+        return np.array([slope(row) for row in z]), ~(z[:, 0] < 0)
 
-    z0 = np.zeros(1)
-    z, _, residual = optimize._polish(
-        value, gradient, hessian, z0, value(z0), np.zeros(1), np.full(1, 10.0), 1e-9, 30
+    def hessian(z, rows, free):
+        return np.array([_fd_jacobian(slope, row, 1e-6, np.flatnonzero(f)) for row, f in zip(z, free)])
+
+    z0 = np.zeros((1, 1))
+    z, _, residual, kept = optimize._polish(
+        value, gradient, hessian, z0, value(z0, None), np.arange(1), np.zeros(1), np.full(1, 10.0), 1e-9, 30
     )
-    assert residual <= 1e-9
-    assert z[0] == pytest.approx(1.0, abs=1e-9)
+    assert kept[0]
+    assert residual[0] <= 1e-9
+    assert z[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_polish_never_reads_a_nan_gradient_as_converged():
-    def value(z):
-        return float(-np.sum(z**2))
+    def value(z, rows):
+        return -np.sum(z**2, axis=1)
 
-    def gradient(z):
-        return np.full(len(z), np.nan)
+    def gradient(z, rows):
+        return np.full(z.shape, np.nan), np.ones(len(z), bool)
 
-    def hessian(z, free):
-        return -2 * np.eye(len(free))
+    def hessian(z, rows, free):
+        return np.broadcast_to(-2 * np.eye(z.shape[1]), (len(z),) + (z.shape[1],) * 2)
 
-    z0 = np.array([0.5, 0.5])
-    z, val, residual = optimize._polish(
-        value, gradient, hessian, z0, value(z0), np.zeros(2), np.full(2, 10.0), 1e-9, 30
+    z0 = np.array([[0.5, 0.5]])
+    z, val, residual, kept = optimize._polish(
+        value, gradient, hessian, z0, value(z0, None), np.arange(1), np.zeros(2), np.full(2, 10.0), 1e-9, 30
     )
-    assert math.isnan(residual)
-    assert np.array_equal(z, z0) and val == value(z0)
+    assert kept[0]
+    assert math.isnan(residual[0])
+    assert np.array_equal(z, z0) and val[0] == value(z0, None)[0]
 
 
 class _NanJacobianDemand(LinearDemand):
-    def portfolio_inverse_jacobian(self, q, carried):
-        return np.full((len(carried), len(carried)), np.nan)
+    def portfolio_inverse_jacobians(self, q, p, carried):
+        k = len(carried)
+        return np.full((len(q), k, k), np.nan), np.ones(len(q), bool)
 
 
 def test_max_profit_reports_a_nan_gradient_as_maxiter():
@@ -250,13 +255,13 @@ def test_max_profit_reports_a_nan_gradient_as_maxiter():
 def test_max_profit_computes_no_gradient_outside_polish(monkeypatch):
     inside = [0]
     outside = []
-    gradient = optimize._PortfolioObjective.gradient
+    gradients = optimize._PortfolioObjective.gradients
     polish = optimize._polish
 
-    def counted_gradient(self, z):
+    def counted_gradients(self, z, rows):
         if not inside[0]:
             outside.append(z.copy())
-        return gradient(self, z)
+        return gradients(self, z, rows)
 
     def tracked_polish(*args):
         inside[0] += 1
@@ -265,7 +270,7 @@ def test_max_profit_computes_no_gradient_outside_polish(monkeypatch):
         finally:
             inside[0] -= 1
 
-    monkeypatch.setattr(optimize._PortfolioObjective, "gradient", counted_gradient)
+    monkeypatch.setattr(optimize._PortfolioObjective, "gradients", counted_gradients)
     monkeypatch.setattr(optimize, "_polish", tracked_polish)
     for model in (Eq7Demand(0.15, 0.5), LinearDemand([1.0, 1.0], [[1.0, 0.2], [0.2, 1.0]])):
         for mask in range(1, 2**model.n):
@@ -276,12 +281,12 @@ def test_max_profit_computes_no_gradient_outside_polish(monkeypatch):
 def test_max_profit_values_each_start_once_before_polish(monkeypatch):
     since_polish = [0]
     before_polish = []
-    value = optimize._PortfolioObjective.value
+    values = optimize._PortfolioObjective.values
     polish = optimize._polish
 
-    def counted_value(self, z):
+    def counted_values(self, z, rows):
         since_polish[0] += 1
-        return value(self, z)
+        return values(self, z, rows)
 
     def tracked_polish(*args):
         before_polish.append(since_polish[0])
@@ -290,12 +295,45 @@ def test_max_profit_values_each_start_once_before_polish(monkeypatch):
         finally:
             since_polish[0] = 0
 
-    monkeypatch.setattr(optimize._PortfolioObjective, "value", counted_value)
+    monkeypatch.setattr(optimize._PortfolioObjective, "values", counted_values)
     monkeypatch.setattr(optimize, "_polish", tracked_polish)
     model = LinearDemand([1.0, 1.0], [[1.0, 0.2], [0.2, 1.0]])
     res = max_profit(model, Portfolio.full(2), OptimizerConfig(multistart=4))
     assert res.starts_used == 4
-    assert before_polish == [1, 1, 1, 1]
+    assert before_polish == [1]
+
+
+@pytest.mark.parametrize(
+    "model,solve",
+    [
+        (Eq7Demand(0.2, 0.5), "_restricted_inverse"),
+        (OneStopDemand([1.31, 1.59, 0.89], [1.25, 1.39, 1.17], ExponentialCdf(0.26)), "_traffic_share"),
+    ],
+    ids=["eq7", "one_stop"],
+)
+def test_max_profit_solves_prices_once_per_point(monkeypatch, model, solve):
+    # the Jacobian and Hessian hooks take the prices the objective holds; one
+    # start, since several starts may reach the same point
+    points, solves = [], [0]
+    prices, solver = type(model).portfolio_inverses, getattr(type(model), solve)
+
+    def recorded(self, q, carried):
+        points.extend((carried, tuple(row)) for row in q.tolist())
+        return prices(self, q, carried)
+
+    def counted(self, *args):
+        result = solver(self, *args)
+        solves[0] += len(args[0]) if solve == "_restricted_inverse" else 1
+        return result
+
+    monkeypatch.setattr(type(model), "portfolio_inverses", recorded)
+    monkeypatch.setattr(type(model), solve, counted)
+    for mask in range(1, 8):
+        max_profit(model, Portfolio(3, mask), OptimizerConfig(multistart=1))
+    assert len(points) == len(set(points))
+    if solve == "_traffic_share":  # q = 0 needs no traffic solve, and q < 0 is rejected first
+        points = [row for _, row in points if min(row) >= 0 and max(row) > 0]
+    assert solves[0] == len(points)
 
 
 def test_one_stop_optimum_reached_after_a_step_lands_on_the_floor():
