@@ -21,6 +21,7 @@ from mergerfees.demand_systems import (
     Eq7Demand,
     OneStopDemand,
     _fd_jacobian,
+    _linalg_rows,
 )
 from mergerfees.errors import ConvergenceError, DomainError
 from mergerfees.optimize import DEFAULT_CONFIG, OptimizerConfig, OptResult, OptStatus, max_profit
@@ -317,3 +318,17 @@ def test_closed_form_stacked_hooks_return_the_per_row_rows(model):
         assert np.array_equal(exact[both], exact_rows[both])
         assert np.array_equal(curvature[both & exact], curvature_rows[both & exact])
     assert seen_rejected or model.kind == "linear"
+
+
+@pytest.mark.parametrize("fn", [np.linalg.inv, np.linalg.solve], ids=lambda f: f.__name__)
+def test_linalg_rows_gives_each_row_its_own_result_around_a_singular_row(fn):
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(6, 3, 3))
+    stack[2] = 0.0  # singular: the stacked call raises for it
+    args = (stack, rng.normal(size=(6, 3, 1))) if fn is np.linalg.solve else (stack,)
+    use = np.array([True, True, True, False, True, True])
+    out, ok = _linalg_rows(fn, use, *args)
+    assert ok.tolist() == [True, True, False, False, True, True]
+    assert np.isnan(out[[2, 3]]).all()
+    for r in (0, 1, 4, 5):
+        assert np.array_equal(out[r], fn(*(a[r] for a in args)))
