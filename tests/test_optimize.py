@@ -16,7 +16,6 @@ from mergerfees.demand_systems import (
     OneStopDemand,
     _fd_jacobian,
 )
-from mergerfees.errors import DomainError
 from mergerfees.optimize import (
     FocVariant,
     OptimizerConfig,
