@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .errors import DomainError
 
 MAX_PRODUCTS = 24  # exhaustive enumeration of 2^n portfolios must stay feasible
@@ -179,19 +181,28 @@ def rest_portfolios(n: int, i: int, j: int) -> Iterator[Portfolio]:
     Yielded portfolios live on the same n-product index space with bits
     i and j forced off.
     """
-    others = [k for k in range(1, n + 1) if k not in (i, j)]
-    for combo in itertools.chain.from_iterable(
-        itertools.combinations(others, r) for r in range(len(others) + 1)
-    ):
-        yield Portfolio.from_indices(n, combo)
+    for mask in _rest_masks(n, i, j):
+        yield Portfolio(n, mask)
+
+
+def _rest_masks(n: int, i: int, j: int) -> list[int]:
+    """Bitmasks of ``rest_portfolios(n, i, j)``, in its order: by size, then lexicographically."""
+    bits = [1 << (k - 1) for k in range(1, n + 1) if k not in (i, j)]
+    return [
+        sum(combo)
+        for r in range(len(bits) + 1)
+        for combo in itertools.combinations(bits, r)
+    ]
 
 
 class SetFunction:
     """Memoized real-valued function on the n-product hypercube.
 
     Evaluation must be pure: the cache keeps the first value computed for
-    each bit pattern and is never invalidated. A value that is not finite
-    raises DomainError naming the portfolio: no verdict or fee can rest on it.
+    each bit pattern and is never invalidated. ``seed_cache`` can fill it
+    from a table of values computed in one pass, which must be the floats
+    ``fn`` returns. A value that is not finite raises DomainError naming the
+    portfolio: no verdict or fee can rest on it.
     """
 
     def __init__(self, n: int, fn: Callable[[Portfolio], float], name: str = ""):
@@ -213,13 +224,33 @@ class SetFunction:
             self._cache[x.mask] = v
         return v
 
+    def at(self, mask: int) -> float:
+        """f of the portfolio with bit pattern ``mask``; a cached value needs no Portfolio."""
+        v = self._cache.get(mask)
+        return self(Portfolio(self.n, mask)) if v is None else v
+
+    def seed_cache(self, table: Sequence[float]) -> None:
+        """Cache ``table[mask]`` for every mask whose entry is finite.
+
+        Values already cached stay. A portfolio with a non-finite entry is
+        left to ``fn``, so reading it raises DomainError as it would unseeded.
+        """
+        values = np.asarray(table, dtype=float)
+        if values.shape != (1 << self.n,):
+            raise ValueError(f"expected {1 << self.n} table entries, got shape {values.shape}")
+        finite = np.isfinite(values)
+        seeded = dict(zip(np.flatnonzero(finite).tolist(), values[finite].tolist()))
+        seeded.update(self._cache)
+        self._cache = seeded
+
     @property
     def cache(self) -> Mapping[int, float]:
         return dict(self._cache)
 
     def table(self) -> dict[str, float]:
-        """Evaluate every portfolio; keys are 'x1x2...xn' bit strings."""
-        return {x.key(): self(x) for x in all_portfolios(self.n)}
+        """Evaluate every portfolio, in bitmask order; keys are 'x1x2...xn' bit strings."""
+        fmt = f"0{self.n}b"
+        return {format(mask, fmt)[::-1]: self.at(mask) for mask in range(1 << self.n)}
 
     def restrict(self, fixed: Mapping[int, int]) -> "SetFunction":
         """View with some products pinned on/off, remaining ones renumbered.
@@ -304,9 +335,17 @@ def classify_pair(
     """
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
+    if i == j:
+        raise ValueError("second difference needs two distinct products")
+    for k in (i, j):
+        if not 1 <= k <= f.n:
+            raise IndexError(f"product index {k} out of range 1..{f.n}")
+    bit_lo, bit_hi = 1 << (min(i, j) - 1), 1 << (max(i, j) - 1)
+    both, at = bit_lo | bit_hi, f.at
+    # second_difference's sum, in its evaluation order, read by bit pattern
     witnesses = tuple(
-        Witness(rest, second_difference(f, i, j, rest))
-        for rest in rest_portfolios(f.n, i, j)
+        Witness(Portfolio(f.n, m), (at(m | both) + at(m)) - (at(m | bit_lo) + at(m | bit_hi)))
+        for m in _rest_masks(f.n, i, j)
     )
     hi = max(witnesses, key=lambda w: w.value)
     lo = min(witnesses, key=lambda w: w.value)

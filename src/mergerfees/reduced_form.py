@@ -287,6 +287,19 @@ class LossRatioReport:
         return {"cl_1": self.cl_1, "cl_2": self.cl_2, "cl_12": self.cl_12, "gap": self.gap}
 
 
+def _subset_sums(values: Sequence[float]) -> np.ndarray:
+    """x . values for all 2^n portfolios x, indexed by bitmask.
+
+    Each sum adds values[k] in increasing k, as ``Portfolio.dot`` does, so
+    every entry equals it bit for bit.
+    """
+    sums = np.zeros(1 << len(values))
+    with np.errstate(over="ignore"):  # an infinite sum ends as a non-finite profit
+        for k, x in enumerate(values):
+            sums[1 << k : 2 << k] = sums[: 1 << k] + x
+    return sums
+
+
 @dataclass(frozen=True)
 class ReducedFormMarket:
     """n products with per-product surplus v_i > 0, margin pi_i > 0, and CDF G."""
@@ -326,8 +339,19 @@ class ReducedFormMarket:
             raise ValueError(f"portfolio has {x.n} products, market has {self.n}")
         return x.dot(self.pi) * self.cdf(x.dot(self.v))
 
-    def profit_function(self) -> SetFunction:
-        return SetFunction(self.n, self.profit, name="reduced_form_profit")
+    def profit_function(self, traffic: np.ndarray | None = None) -> SetFunction:
+        """The profit oracle, evaluating ``profit`` at each portfolio when first read.
+
+        Given ``traffic_table()``, its cache is seeded with the profit table
+        margin * traffic instead: margins are summed like the surpluses, so
+        every entry is the float ``profit`` returns. Non-finite entries stay
+        unseeded and raise DomainError when read.
+        """
+        oracle = SetFunction(self.n, self.profit, name="reduced_form_profit")
+        if traffic is not None:
+            with np.errstate(invalid="ignore"):  # inf * 0 is a nan profit, left unseeded
+                oracle.seed_cache(_subset_sums(self.pi) * traffic)
+        return oracle
 
     def demand(self, i: int, x: Portfolio) -> float:
         """Fraction of consumers buying product i: x_i * G(x . v)."""
@@ -342,15 +366,12 @@ class ReducedFormMarket:
     def traffic_table(self) -> np.ndarray:
         """Store traffic G(x . v) of all 2^n portfolios, indexed by bitmask.
 
-        Surpluses are built by adding v_k in increasing index order, so each
-        equals ``Portfolio.dot`` bit for bit, and G is the scalar CDF once
-        per portfolio: every entry is the float ``demand`` returns.
+        Surpluses come from ``_subset_sums``, so each equals ``Portfolio.dot``
+        bit for bit, and G is the scalar CDF once per portfolio: every entry
+        is the float ``demand`` returns. ``profit_function(traffic)`` seeds
+        the profit oracle's cache from this table.
         """
-        surplus = np.zeros(1 << self.n)
-        with np.errstate(over="ignore"):  # an infinite surplus ends as a non-finite profit
-            for k, v_k in enumerate(self.v):
-                surplus[1 << k : 2 << k] = surplus[: 1 << k] + v_k
-        return np.array([self.cdf(s) for s in surplus.tolist()])
+        return np.array([self.cdf(s) for s in _subset_sums(self.v).tolist()])
 
     def consumer_utility(self, x: Portfolio, xi: float) -> float:
         """max(x . v - xi, 0) for a consumer with shopping cost xi >= 0."""
@@ -430,16 +451,18 @@ class ReducedFormMarket:
         return LossRatioReport(cl_1, cl_2, cl_12, cl_1 + cl_2 - cl_12)
 
 
-def gross_relations(market: ReducedFormMarket) -> dict:
+def gross_relations(market: ReducedFormMarket, traffic: np.ndarray | None = None) -> dict:
     """Sign of demand changes when the partner product joins the portfolio.
 
     A carried product's demand is the store traffic, so for pair (i, j) the
     changes over the 2^(n-2) rest portfolios are T[rest+i+j] - T[rest+i]
     (demand for i as j joins) and T[rest+i+j] - T[rest+j], all read off one
-    ``traffic_table``: 2^n CDF evaluations for every pair at once.
+    ``traffic_table`` (built here unless given): 2^n CDF evaluations for
+    every pair at once.
     """
     n = market.n
-    traffic = market.traffic_table()
+    if traffic is None:
+        traffic = market.traffic_table()
     masks = np.arange(1 << n)
     extremes = {}
     for i in range(1, n + 1):

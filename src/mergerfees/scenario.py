@@ -35,7 +35,7 @@ from .demand_systems import (
 )
 from .errors import ScenarioError
 from .optimize import OptimizerConfig, OptStatus, profit_oracle
-from .portfolios import DEFAULT_TOLERANCE, MAX_PRODUCTS, classify_pair
+from .portfolios import DEFAULT_TOLERANCE, MAX_PRODUCTS, PairKind, classify_pair
 from .reduced_form import (
     AffineClampedCdf,
     ExponentialCdf,
@@ -62,6 +62,9 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps does with a str, minus its dispatch
+
+
 def canonical_json(obj: Any, indent: int = 0) -> str:
     """Deterministic JSON: sorted keys, floats at 17 significant digits."""
     pad = "  " * indent
@@ -75,7 +78,7 @@ def canonical_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -84,8 +87,10 @@ def canonical_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, Mapping):
         if not obj:
             return "{}"
+        # a plain float is formatted in place: tables hold 2^n of them
         items = ",\n".join(
-            f"{inner}{json.dumps(str(k))}: {canonical_json(obj[k], indent + 1)}"
+            f"{inner}{_quote(str(k))}: "
+            + (_format_float(v) if type(v := obj[k]) is float else canonical_json(v, indent + 1))
             for k in sorted(obj, key=str)
         )
         return "{\n" + items + "\n" + pad + "}"
@@ -350,7 +355,11 @@ def run_analysis(scenario: Scenario, seed: int = 0, include_shapley: bool = Fals
     model = scenario.built
     i, j = pair = scenario.merging_pair
     if isinstance(model, ReducedFormMarket):
-        oracle, gross, cfg = model.profit_function(), gross_relations(model), None
+        # one traffic table gives the gross verdicts and seeds the whole profit
+        # table, which the all-rests and table blocks below read in full anyway
+        traffic = model.traffic_table()
+        oracle, gross, cfg = model.profit_function(traffic), gross_relations(model, traffic), None
+        del traffic  # 2^n floats that nothing below reads
     else:
         cfg = scenario.optimizer.with_seed(seed)
         oracle, gross = profit_oracle(model, cfg), gross_relation(model, scenario.region).describe()
@@ -442,6 +451,14 @@ def _shapley_block(env: BargainingEnv, i: int, j: int) -> dict:
     }
 
 
+# T_post - T_pre = -(1 - beta) * second difference, so the pair's profit relation signs it
+FEE_EFFECT = {
+    PairKind.STRICT_COMPLEMENTS.value: "lowers total negotiated fees",
+    PairKind.STRICT_SUBSTITUTES.value: "raises total negotiated fees",
+    PairKind.ADDITIVE.value: "leaves total negotiated fees unchanged",
+}
+
+
 def render_human(report: dict) -> str:
     """Plain-text rendering derived from the machine report only."""
     lines = []
@@ -474,8 +491,8 @@ def render_human(report: dict) -> str:
         f"fees (beta={fees['beta']}): T_pre={fees['t_pre']:.6g} "
         f"T_post={fees['t_post']:.6g} gap={fees['gap']:+.6g}"
     )
-    direction = "raises" if fees["gap"] > 0 else ("lowers" if fees["gap"] < 0 else "leaves unchanged")
-    lines.append(f"  the merger {direction} total negotiated fees")
+    # the report's verdict on the pair, not the sign of gap, which rounding can set
+    lines.append(f"  the merger {FEE_EFFECT[pr['kind']]}")
     if report["shapley"]:
         sh = report["shapley"]
         lines.append(

@@ -296,6 +296,31 @@ def test_cli_analyze_writes_identical_reports(tmp_path, capsys):
     json.loads(out1.read_text())  # canonical output is valid JSON
 
 
+def test_cli_summary_takes_the_fee_direction_from_the_profit_verdict(tmp_path, capsys):
+    # under G = 1 profits are additive, but rounding leaves a second difference
+    # of +2.2e-16 and a gap of -5.6e-17, whose raw sign reads "lowers"
+    raw = reduced_scenario()
+    raw["model"] = {
+        "kind": "reduced_form",
+        "v": [1, 1, 1],
+        "pi": [0.1, 0.2, 0.7],
+        "cdf": {"family": "step", "thresholds": [0.0]},
+    }
+    assert main(["analyze", write_scenario(tmp_path, raw)]) == 0
+    out = capsys.readouterr().out
+    assert "additive in profits at rest 001 (second difference +2.22045e-16)" in out
+    assert "gap=-5.55112e-17" in out
+    assert "  the merger leaves total negotiated fees unchanged\n" in out
+
+
+@pytest.mark.parametrize("pi3,effect", [(10.0, "raises"), (0.1, "lowers")])
+def test_cli_summary_states_the_fee_direction_of_strict_pairs(tmp_path, capsys, pi3, effect):
+    raw = reduced_scenario()
+    raw["model"]["pi"] = [1.0, 1.0, pi3]
+    assert main(["analyze", write_scenario(tmp_path, raw)]) == 0
+    assert f"  the merger {effect} total negotiated fees\n" in capsys.readouterr().out
+
+
 def test_cli_analyze_validation_exit_code(tmp_path, capsys):
     bad = write_scenario(tmp_path, {"schema_version": 1})
     assert main(["analyze", bad]) == 2
