@@ -451,18 +451,15 @@ class ReducedFormMarket:
         return LossRatioReport(cl_1, cl_2, cl_12, cl_1 + cl_2 - cl_12)
 
 
-def gross_relations(market: ReducedFormMarket, traffic: np.ndarray | None = None) -> dict:
+def gross_relations(market: ReducedFormMarket, traffic: np.ndarray) -> dict:
     """Sign of demand changes when the partner product joins the portfolio.
 
     A carried product's demand is the store traffic, so for pair (i, j) the
     changes over the 2^(n-2) rest portfolios are T[rest+i+j] - T[rest+i]
-    (demand for i as j joins) and T[rest+i+j] - T[rest+j], all read off one
-    ``traffic_table`` (built here unless given): 2^n CDF evaluations for
-    every pair at once.
+    (demand for i as j joins) and T[rest+i+j] - T[rest+j], all read off the
+    market's ``traffic_table``: 2^n CDF evaluations for every pair at once.
     """
     n = market.n
-    if traffic is None:
-        traffic = market.traffic_table()
     masks = np.arange(1 << n)
     extremes = {}
     for i in range(1, n + 1):

@@ -377,7 +377,7 @@ def test_gross_relations_match_brute_force(family):
     rng = np.random.default_rng(43)
     for n in range(2, 9):
         market = random_reduced_form_market(rng, family, n=n, strict=False)
-        assert gross_relations(market) == brute_force_gross(market)
+        assert gross_relations(market, market.traffic_table()) == brute_force_gross(market)
 
 
 def test_gross_relations_step_cdf_with_tied_thresholds():
@@ -386,18 +386,18 @@ def test_gross_relations_step_cdf_with_tied_thresholds():
     market = ReducedFormMarket(
         (1.0, 2.0, 1.0, 3.0, 1.0), (1.0, 1.0, 2.0, 1.0, 1.0), StepCdf([3.0, 3.0, 5.0], [0.25, 0.25, 0.5])
     )
-    got = gross_relations(market)
+    got = gross_relations(market, market.traffic_table())
     assert got == brute_force_gross(market)
     assert set(got["pairs"].values()) == {GrossKind.MIXED.value}
     high = ReducedFormMarket((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), StepCdf([4.0, 4.0]))
-    assert gross_relations(high) == brute_force_gross(high)
-    assert gross_relations(high)["overall"] == GrossKind.INDEPENDENT.value
+    assert gross_relations(high, high.traffic_table()) == brute_force_gross(high)
+    assert gross_relations(high, high.traffic_table())["overall"] == GrossKind.INDEPENDENT.value
 
 
 def test_gross_relations_saturated_cdf_is_independent():
     for n in (2, 3, 6):
         market = ReducedFormMarket(tuple(range(1, n + 1)), (1.0,) * n, saturated_cdf())
-        got = gross_relations(market)
+        got = gross_relations(market, market.traffic_table())
         assert got == brute_force_gross(market)
         assert got["overall"] == GrossKind.INDEPENDENT.value
         assert set(got["pairs"].values()) == {GrossKind.INDEPENDENT.value}
@@ -406,7 +406,7 @@ def test_gross_relations_saturated_cdf_is_independent():
 def test_gross_relations_n12_from_sampler():
     market = random_reduced_form_market(np.random.default_rng(4), "exponential", n=12)
     assert sum(market.v) > 60.0  # the draw the sampler's large-market branch covers
-    got = gross_relations(market)
+    got = gross_relations(market, market.traffic_table())
     assert got == brute_force_gross(market)
     assert got["overall"] == GrossKind.STRICT_GROSS_COMPLEMENTS.value
 
@@ -425,7 +425,8 @@ class FallingTraffic(ShoppingCostCdf):
 
 def test_gross_relations_all_substitutes_overall():
     # the overall verdict is the kind every pair shares, substitutes included
-    got = gross_relations(ReducedFormMarket((1.0, 2.0, 0.5), (1.0, 1.0, 1.0), FallingTraffic()))
+    market = ReducedFormMarket((1.0, 2.0, 0.5), (1.0, 1.0, 1.0), FallingTraffic())
+    got = gross_relations(market, market.traffic_table())
     assert set(got["pairs"].values()) == {GrossKind.STRICT_GROSS_SUBSTITUTES.value}
     assert got["overall"] == GrossKind.STRICT_GROSS_SUBSTITUTES.value
 
