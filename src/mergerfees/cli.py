@@ -313,7 +313,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_out(args.out)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader chose to stop and --out is complete; the exit's flush goes to the null device
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return EXIT_OK
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -37,7 +37,8 @@ Two grid diagnostics operate on these families:
   appendix_b's grid is one call.
 * inverse_modularity samples the cross partials d2P_m/dq_i dq_j (i != j)
   over a quantity region and reports whether the inverse demands are weakly
-  supermodular, weakly submodular, both, or neither.
+  supermodular, weakly submodular, both, or neither. It reads them from the
+  family's exact inverse Hessian, and differences P(q) where it has none.
 """
 
 from __future__ import annotations
@@ -165,10 +166,6 @@ class DemandModel:
         p = self.inverse_demand(q)
         return np.linalg.inv(self.demand_jacobian(p))
 
-    def inverse_cross_partial(self, q: np.ndarray, m: int, i: int, j: int) -> float | None:
-        """Closed-form d2P_m/dq_i dq_j (1-based, i != j) where available."""
-        return None
-
     # -- portfolio-restricted system (used by the optimizer) ---------------
 
     def portfolio_inverse(self, q: np.ndarray, carried: tuple[int, ...]) -> np.ndarray:
@@ -212,13 +209,7 @@ class DemandModel:
     def portfolio_inverses(self, q: np.ndarray, carried: tuple[int, ...]) -> np.ndarray:
         """portfolio_inverse at every row of q (S, n), NaN in each row where
         it raises. Default: one portfolio_inverse call per row."""
-        prices = np.empty(q.shape)
-        for r, row in enumerate(q):
-            try:
-                prices[r] = self.portfolio_inverse(row, carried)
-            except ROW_ERRORS:
-                prices[r] = np.nan
-        return prices
+        return _each_row(lambda r: self.portfolio_inverse(q[r], carried), len(q), q.shape[1:])[0]
 
     def portfolio_inverse_jacobians(
         self, q: np.ndarray, p: np.ndarray, carried: tuple[int, ...]
@@ -228,14 +219,7 @@ class DemandModel:
         the hook did not raise; the others are NaN. Default: one call per
         row."""
         k = len(carried)
-        jacobians = np.full((len(q), k, k), np.nan)
-        ok = np.ones(len(q), bool)
-        for r in range(len(q)):
-            try:
-                jacobians[r] = self.portfolio_inverse_jacobian(q[r], p[r], carried)
-            except ROW_ERRORS:
-                ok[r] = False
-        return jacobians, ok
+        return _each_row(lambda r: self.portfolio_inverse_jacobian(q[r], p[r], carried), len(q), (k, k))
 
     def demand_hessians(
         self, p: np.ndarray, carried: tuple[int, ...]
@@ -245,16 +229,7 @@ class DemandModel:
         the others, where it returns None or raises, are NaN. Default: one
         call per row."""
         k = len(carried)
-        hessians = np.full((len(p), k, k, k), np.nan)
-        exact = np.zeros(len(p), bool)
-        for r in range(len(p)):
-            try:
-                hess = self.demand_hessian(p[r], carried)
-            except ROW_ERRORS:
-                continue
-            if hess is not None:
-                hessians[r], exact[r] = hess, True
-        return hessians, exact
+        return _each_row(lambda r: self.demand_hessian(p[r], carried), len(p), (k, k, k))
 
     def portfolio_inverse_hessians(
         self, q: np.ndarray, p: np.ndarray, jac: np.ndarray, carried: tuple[int, ...]
@@ -419,6 +394,24 @@ def _linalg_rows(fn: Callable, use: np.ndarray, *stacks: np.ndarray) -> tuple[np
     return out, ok
 
 
+def _each_row(
+    fn: Callable[[int], np.ndarray | None], count: int, shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """fn(r) for each row r < count, stacked as (count, *shape), and the rows
+    that have a value; the others, where fn raises one of ROW_ERRORS or
+    returns None, are NaN."""
+    stack = np.full((count,) + shape, np.nan)
+    ok = np.zeros(count, bool)
+    for r in range(count):
+        try:
+            row = fn(r)
+        except ROW_ERRORS:
+            continue
+        if row is not None:
+            stack[r], ok[r] = row, True
+    return stack, ok
+
+
 def _first_row(stack: np.ndarray, bad: np.ndarray, message: str) -> np.ndarray:
     """Row 0 of a one-row stack, or a DomainError where that row is outside
     the family's domain: a one-point hook as the one-row case of a stacked one."""
@@ -503,9 +496,6 @@ class LinearDemand(DemandModel):
     def inverse_jacobian(self, q):
         return -self.B
 
-    def inverse_cross_partial(self, q, m, i, j):
-        return 0.0
-
     def portfolio_inverses(self, q, carried):
         return self._inverse_rows(q)
 
@@ -589,16 +579,6 @@ class Eq7Demand(DemandModel):
 
     def inverse_demand(self, q):
         return self.portfolio_inverse(_as_vector(q, 3, "q"), (1, 2, 3))
-
-    def inverse_cross_partial(self, q, m, i, j):
-        if self.b != 0.0:
-            return None  # no closed form; grid scan falls back to differences
-        if m == 3 and {i, j} == {1, 2}:
-            u = q[0] + q[1]
-            if u <= 0:
-                raise DomainError("cross partial singular at q1 + q2 = 0")
-            return -self.gamma / (4.0 * u ** 1.5)
-        return 0.0
 
     def portfolio_inverse(self, q, carried):
         q = np.asarray(q, dtype=float)
@@ -794,9 +774,6 @@ class AppendixBDemand(DemandModel):
         jac[:, 2, :2] = self.gamma
         jac[:, [0, 1, 2], [0, 1, 2]] = -1.0
         return jac
-
-    def inverse_cross_partial(self, q, m, i, j):
-        return 0.0
 
     def portfolio_inverses(self, q, carried):
         return self._inverse_rows(q)
@@ -1096,37 +1073,23 @@ def inverse_modularity(
     Weakly supermodular: every sample >= -tolerance. Weakly submodular:
     every sample <= tolerance. Both when the samples are all within
     tolerance of zero; neither when both signs occur beyond tolerance.
-    Singular nodes are reported and skipped.
+    A partial the model rejects is reported and skipped.
     """
     if region is None:
         region = model.default_quantity_region()
     if region.dim != model.n:
         raise ValueError(f"region dimension {region.dim} != product count {model.n}")
-    best_hi: ModularitySample | None = None
-    best_lo: ModularitySample | None = None
-    skipped: list[str] = []
-    partials = [
-        (m, i, j)
-        for m in range(1, model.n + 1)
-        for i, j in itertools.combinations(range(1, model.n + 1), 2)
-    ]
-    for node in region.nodes():
-        for m, i, j in partials:
-            try:
-                val = model.inverse_cross_partial(node, m, i, j)
-                if val is None:
-                    val = _fd_cross_partial(model.inverse_demand, node, m, i, j)
-            except (DomainError, ConvergenceError) as exc:
-                skipped.append(f"node {tuple(node.tolist())} P_{m} d(q{i},q{j}): {exc}")
-                continue
-            # a sample is built only when it is a new extreme; ties keep the first
-            val = float(val)
-            if best_hi is None or val > best_hi.value:
-                best_hi = ModularitySample(tuple(node.tolist()), m, i, j, val)
-            if best_lo is None or val < best_lo.value:
-                best_lo = ModularitySample(tuple(node.tolist()), m, i, j, val)
-    if best_hi is None or best_lo is None:
+    nodes = region.nodes()
+    every = range(1, model.n + 1)
+    partials = [(m, i, j) for m in every for i, j in itertools.combinations(every, 2)]
+    samples, skipped = _cross_partials(model, nodes, partials)
+    if np.isnan(samples).all():
         raise ConvergenceError("no usable grid node for inverse modularity")
+    # nanargmin and nanargmax keep the first extreme in (node, m, i, j) order
+    best_lo, best_hi = (
+        ModularitySample(tuple(nodes[r].tolist()), *partials[c], float(samples[r, c]))
+        for r, c in (divmod(int(pick(samples)), len(partials)) for pick in (np.nanargmin, np.nanargmax))
+    )
     sup_ok = best_lo.value >= -MODULARITY_TOLERANCE
     sub_ok = best_hi.value <= MODULARITY_TOLERANCE
     if sup_ok and sub_ok:
@@ -1140,3 +1103,30 @@ def inverse_modularity(
     return InverseModularityReport(
         kind, MODULARITY_TOLERANCE, best_lo, best_hi, region, tuple(skipped)
     )
+
+
+def _cross_partials(
+    model: DemandModel, nodes: np.ndarray, partials: list[tuple[int, int, int]]
+) -> tuple[np.ndarray, list[str]]:
+    """d2P_m/dq_i dq_j for each (m, i, j) of partials at each row of nodes, as
+    an (N, len(partials)) array, and a line for each one the model rejects (NaN).
+    One stacked call per hook gives the exact inverse Hessian over all products
+    where the family has one; differences of inverse_demand give the rest."""
+    every = tuple(range(1, model.n + 1))
+    m_idx, i_idx, j_idx = np.array(partials, int).reshape(-1, 3).T - 1
+    prices = model.portfolio_inverses(nodes, every)
+    priced = np.flatnonzero(np.isfinite(prices).all(axis=1))
+    jac, solved = model.portfolio_inverse_jacobians(nodes[priced], prices[priced], every)
+    rows = priced[solved]
+    curvature, exact = model.portfolio_inverse_hessians(nodes[rows], prices[rows], jac[solved], every)
+    samples = np.full((len(nodes), len(partials)), np.nan)
+    # + 0.0: the implicit-function sum gives -0.0 where the closed form is +0.0
+    samples[rows[exact]] = curvature[exact][:, m_idx, i_idx, j_idx] + 0.0
+    skipped = []
+    for r in np.setdiff1d(np.arange(len(nodes)), rows[exact]):
+        for col, (m, i, j) in enumerate(partials):
+            try:
+                samples[r, col] = _fd_cross_partial(model.inverse_demand, nodes[r], m, i, j)
+            except (DomainError, ConvergenceError) as exc:
+                skipped.append(f"node {tuple(nodes[r].tolist())} P_{m} d(q{i},q{j}): {exc}")
+    return samples, skipped

@@ -1,7 +1,10 @@
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -364,6 +367,24 @@ def test_cli_analyze_numerical_exit_code(tmp_path, capsys):
     path = write_scenario(tmp_path, payload)
     assert main(["analyze", path]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_reader_that_closes_the_pipe_ends_with_exit_zero():
+    # `mergerfees analyze FILE | true`: the reader stops reading before the summary
+    root = Path(__file__).parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    scenario = root / "tests" / "golden" / "reduced_form_n8_ownership.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mergerfees.cli", "analyze", str(scenario)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0
+    assert err == b""
 
 
 def test_cli_analyze_step_cdf_whose_weights_round_above_one(tmp_path, capsys):
