@@ -16,13 +16,16 @@ portfolio_inverse_hessians, one row per point. Their defaults loop over the
 rows with the one-point hooks (portfolio_inverse, portfolio_inverse_jacobian,
 demand_hessian), and a row whose hook raises is NaN and flagged, so the
 other rows go on. Linear, eq7 and appendix_b evaluate the stack in closed
-form; there the one-point hook is the one-row case, so each formula has one
-copy. The Jacobian and Hessian hooks take the prices already solved, so a
-point costs one P(q) solve. The Hessian of the restricted inverse is zero
-for linear demand, explicit for appendix_b, and for eq7 and one_stop the
-implicit-function theorem on D(P(q)) = q applied to the family's demand
-Hessian (one_stop's needs G' and G'' from its CDF, so step and table CDFs
-have none). Where a row has none the optimizer differences its gradient.
+form, and one_stop stacks its Jacobian (central differences of the demand,
+then one inversion call) and its demand Hessian; there the one-point hook
+is the one-row case, so each formula has one copy. Only one_stop's
+prices, a traffic solve per row, keep the loop. The Jacobian and Hessian
+hooks take the prices already solved, so a point costs one P(q) solve.
+The Hessian of the restricted inverse is zero for linear demand, explicit
+for appendix_b, and for eq7 and one_stop the implicit-function theorem on
+D(P(q)) = q applied to the family's demand Hessian (one_stop's needs G'
+and G'' from its CDF, so step and table CDFs have none). Where a row has
+none the optimizer differences its gradient.
 
 Two grid diagnostics operate on these families:
 
@@ -359,9 +362,10 @@ def _fd_jacobians(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.n
 
 
 def _block(full: np.ndarray, carried: tuple[int, ...]) -> np.ndarray:
-    """The carried rows and columns of a full (n, n) matrix, in C order."""
+    """The carried rows and columns of a full (n, n) matrix, or of each
+    matrix of an (S, n, n) stack, in C order."""
     idx = [i - 1 for i in carried]
-    return full[:, idx][idx]
+    return np.ascontiguousarray(full[..., idx, :][..., idx])
 
 
 def _linalg_rows(fn: Callable, use: np.ndarray, *stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -816,6 +820,12 @@ class OneStopDemand(DemandModel):
 
     with q_i(p_i) = max(alpha_i - beta_i p_i, 0) and v_i the consumer surplus
     under the sub-demand curve at price p_i.
+
+    P(q) solves the store traffic theta = G(k / theta^2), k = sum q_i^2 /
+    (2 beta_i), by bisection, one row at a time. The price Jacobian inverts
+    central differences of D at the prices held, and the demand Hessian
+    needs G' and G'' from the CDF; both take a stack of rows, and their
+    one-point hooks are the one-row case.
     """
 
     kind = "one_stop"
@@ -872,8 +882,19 @@ class OneStopDemand(DemandModel):
         return (self.alpha - q / theta) / self.beta
 
     def portfolio_inverse_jacobian(self, q, p, carried):
-        # the demand Jacobian at the prices held: inverse_jacobian(q) would solve the traffic again
-        return _block(np.linalg.inv(self.demand_jacobian(p)), carried)
+        jac, ok = self.portfolio_inverse_jacobians(q[None], p[None], carried)
+        if not ok[0]:
+            raise np.linalg.LinAlgError("the demand Jacobian at these prices has no inverse")
+        return jac[0]
+
+    def portfolio_inverse_jacobians(self, q, p, carried):
+        # the demand Jacobians at the prices held, by the grid's stacked central
+        # differences: inverse_jacobian(q) would solve the traffic again
+        priced = np.isfinite(p).all(axis=1)
+        slopes = np.full((len(p), self.n, self.n), np.nan)
+        slopes[priced] = _fd_jacobians(self._demand_rows, p[priced])
+        inverse, ok = _linalg_rows(np.linalg.inv, priced, slopes)
+        return _block(inverse, carried), ok
 
     def _traffic_share(self, k: float) -> float:
         """The store traffic theta = G(k / theta^2) at the sub-demand mass k > 0."""
@@ -897,23 +918,30 @@ class OneStopDemand(DemandModel):
         return hi
 
     def demand_hessian(self, p, carried):
+        hessians, exact = self.demand_hessians(p[None], carried)
+        return hessians[0] if exact[0] else None
+
+    def demand_hessians(self, p, carried):
         # D_m = s_m G(V), s_m = alpha_m - beta_m p_m, dV/dp_k = -s_k:
         # d2D_m/dp_k dp_l = G' (beta_m d_mk s_l + beta_m d_ml s_k + beta_k d_kl s_m)
         #                   + G'' s_m s_k s_l
-        # off the kinks of G and of each carried max(alpha - beta p, 0) at its choke price
+        # off the kinks of G and of each carried max(alpha - beta p, 0) at its choke
+        # price; one scalar CDF call per row, then the formula broadcast over the rows
         idx = [i - 1 for i in carried]
-        derivatives = self.cdf.derivatives(float(np.sum(self.surplus(p))))
-        if derivatives is None or np.any(p[idx] >= (self.alpha / self.beta)[idx]):
-            return None
-        g1, g2 = derivatives
-        s = self.sub_demand(p)[idx]
-        slope = g1 * np.diag(self.beta[idx])
-        return (
-            slope[:, :, None] * s
-            + slope[:, None, :] * s[:, None]
-            + slope * s[:, None, None]
-            + g2 * s[:, None, None] * s[:, None] * s
+        derivatives = [self.cdf.derivatives(float(v)) for v in np.sum(self.surplus(p), axis=1)]
+        at_choke = (p[:, idx] >= (self.alpha / self.beta)[idx]).any(axis=1)
+        exact = np.array([d is not None for d in derivatives], bool) & ~at_choke
+        g1, g2 = np.array([(math.nan, math.nan) if d is None else d for d in derivatives]).reshape(-1, 2).T
+        s = self.sub_demand(p)[:, idx]
+        slope = g1[:, None, None] * np.diag(self.beta[idx])
+        hess = (
+            slope[:, :, :, None] * s[:, None, None, :]
+            + slope[:, :, None, :] * s[:, None, :, None]
+            + slope[:, None, :, :] * s[:, :, None, None]
+            + g2[:, None, None, None] * s[:, :, None, None] * s[:, None, :, None] * s[:, None, None, :]
         )
+        hess[~exact] = np.nan
+        return hess, exact
 
     def choke_quantities(self):
         return self.alpha.copy()

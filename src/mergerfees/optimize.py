@@ -15,9 +15,11 @@ gradient and Hessian at a point. The resulting value function over
 portfolios feeds the set-function classifiers and the bargaining layer.
 The module also provides the partial maximum M(q1, q2) (profit maximized
 over every carried product except 1 and 2, whose quantities are held
-fixed) and its mixed partial from the Hessian at the inner optimum,
-closed-form first-order conditions for the square-root-spillover
-family, the pair second difference of the optimized profit at the full
+fixed) and its mixed partial from the Hessian at the inner optimum. A
+grid of (q1, q2) nodes is solved as one stack, whose rows are the starts
+of every node, and its Hessians are one stacked call. Last come
+closed-form first-order conditions for the square-root-spillover family,
+the pair second difference of the optimized profit at the full
 complement portfolio (negative means the pair are profit substitutes, so
 merging them raises total fees), and a seeded search for parameter draws
 satisfying a predicate.
@@ -373,31 +375,61 @@ def partial_max(model: DemandModel, q1: float, q2: float) -> float:
     supermodularity-preservation argument, and it coincides with the
     portfolio optimum whenever that optimum is interior. With n = 2 it is
     just the two-product profit itself. The starts come from DEFAULT_CONFIG.
+    The one-node case of _inner_optima.
     """
-    return _inner_optimum(model, q1, q2, DEFAULT_CONFIG)[0]
+    return float(_inner_optima(model, np.array([[q1, q2]], dtype=float), DEFAULT_CONFIG)[0][0])
 
 
-def _inner_optimum(
-    model: DemandModel, q1: float, q2: float, cfg: OptimizerConfig
-) -> tuple[float, np.ndarray, _PortfolioObjective]:
-    """partial_max's solve: the best value, its point (q1, q2, w) over
-    products 1..n, and the objective over those products."""
-    carried = tuple(range(3, model.n + 1))
-    obj = _PortfolioObjective(model, (1, 2) + carried, 4)
-    m = len(carried)
-    choke = np.maximum(np.abs(model.choke_quantities()[[i - 1 for i in carried]]), 1.0)
+def _inner_optima(model: DemandModel, fixed: np.ndarray, cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray]:
+    """partial_max's solve at every row (q1, q2) of ``fixed`` (N, 2): the best
+    values (N,) and their points (q1, q2, w) over products 1..n (N, n).
+
+    Every node takes the same four seeded starts, and their rows step in
+    lockstep through one _polish per block of whole nodes, at most
+    STACK_ROWS rows. Once every node is solved, a ConvergenceError names the
+    first node, in row order, where no start converged.
+    """
+    m = model.n - 2
+    choke = np.maximum(np.abs(model.choke_quantities()[2:]), 1.0)
     rng = np.random.default_rng(cfg.seed)
     starts = np.vstack([0.5 * choke, 0.25 * choke, 0.1 * choke + rng.random((2, m)) * choke])
-    fixed = np.broadcast_to(np.array([q1, q2], dtype=float), (len(starts), 2))
+    per_block = STACK_ROWS // len(starts)
+    solved = np.zeros(len(fixed), bool)
+    values = np.full(len(fixed), np.nan)
+    points = np.concatenate([fixed, np.full((len(fixed), m), np.nan)], axis=1)
+    for first in range(0, len(fixed), per_block):
+        block = fixed[first : first + per_block]
+        held = np.repeat(block, len(starts), axis=0)
+        ends, vals, residuals, kept, rows = _inner_block(model, held, np.tile(starts, (len(block), 1)), cfg)
+        good = kept & (residuals <= cfg.gradient_tol)
+        # each node keeps its first best start, in start order
+        for row, val, end in zip(rows[good].tolist(), vals[good].tolist(), ends[good]):
+            node = first + row // len(starts)
+            if not solved[node] or val > values[node]:
+                solved[node], values[node], points[node, 2:] = True, val, end
+    if not solved.all():
+        q1, q2 = fixed[np.argmin(solved)].tolist()
+        raise ConvergenceError(f"inner maximization failed at fixed quantities ({q1}, {q2})")
+    return values, points
 
-    def full(w: np.ndarray) -> np.ndarray:
-        return np.concatenate([fixed[: len(w)], w], axis=1)
+
+def _inner_block(
+    model: DemandModel, held: np.ndarray, w: np.ndarray, cfg: OptimizerConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One _polish of the inner maximization over products 3..n from the
+    starts w (S, n - 2), row r with products 1 and 2 held at held[r]. Returns
+    _polish's results and the rows they belong to, those whose start the
+    model accepts."""
+    obj = _PortfolioObjective(model, tuple(range(1, model.n + 1)), len(w))
+
+    def full(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return np.concatenate([held[rows], w], axis=1)
 
     def value_of(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return obj.values(full(w), rows)
+        return obj.values(full(w, rows), rows)
 
     def grad_of(w: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g, ok = obj.gradients(full(w), rows)
+        g, ok = obj.gradients(full(w, rows), rows)
         g = g[:, 2:]
         for r in np.flatnonzero(~ok):
             # price Jacobian can be singular at boundary anchors (e.g. both
@@ -406,25 +438,16 @@ def _inner_optimum(
         return g, np.ones(len(w), bool)
 
     def hess_of(w: np.ndarray, rows: np.ndarray, free: np.ndarray) -> np.ndarray:
-        held = np.zeros((len(w), 2), bool)
-        return obj.hessians(full(w), rows, np.concatenate([held, free], axis=1))[:, 2:, 2:]
+        fixed = np.zeros((len(w), 2), bool)
+        return obj.hessians(full(w, rows), rows, np.concatenate([fixed, free], axis=1))[:, 2:, 2:]
 
-    unbounded = np.full(m, np.inf)
-    vals = value_of(starts, np.arange(len(starts)))
+    unbounded = np.full(w.shape[1], np.inf)
+    vals = value_of(w, np.arange(len(w)))
     rows = np.flatnonzero(~np.isnan(vals))
     ends, vals, residuals, kept = _polish(
-        value_of, grad_of, hess_of, starts[rows], vals[rows], rows, -unbounded, unbounded,
-        cfg.gradient_tol, 80,
+        value_of, grad_of, hess_of, w[rows], vals[rows], rows, -unbounded, unbounded, cfg.gradient_tol, 80
     )
-    best: tuple[float, np.ndarray] | None = None
-    for end, val, residual, keep in zip(ends, vals, residuals, kept):
-        if keep and residual <= cfg.gradient_tol and (best is None or val > best[0]):
-            best = float(val), end
-    if best is None:
-        raise ConvergenceError(
-            f"inner maximization failed at fixed quantities ({q1}, {q2})"
-        )
-    return best[0], np.concatenate([fixed[0], best[1]]), obj
+    return ends, vals, residuals, kept, rows
 
 
 def mixed_partial_grid(
@@ -437,18 +460,22 @@ def mixed_partial_grid(
     """d2M/dq1 dq2 of the partial maximum M on a grid.
 
     At each node the inner optimum w of partial_max gives it by the envelope
-    theorem from the profit Hessian H there: H_12 - H_1w H_ww^-1 H_w2, one
-    inner solve per node.
+    theorem from the profit Hessian H there: H_12 - H_1w H_ww^-1 H_w2. The
+    inner optima of all nodes are one _inner_optima call, and their
+    Hessians one stacked call. A node whose Hessian the model cannot give
+    reads NaN, and the minimum is over the other nodes.
     """
     axis1 = np.linspace(lo[0], hi[0], resolution)
     axis2 = np.linspace(lo[1], hi[1], resolution)
-    values = np.zeros((resolution, resolution))
-    for r, a in enumerate(axis1):
-        for c, b in enumerate(axis2):
-            _, z, obj = _inner_optimum(model, a, b, cfg)
-            hess = obj.hessians(z[None], np.zeros(1, int), np.ones((1, len(z)), bool))[0]
-            values[r, c] = hess[0, 1] - hess[0, 2:] @ np.linalg.solve(hess[2:, 2:], hess[2:, 1])
-    rmin, cmin = np.unravel_index(np.argmin(values), values.shape)
+    fixed = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1).reshape(-1, 2)
+    _, z = _inner_optima(model, fixed, cfg)
+    obj = _PortfolioObjective(model, tuple(range(1, model.n + 1)), len(z))
+    hess = obj.hessians(z, np.arange(len(z)), np.ones(z.shape, bool))
+    inverse_w2 = np.linalg.solve(hess[:, 2:, 2:], hess[:, 2:, 1:2])  # H_ww^-1 H_w2
+    values = (hess[:, 0, 1] - (hess[:, 0:1, 2:] @ inverse_w2)[:, 0, 0]).reshape(resolution, resolution)
+    if np.isnan(values).all():
+        raise ConvergenceError("no usable grid node for the mixed partial")
+    rmin, cmin = np.unravel_index(np.nanargmin(values), values.shape)
     return {
         "axis1": axis1.tolist(),
         "axis2": axis2.tolist(),

@@ -16,7 +16,9 @@ from mergerfees.demand_systems import (
     OneStopDemand,
     _fd_jacobian,
 )
+from mergerfees.errors import ConvergenceError
 from mergerfees.optimize import (
+    DEFAULT_CONFIG,
     FocVariant,
     OptimizerConfig,
     OptStatus,
@@ -457,16 +459,130 @@ def test_partial_max_envelope_mixed_partial_bound():
 
 
 def test_mixed_partial_grid_solves_each_node_once(monkeypatch):
-    solves = []
-    inner = optimize._inner_optimum
+    solves, polished = [], []
+    inner, polish = optimize._inner_optima, optimize._polish
 
-    def counted(*args):
-        solves.append(args[1:3])
-        return inner(*args)
+    def counted(model, fixed, cfg):
+        solves.extend(map(tuple, fixed.tolist()))
+        return inner(model, fixed, cfg)
 
-    monkeypatch.setattr(optimize, "_inner_optimum", counted)
+    def counted_polish(*args):
+        polished.append(len(args[3]))
+        return polish(*args)
+
+    monkeypatch.setattr(optimize, "_inner_optima", counted)
+    monkeypatch.setattr(optimize, "_polish", counted_polish)
     mixed_partial_grid(AppendixBDemand(-0.125, -0.8, -1e-4), resolution=5, cfg=FAST)
     assert len(solves) == 25 and len(set(solves)) == 25
+    # 16 nodes of 4 starts fill one stack of STACK_ROWS rows; the other 9 nodes take a second
+    assert polished == [64, 36]
+
+
+def _reference_inner_optimum(model, q1, q2, cfg):
+    """The inner solve one node at a time: the node's 4 starts polished
+    together, then its best converged start. Returns the value, the point
+    over products 1..n and the node's objective."""
+    carried = tuple(range(3, model.n + 1))
+    obj = optimize._PortfolioObjective(model, (1, 2) + carried, 4)
+    m = len(carried)
+    choke = np.maximum(np.abs(model.choke_quantities()[[i - 1 for i in carried]]), 1.0)
+    rng = np.random.default_rng(cfg.seed)
+    starts = np.vstack([0.5 * choke, 0.25 * choke, 0.1 * choke + rng.random((2, m)) * choke])
+    fixed = np.broadcast_to(np.array([q1, q2], dtype=float), (len(starts), 2))
+
+    def full(w):
+        return np.concatenate([fixed[: len(w)], w], axis=1)
+
+    def value_of(w, rows):
+        return obj.values(full(w), rows)
+
+    def grad_of(w, rows):
+        g, ok = obj.gradients(full(w), rows)
+        g = g[:, 2:]
+        for r in np.flatnonzero(~ok):
+            g[r] = _fd_jacobian(lambda v: value_of(v[None], rows[r : r + 1])[0], w[r], 1e-6)[0]
+        return g, np.ones(len(w), bool)
+
+    def hess_of(w, rows, free):
+        held = np.zeros((len(w), 2), bool)
+        return obj.hessians(full(w), rows, np.concatenate([held, free], axis=1))[:, 2:, 2:]
+
+    unbounded = np.full(m, np.inf)
+    vals = value_of(starts, np.arange(len(starts)))
+    rows = np.flatnonzero(~np.isnan(vals))
+    ends, vals, residuals, kept = optimize._polish(
+        value_of, grad_of, hess_of, starts[rows], vals[rows], rows, -unbounded, unbounded, cfg.gradient_tol, 80
+    )
+    best = None
+    for end, val, residual, keep in zip(ends, vals, residuals, kept):
+        if keep and residual <= cfg.gradient_tol and (best is None or val > best[0]):
+            best = float(val), end
+    if best is None:
+        raise ConvergenceError(f"inner maximization failed at fixed quantities ({q1}, {q2})")
+    return best[0], np.concatenate([fixed[0], best[1]]), obj
+
+
+def _reference_mixed_partials(model, lo, hi, resolution, cfg):
+    """mixed_partial_grid's values node by node: one inner solve and one
+    Hessian at each node, in grid order."""
+    values = np.zeros((resolution, resolution))
+    for r, a in enumerate(np.linspace(lo[0], hi[0], resolution)):
+        for c, b in enumerate(np.linspace(lo[1], hi[1], resolution)):
+            _, z, obj = _reference_inner_optimum(model, a, b, cfg)
+            hess = obj.hessians(z[None], np.zeros(1, int), np.ones((1, len(z)), bool))[0]
+            values[r, c] = hess[0, 1] - hess[0, 2:] @ np.linalg.solve(hess[2:, 2:], hess[2:, 1])
+    return values
+
+
+_GRID_CASES = [
+    ("appendix_b-", AppendixBDemand(-0.125, -0.8, -1e-4), (0.0, 0.0), (1.0, 1.0)),
+    ("appendix_b+", AppendixBDemand(0.3, 0.4, 0.1), (0.0, 0.0), (1.0, 1.0)),
+    ("linear", random_linear_demand(np.random.default_rng(31), 3, "complements"), (0.0, 0.0), (1.0, 1.0)),
+    ("eq7", Eq7Demand(0.2, 0.5), (0.1, 0.2), (0.6, 0.9)),
+    ("exponential", OneStopDemand([1.1, 1.4, 1.9], [1.8, 1.2, 1.9], ExponentialCdf(1.5)), (0.0, 0.0), (1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("name,model,lo,hi", _GRID_CASES, ids=[case[0] for case in _GRID_CASES])
+def test_mixed_partial_grid_is_the_per_node_loop_bit_for_bit(name, model, lo, hi):
+    for cfg in (DEFAULT_CONFIG, OptimizerConfig(seed=3)):
+        grid = mixed_partial_grid(model, lo, hi, 5, cfg)
+        want = _reference_mixed_partials(model, lo, hi, 5, cfg)
+        assert np.array_equal(np.array(grid["values"]), want, equal_nan=True)
+    for a, b in ((lo[0], hi[1]), (0.5 * (lo[0] + hi[0]), hi[1])):
+        assert partial_max(model, a, b) == _reference_inner_optimum(model, a, b, DEFAULT_CONFIG)[0]
+
+
+def test_partial_max_is_the_one_node_case_of_a_stacked_solve():
+    model = AppendixBDemand(-0.3, -0.4, -0.1)
+    fixed = np.array([[0.1, 0.7], [0.4, 0.2], [0.9, 0.9]])
+    values, points = optimize._inner_optima(model, fixed, DEFAULT_CONFIG)
+    for (a, b), value, point in zip(fixed, values, points):
+        assert partial_max(model, a, b) == value
+        assert np.array_equal(point, _reference_inner_optimum(model, a, b, DEFAULT_CONFIG)[1])
+
+
+def test_mixed_partial_grid_names_the_first_failing_node_in_grid_order():
+    # the inner solve fails at the third node, (0.1, 0.55), of this step-CDF grid
+    model = OneStopDemand([1.1, 1.4, 1.9], [1.8, 1.2, 1.9], StepCdf([0.3, 0.6], [0.5, 0.5]))
+    with pytest.raises(ConvergenceError) as want:
+        _reference_mixed_partials(model, (0.1, 0.2), (0.6, 0.9), 5, DEFAULT_CONFIG)
+    with pytest.raises(ConvergenceError) as got:
+        mixed_partial_grid(model, (0.1, 0.2), (0.6, 0.9), 5)
+    assert str(got.value) == str(want.value) == "inner maximization failed at fixed quantities (0.1, 0.55)"
+
+
+def test_mixed_partial_grid_minimum_passes_over_nodes_without_a_hessian():
+    # at q2 = 0 product 2 sits at its choke price, on a kink: no Hessian, so those nodes read NaN
+    model = OneStopDemand([1.1, 1.4, 1.9], [1.8, 1.2, 1.9], ExponentialCdf(1.5))
+    grid = mixed_partial_grid(model)
+    values = np.array(grid["values"])
+    assert np.isnan(values).sum() == 5 and np.isnan(values[:, 0]).all()
+    r, c = np.unravel_index(np.nanargmin(values), values.shape)
+    assert grid["min"] == np.nanmin(values) and math.isfinite(grid["min"])
+    assert grid["argmin"] == [grid["axis1"][r], grid["axis2"][c]]
+    with pytest.raises(ConvergenceError, match="no usable grid node for the mixed partial"):
+        mixed_partial_grid(model, (0.0, 0.0), (1.0, 0.0))
 
 
 def test_mixed_partial_without_inner_products_is_the_cross_partial():

@@ -156,6 +156,9 @@ def reference_max_profit(model, x, cfg=DEFAULT_CONFIG):
     return OptResult(obj.pad(best_z), best_val, best_kkt, status, used)
 
 
+ONE_STOP_ALPHA, ONE_STOP_BETA = [1.1, 1.4, 1.9], [1.8, 1.2, 1.9]
+
+
 def _one_stop(rng, cdf):
     return OneStopDemand(rng.uniform(0.8, 1.6, 3), rng.uniform(0.8, 1.6, 3), cdf)
 
@@ -293,31 +296,88 @@ def _hook_rows(model, carried, q):
         Eq7Demand(-0.2, -0.5),
         AppendixBDemand(0.3, 0.4, 0.1),
         AppendixBDemand(-0.3, -0.4, -0.1),
+        OneStopDemand(ONE_STOP_ALPHA, ONE_STOP_BETA, ExponentialCdf(1.5)),
+        OneStopDemand(ONE_STOP_ALPHA, ONE_STOP_BETA, AffineClampedCdf(0.2, 2.0)),
+        OneStopDemand(ONE_STOP_ALPHA, ONE_STOP_BETA, PowerCdf(2.0, 2.0)),
+        OneStopDemand(ONE_STOP_ALPHA, ONE_STOP_BETA, StepCdf([0.05, 0.3], [0.5, 0.5])),
+        OneStopDemand(ONE_STOP_ALPHA, ONE_STOP_BETA, TableCdf([(0.0, 0.0), (0.5, 0.4), (2.0, 1.0)])),
     ],
-    ids=["linear", "eq7_b0", "eq7+", "eq7-", "appendix_b+", "appendix_b-"],
+    ids=[
+        "linear", "eq7_b0", "eq7+", "eq7-", "appendix_b+", "appendix_b-",
+        "one_stop_exponential", "one_stop_affine", "one_stop_power", "one_stop_step", "one_stop_table",
+    ],
 )
 def test_closed_form_stacked_hooks_return_the_per_row_rows(model):
     rng = np.random.default_rng(17)
-    seen_rejected = False
+    seen_rejected = seen_singular = seen_kink = False
     for mask in range(1, 8):
         carried = Portfolio(3, mask).indices()
+        idx = [i - 1 for i in carried]
         q = np.zeros((40, 3))
-        q[:, [i - 1 for i in carried]] = rng.uniform(-0.3, 1.5, (40, len(carried)))
+        q[:, idx] = rng.uniform(-0.3, 1.5, (40, len(carried)))
         if model.kind == "appendix_b":
             q[::7, 0] = -1.5  # rejected by the log terms
+        if model.kind == "one_stop":
+            q[:, idx] = np.abs(q[:, idx]) * 0.4 * model.alpha[idx]
+            q[::7, idx[0]] = -0.1  # rejected: quantities must be nonnegative
+            q[1::6, idx[0]] = 0.0  # product at its choke price: a kink, no exact Hessian
+            q[2::9] = 0.0  # every product at its choke price; G(0) = 0 with a flat foot is singular
         with np.errstate(all="ignore"):
             stacked, rows = _hook_rows(model, carried, q)
         p, jac, ok, curvature, exact = stacked
         p_rows, jac_rows, ok_rows, curvature_rows, exact_rows = rows
-        priced = ~np.isnan(p_rows[:, [i - 1 for i in carried]]).any(axis=1)
+        priced = ~np.isnan(p_rows[:, idx]).any(axis=1)
         seen_rejected |= not priced.all()
+        seen_singular |= not ok[priced].all()
         assert np.array_equal(p, p_rows, equal_nan=True)
         assert np.array_equal(ok[priced], ok_rows[priced])
         assert np.array_equal(jac[priced & ok], jac_rows[priced & ok])
         both = priced & ok
         assert np.array_equal(exact[both], exact_rows[both])
         assert np.array_equal(curvature[both & exact], curvature_rows[both & exact])
+        if model.kind == "one_stop":
+            seen_kink |= not exact[both].all()
+            with np.errstate(all="ignore"):
+                jac_old, ok_old, hess_old, exact_old = _one_stop_per_row_hooks(model, carried, p[priced])
+            assert np.array_equal(ok[priced], ok_old)
+            assert np.array_equal(jac[priced][ok_old], jac_old[ok_old])
+            hess, hess_exact = model.demand_hessians(p[priced], carried)
+            assert np.array_equal(hess_exact, exact_old)
+            assert np.array_equal(hess, hess_old, equal_nan=True)
     assert seen_rejected or model.kind == "linear"
+    if model.kind == "one_stop":
+        assert seen_kink
+        # a flat foot of G at zero traffic makes the demand Jacobian vanish at the choke prices
+        assert seen_singular == (model.cdf.family in ("affine", "step"))
+
+
+def _one_stop_per_row_hooks(model, carried, p):
+    """OneStopDemand's Jacobian and Hessian hooks one row at a time: the
+    inverse of each row's difference demand Jacobian, and the demand Hessian
+    formula at each row's prices."""
+    idx = [i - 1 for i in carried]
+    k = len(carried)
+    jac, ok = np.full((len(p), k, k), np.nan), np.zeros(len(p), bool)
+    hess, exact = np.full((len(p), k, k, k), np.nan), np.zeros(len(p), bool)
+    for r, prices in enumerate(p):
+        try:
+            jac[r], ok[r] = np.linalg.inv(_fd_jacobian(model.demand, prices))[:, idx][idx], True
+        except np.linalg.LinAlgError:
+            pass
+        derivatives = model.cdf.derivatives(float(np.sum(model.surplus(prices))))
+        if derivatives is None or np.any(prices[idx] >= (model.alpha / model.beta)[idx]):
+            continue
+        g1, g2 = derivatives
+        s = model.sub_demand(prices)[idx]
+        slope = g1 * np.diag(model.beta[idx])
+        hess[r] = (
+            slope[:, :, None] * s
+            + slope[:, None, :] * s[:, None]
+            + slope * s[:, None, None]
+            + g2 * s[:, None, None] * s[:, None] * s
+        )
+        exact[r] = True
+    return jac, ok, hess, exact
 
 
 @pytest.mark.parametrize("fn", [np.linalg.inv, np.linalg.solve], ids=lambda f: f.__name__)
