@@ -380,7 +380,9 @@ def partial_max(model: DemandModel, q1: float, q2: float) -> float:
     return float(_inner_optima(model, np.array([[q1, q2]], dtype=float), DEFAULT_CONFIG)[0][0])
 
 
-def _inner_optima(model: DemandModel, fixed: np.ndarray, cfg: OptimizerConfig) -> tuple[np.ndarray, np.ndarray]:
+def _inner_optima(
+    model: DemandModel, fixed: np.ndarray, cfg: OptimizerConfig
+) -> tuple[np.ndarray, np.ndarray]:
     """partial_max's solve at every row (q1, q2) of ``fixed`` (N, 2): the best
     values (N,) and their points (q1, q2, w) over products 1..n (N, n).
 
