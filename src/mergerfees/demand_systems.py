@@ -27,6 +27,14 @@ D(P(q)) = q applied to the family's demand Hessian (one_stop's needs G'
 and G'' from its CDF, so step and table CDFs have none). Where a row has
 none the optimizer differences its gradient.
 
+Before any of that, the optimizer asks exact_optimum for the portfolio's
+global maximum over its box. Linear demand with a positive definite
+B + B^T answers by an active-set search for its one KKT point (the QP is
+strictly concave), and eq7 at b = 0 by valuing every root of its
+stationarity cubic and every end of the box; both in Python floats, so
+their optima do not depend on the BLAS kernel. Other families, and these
+two where they cannot certify the maximum, return None.
+
 Two grid diagnostics operate on these families:
 
 * gross_relation samples dD_i/dp_j over a price region and classifies each
@@ -56,7 +64,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .portfolios import GrossKind, gross_verdicts
-from .reduced_form import ShoppingCostCdf
+from .reduced_form import ShoppingCostCdf, StepCdf
 
 INVERSION_TOL = 1e-11  # residual ||P(D(p)) - p||_inf target for numeric inversions
 INVERSION_STEPS = 80  # Newton steps before a numeric inversion gives up
@@ -266,6 +274,16 @@ class DemandModel:
     def describe(self) -> dict:
         return {"kind": self.kind, "n": self.n, "costs": self.costs.tolist()}
 
+    def exact_optimum(
+        self, carried: tuple[int, ...], lb: np.ndarray, ub: np.ndarray
+    ) -> tuple[list[float], float] | None:
+        """The global maximum of the portfolio profit over the box [lb, ub] of
+        the carried quantities: the maximizer, in carried order, and its
+        profit, both from Python float arithmetic. None where the family has
+        no exact solve or cannot certify the maximum; the optimizer then
+        runs its multistart. Default: None."""
+        return None
+
     # -- helpers ------------------------------------------------------------
 
     def _inverse_rows(self, q: np.ndarray) -> np.ndarray:
@@ -453,6 +471,77 @@ def _fd_cross_partial(
     return float(vals / (4 * hi * hj))
 
 
+# Exact solves in Python floats: the same bits on every host, since no BLAS or
+# LAPACK kernel takes part.
+
+
+def _positive_definite(matrix: list[list[float]]) -> bool:
+    """Whether a symmetric matrix is positive definite: its Cholesky
+    factorization finds a positive pivot in every column."""
+    k = len(matrix)
+    low = [[0.0] * k for _ in range(k)]
+    for j in range(k):
+        pivot = matrix[j][j] - sum(low[j][i] * low[j][i] for i in range(j))
+        if not pivot > 0 or not math.isfinite(pivot):
+            return False
+        low[j][j] = math.sqrt(pivot)
+        for r in range(j + 1, k):
+            low[r][j] = (matrix[r][j] - sum(low[r][i] * low[j][i] for i in range(j))) / low[j][j]
+    return True
+
+
+def _solve_small(matrix: list[list[float]], rhs: list[float]) -> list[float] | None:
+    """x with matrix x = rhs, by Gaussian elimination with partial pivoting;
+    None where a pivot is zero."""
+    k = len(rhs)
+    rows = [row[:] + [b] for row, b in zip(matrix, rhs)]
+    for j in range(k):
+        pivot = max(range(j, k), key=lambda r: abs(rows[r][j]))
+        if rows[pivot][j] == 0.0:
+            return None
+        rows[j], rows[pivot] = rows[pivot], rows[j]
+        for r in range(j + 1, k):
+            factor = rows[r][j] / rows[j][j]
+            if factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[j])]
+    x = [0.0] * k
+    for j in reversed(range(k)):
+        x[j] = (rows[j][k] - sum(rows[j][i] * x[i] for i in range(j + 1, k))) / rows[j][j]
+    return x
+
+
+def _cubic_roots(p: float, q: float) -> list[float]:
+    """The real roots of t^3 + p t + q = 0 in ascending order, each refined by
+    Newton steps while they shrink its residual: Cardano's formula for one
+    real root, the trigonometric form for three."""
+    if p == 0.0 and q == 0.0:
+        return [0.0]
+    disc = (0.5 * q) ** 2 + (p / 3.0) ** 3
+    if disc > 0:
+        # the cube root without cancellation first, then its partner -p / (3u)
+        w = -0.5 * q - math.copysign(math.sqrt(disc), q)
+        u = math.copysign(abs(w) ** (1.0 / 3.0), w)
+        roots = [u - p / (3.0 * u)]
+    else:
+        r = math.sqrt(-p / 3.0)
+        phi = math.acos(max(-1.0, min(1.0, -0.5 * q / r**3)))
+        roots = sorted(2.0 * r * math.cos((phi - 2.0 * math.pi * j) / 3.0) for j in range(3))
+    polished = []
+    for t in roots:
+        f = (t * t + p) * t + q
+        for _ in range(8):
+            slope = 3.0 * t * t + p
+            if f == 0.0 or slope == 0.0:
+                break
+            step = t - f / slope
+            g = (step * step + p) * step + q
+            if not abs(g) < abs(f):
+                break
+            t, f = step, g
+        polished.append(t)
+    return polished
+
+
 # ---------------------------------------------------------------------------
 # Families
 # ---------------------------------------------------------------------------
@@ -510,6 +599,57 @@ class LinearDemand(DemandModel):
     def portfolio_inverse_hessians(self, q, p, jac, carried):
         k = len(carried)
         return np.zeros((len(q), k, k, k)), np.ones(len(q), bool)
+
+    def exact_optimum(self, carried, lb, ub):
+        # R(z) = d.z - z.B z over the carried block is a box QP. Where H = B + B^T is
+        # positive definite it is strictly concave, so exactly one point satisfies
+        # its KKT conditions, and it is the maximum. A primal active-set method
+        # (Nocedal & Wright, Numerical Optimization, sec. 16.5) finds it: from the
+        # clipped unconstrained optimum, solve for the free coordinates with the
+        # held ones fixed; step there, or to the first bound in the way, which is
+        # then held; at the step's end release the held coordinate whose slope
+        # pulls hardest off its bound, until none does.
+        idx = [i - 1 for i in carried]
+        k = len(idx)
+        a, c, rows = self.a.tolist(), self.costs.tolist(), self.B.tolist()
+        a, c = [a[i] for i in idx], [c[i] for i in idx]
+        d = [x - y for x, y in zip(a, c)]
+        B = [[rows[i][j] for j in idx] for i in idx]
+        H = [[B[i][j] + B[j][i] for j in range(k)] for i in range(k)]
+        lb, ub = lb.tolist(), ub.tolist()
+        if not _positive_definite(H):
+            return None
+        z, held = None, {}  # held: coordinate -> the bound (lb or ub) that holds it
+        for _ in range(8 * k + 8):
+            free = [i for i in range(k) if i not in held]
+            fixed = sorted(held)
+            rhs = [d[i] - sum(H[i][j] * z[j] for j in fixed) for i in free]
+            target = _solve_small([[H[i][j] for j in free] for i in free], rhs)
+            if target is None:
+                return None
+            outside = [(i, x) for i, x in zip(free, target) if not lb[i] <= x <= ub[i]]
+            if outside and z is None:  # start from the unconstrained optimum, clipped to the box
+                z = [min(max(x, lo), hi) for x, lo, hi in zip(target, lb, ub)]
+                held = {i: lb if x < lb[i] else ub for i, x in outside}
+                continue
+            if outside:  # step to the first bound in the way and hold it there
+                steps = [((ub if x > ub[i] else lb)[i] - z[i]) / (x - z[i]) for i, x in outside]
+                step, (block, x) = min(zip(steps, outside))
+                side = ub if x > ub[block] else lb
+                for i, x in zip(free, target):
+                    z[i] = min(max(z[i] + step * (x - z[i]), lb[i]), ub[i])
+                z[block], held[block] = side[block], side
+                continue
+            z = z or [0.0] * k
+            for i, x in zip(free, target):
+                z[i] = x
+            pulls = [(abs(g), i) for i, g in ((i, d[i] - sum(H[i][j] * z[j] for j in range(k))) for i in fixed)
+                     if (g > 0 if held[i] is lb else g < 0)]
+            if not pulls:
+                prices = [a[i] - sum(B[i][j] * z[j] for j in range(k)) for i in range(k)]
+                return z, sum((prices[i] - c[i]) * z[i] for i in range(k))
+            del held[max(pulls)[1]]
+        return None
 
     def choke_quantities(self):
         q = np.linalg.solve(self.B, self.a - self.costs)
@@ -687,6 +827,46 @@ class Eq7Demand(DemandModel):
                 s[:, i - 1] = q[:, i - 1]
         return 1.0 - s, bad
 
+    def exact_optimum(self, carried, lb, ub):
+        # At b = 0, P_i = 1 - q_i for the pair and P3 = 1 - q3 + gamma sqrt(s), s the
+        # carried pair's total. For fixed s an unequal split of the pair loses
+        # profit, and for fixed pair quantities R is a concave parabola in q3, so
+        # the optimum has one pair quantity q and q3 = clip((1 + gamma sqrt(s)) / 2).
+        # What is left is a function of q alone, whose maximum over [lb, ub] is at
+        # an end or where dR/dq = 0: with t = sqrt(q) and m pair members, a root of
+        #   2 t^3 - (1 + gamma^2 / 4) t - gamma / (4 sqrt(m)) = 0   (q3 inside its box)
+        #   2 t^3 - t - c gamma / (2 sqrt(m)) = 0                   (q3 held at c)
+        # Every such candidate is valued, and the best is the maximum.
+        if self.b != 0.0 or not math.isfinite(self.gamma):
+            return None
+        g = self.gamma
+        lb, ub = lb.tolist(), ub.tolist()
+        pair = [at for at, prod in enumerate(carried) if prod in (1, 2)]
+        if 3 not in carried or not pair or g == 0.0:  # no spillover: each product alone
+            z = [min(max(0.5, lo), hi) for lo, hi in zip(lb, ub)]
+            return z, self._b0_profit(z, carried)
+        if len({lb[at] for at in pair}) > 1 or len({ub[at] for at in pair}) > 1:
+            return None
+        three, m = carried.index(3), len(pair)
+        lo, hi, lo3, hi3 = lb[pair[0]], ub[pair[0]], lb[three], ub[three]
+        candidates = [lo, hi]
+        for a, c in ((1.0 + 0.25 * g * g, 0.25 * g), (1.0, 0.5 * lo3 * g), (1.0, 0.5 * hi3 * g)):
+            roots = _cubic_roots(-0.5 * a, -0.5 * c / math.sqrt(m))
+            candidates += [t * t for t in roots if t > 0 and lo <= t * t <= hi]
+        best = None
+        for q in candidates:
+            z = [q] * len(carried)
+            z[three] = min(max(0.5 * (1.0 + g * math.sqrt(m * q)), lo3), hi3)
+            value = self._b0_profit(z, carried)
+            if best is None or value > best[1]:
+                best = z, value
+        return best
+
+    def _b0_profit(self, z: list[float], carried: tuple[int, ...]) -> float:
+        """Portfolio profit at b = 0 at the carried quantities z (eq7 has no costs)."""
+        spill = self.gamma * math.sqrt(sum(x for x, prod in zip(z, carried) if prod != 3))
+        return sum((1.0 - x + (spill if prod == 3 else 0.0)) * x for x, prod in zip(z, carried))
+
     def choke_quantities(self):
         return np.abs(self.demand(np.zeros(3)))
 
@@ -822,7 +1002,8 @@ class OneStopDemand(DemandModel):
     under the sub-demand curve at price p_i.
 
     P(q) solves the store traffic theta = G(k / theta^2), k = sum q_i^2 /
-    (2 beta_i), by bisection, one row at a time. The price Jacobian inverts
+    (2 beta_i), one row at a time: Illinois steps (plain halving under a
+    step CDF) that end on the float halving would. The price Jacobian inverts
     central differences of D at the prices held, and the demand Hessian
     needs G' and G'' from the CDF; both take a stack of rows, and their
     one-point hooks are the one-row case.
@@ -898,21 +1079,35 @@ class OneStopDemand(DemandModel):
 
     def _traffic_share(self, k: float) -> float:
         """The store traffic theta = G(k / theta^2) at the sub-demand mass k > 0."""
-        # theta - G(k / theta^2) rises strictly in theta (G is nondecreasing), so halving
-        # [0, 1] down to adjacent floats leaves hi the smallest theta with residual >= 0
+        # theta - G(k / theta^2) rises strictly in theta (G is nondecreasing), so
+        # narrowing [0, 1] down to adjacent floats leaves hi the smallest theta with
+        # residual >= 0, whichever points narrow it. Halving does while lo = 0, which
+        # is where an unattainable traffic shows; then, for a continuous G, Illinois
+        # steps (regula falsi that halves the residual kept at an end twice in a
+        # row) narrow the bracket to a few floats, and halving ends it.
         def residual(theta: float) -> float:
             return theta - self.cdf(k / (theta * theta))
 
-        if residual(1.0) < 0:  # cannot happen for a true CDF; guards bad tables
+        r_lo, r_hi = math.nan, residual(1.0)
+        if r_hi < 0:  # cannot happen for a true CDF; guards bad tables
             raise ConvergenceError("traffic equation has no root at theta = 1")
-        lo, hi = 0.0, 1.0
+        lo, hi, kept = 0.0, 1.0, 0
+        secant = not isinstance(self.cdf, StepCdf)
         while lo < (mid := 0.5 * (lo + hi)) < hi:
             if mid < 2.0**-80:
                 raise ConvergenceError("required store traffic is unattainable under this CDF")
-            if residual(mid) < 0:
-                lo = mid
+            if secant and lo > 0 and hi - lo > 4 * math.ulp(hi):
+                guess = hi - r_hi * (hi - lo) / (r_hi - r_lo)
+                mid = guess if lo < guess < hi else mid
+            r = residual(mid)
+            if r < 0:
+                lo, r_lo = mid, r
+                r_hi *= 0.5 if kept == 1 else 1.0
+                kept = 1
             else:
-                hi = mid
+                hi, r_hi = mid, r
+                r_lo *= 0.5 if kept == -1 else 1.0
+                kept = -1
         if residual(hi) > 1e-9:
             raise ConvergenceError("traffic equation residual too large (discontinuous CDF?)")
         return hi

@@ -4,6 +4,10 @@ For a demand model and a portfolio x, the intermediary's gross profit is
 
     max_q  sum_{i in x} (P_i(q) - c_i) q_i   s.t.  q_i = 0 for i not in x
 
+over a box of the carried quantities. Where the model has an exact solve
+(DemandModel.exact_optimum: linear demand with a positive definite B + B^T,
+eq7 at b = 0) it answers in Python floats, with no start. Everywhere else,
+and wherever that solve cannot certify the global maximum, the problem is
 solved by damped Newton ascent from several starts, with coordinates held
 at a bound by their slope kept fixed. The starts are stepped together as
 the rows of one stack, each taking the steps it would take alone, so one
@@ -34,7 +38,14 @@ from typing import Callable
 
 import numpy as np
 
-from .demand_systems import DemandModel, GrossRelationReport, _fd_jacobian, _linalg_rows, gross_relation
+from .demand_systems import (
+    DemandModel,
+    GrossRelationReport,
+    _cubic_roots,
+    _fd_jacobian,
+    _linalg_rows,
+    gross_relation,
+)
 from .errors import ConvergenceError
 from .portfolios import Portfolio, SetFunction, second_difference
 
@@ -281,6 +292,36 @@ def max_profit(
 ) -> OptResult:
     """Maximize portfolio profit over nonnegative carried quantities.
 
+    The model's exact solve answers first where it has one (linear demand
+    with a positive definite B + B^T, eq7 at b = 0): converged, with no
+    start used and a zero KKT residual, so cfg.multistart and cfg.seed do
+    not act on it. Where it returns None the multistart optimizer runs.
+    """
+    if x.n != model.n:
+        raise ValueError(f"portfolio has {x.n} products, model has {model.n}")
+    carried = x.indices()
+    if not carried:
+        return OptResult(np.zeros(model.n), 0.0, 0.0, OptStatus.CONVERGED, 0)
+    _, lb, ub = _box(model, carried, cfg)
+    exact = model.exact_optimum(carried, lb, ub)
+    if exact is None:
+        return _multistart(model, x, cfg)
+    z, value = exact
+    q = np.zeros(model.n)
+    q[[i - 1 for i in carried]] = z
+    return OptResult(q, value, 0.0, OptStatus.CONVERGED, 0)
+
+
+def _box(model: DemandModel, carried: tuple[int, ...], cfg: OptimizerConfig) -> tuple[np.ndarray, ...]:
+    """The carried products' choke scale and the optimizer's box [lb, ub] for them."""
+    choke = np.maximum(np.abs(model.choke_quantities()[[i - 1 for i in carried]]), 1.0)
+    floor = cfg.floor if model.singular_at_zero else 0.0
+    return choke, np.full(len(carried), floor), 10.0 * choke
+
+
+def _multistart(model: DemandModel, x: Portfolio, cfg: OptimizerConfig) -> OptResult:
+    """max_profit by damped Newton ascent from several starts.
+
     The best of ``cfg.multistart`` starts is returned. The starts are
     valued and stepped as one stack, or as blocks of STACK_ROWS. When
     several starts settle on stationary points with materially different
@@ -288,18 +329,9 @@ def max_profit(
     one, but uniqueness of the optimum failed and callers may want to flag
     it.
     """
-    if x.n != model.n:
-        raise ValueError(f"portfolio has {x.n} products, model has {model.n}")
     carried = x.indices()
-    if not carried:
-        return OptResult(np.zeros(model.n), 0.0, 0.0, OptStatus.CONVERGED, 0)
-
     obj = _PortfolioObjective(model, carried, min(cfg.multistart, STACK_ROWS))
-    k = len(carried)
-    choke = np.maximum(np.abs(model.choke_quantities()[obj.idx]), 1.0)
-    floor = cfg.floor if model.singular_at_zero else 0.0
-    lb = np.full(k, floor)
-    ub = 10.0 * choke
+    choke, lb, ub = _box(model, carried, cfg)
     rng = np.random.default_rng(cfg.seed)
 
     anchor = 0.5 * choke
@@ -382,14 +414,16 @@ def partial_max(model: DemandModel, q1: float, q2: float) -> float:
 
 def _inner_optima(
     model: DemandModel, fixed: np.ndarray, cfg: OptimizerConfig
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """partial_max's solve at every row (q1, q2) of ``fixed`` (N, 2): the best
-    values (N,) and their points (q1, q2, w) over products 1..n (N, n).
+    values (N,), their points (q1, q2, w) over products 1..n (N, n), and why
+    each failed node failed, in row order.
 
     Every node takes the same four seeded starts, and their rows step in
     lockstep through one _polish per block of whole nodes, at most
-    STACK_ROWS rows. Once every node is solved, a ConvergenceError names the
-    first node, in row order, where no start converged.
+    STACK_ROWS rows. A node where no start converged reads NaN. Once every
+    node is tried, a ConvergenceError names the first of them when no node
+    solved.
     """
     m = model.n - 2
     choke = np.maximum(np.abs(model.choke_quantities()[2:]), 1.0)
@@ -409,10 +443,12 @@ def _inner_optima(
             node = first + row // len(starts)
             if not solved[node] or val > values[node]:
                 solved[node], values[node], points[node, 2:] = True, val, end
-    if not solved.all():
-        q1, q2 = fixed[np.argmin(solved)].tolist()
-        raise ConvergenceError(f"inner maximization failed at fixed quantities ({q1}, {q2})")
-    return values, points
+    failures = [
+        f"inner maximization failed at fixed quantities ({q1}, {q2})" for q1, q2 in fixed[~solved].tolist()
+    ]
+    if not solved.any():
+        raise ConvergenceError(failures[0])
+    return values, points, failures
 
 
 def _inner_block(
@@ -464,15 +500,18 @@ def mixed_partial_grid(
     At each node the inner optimum w of partial_max gives it by the envelope
     theorem from the profit Hessian H there: H_12 - H_1w H_ww^-1 H_w2. The
     inner optima of all nodes are one _inner_optima call, and their
-    Hessians one stacked call. A node whose Hessian the model cannot give
-    reads NaN, and the minimum is over the other nodes.
+    Hessians one stacked call. A node whose inner solve fails, or whose
+    Hessian the model cannot give, reads NaN, and the minimum is over the
+    other nodes; ``failures`` gives the reason for each failed inner solve.
     """
     axis1 = np.linspace(lo[0], hi[0], resolution)
     axis2 = np.linspace(lo[1], hi[1], resolution)
     fixed = np.stack(np.meshgrid(axis1, axis2, indexing="ij"), axis=-1).reshape(-1, 2)
-    _, z = _inner_optima(model, fixed, cfg)
-    obj = _PortfolioObjective(model, tuple(range(1, model.n + 1)), len(z))
-    hess = obj.hessians(z, np.arange(len(z)), np.ones(z.shape, bool))
+    _, z, failures = _inner_optima(model, fixed, cfg)
+    solved = np.flatnonzero(~np.isnan(z).any(axis=1))
+    obj = _PortfolioObjective(model, tuple(range(1, model.n + 1)), len(solved))
+    hess = np.full((len(z), model.n, model.n), np.nan)
+    hess[solved] = obj.hessians(z[solved], np.arange(len(solved)), np.ones((len(solved), model.n), bool))
     inverse_w2 = np.linalg.solve(hess[:, 2:, 2:], hess[:, 2:, 1:2])  # H_ww^-1 H_w2
     values = (hess[:, 0, 1] - (hess[:, 0:1, 2:] @ inverse_w2)[:, 0, 0]).reshape(resolution, resolution)
     if np.isnan(values).all():
@@ -484,6 +523,7 @@ def mixed_partial_grid(
         "values": values.tolist(),
         "min": float(values[rmin, cmin]),
         "argmin": [float(axis1[rmin]), float(axis2[cmin])],
+        "failures": failures,
     }
 
 
@@ -536,8 +576,7 @@ def solve_foc_eq7(gamma: float, variant: FocVariant | str) -> FocSolution:
 
     # with t = sqrt(q) the condition is the cubic 2 t^3 - (1 + gamma^2/4) t - gamma k = 0
     k = math.sqrt(2) / 8 if two else 0.25
-    cubic = [2.0, 0.0, -(1 + gamma * gamma / 4), -gamma * k]
-    ts = [float(t.real) for t in np.roots(cubic) if t.imag == 0]
+    ts = _cubic_roots(-0.5 * (1 + gamma * gamma / 4), -0.5 * gamma * k)
     roots = sorted(t * t for t in ts if t > 0 and t * t <= 2)
     if not roots:
         raise ConvergenceError(f"no positive stationary point for gamma={gamma}")

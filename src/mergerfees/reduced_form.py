@@ -196,12 +196,12 @@ class TableCdf(ShoppingCostCdf):
         s = max(s, 0.0)
         if s <= self._xs[0]:
             return self._ys[0]
-        if s >= self._xs[-1]:
-            return self._ys[-1]
-        k = bisect.bisect_right(self._xs, s)
-        x0, x1 = self._xs[k - 1], self._xs[k]
-        y0, y1 = self._ys[k - 1], self._ys[k]
-        return y0 + (y1 - y0) * (s - x0) / (x1 - x0)
+        if s < self._xs[-1]:
+            k = bisect.bisect_right(self._xs, s)
+            x0, x1 = self._xs[k - 1], self._xs[k]
+            y0, y1 = self._ys[k - 1], self._ys[k]
+            return y0 + (y1 - y0) * (s - x0) / (x1 - x0)
+        return self._ys[-1] if s >= self._xs[-1] else math.nan  # NaN fails every comparison
 
     def params(self) -> dict:
         return {"points": [list(p) for p in self.points]}

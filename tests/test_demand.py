@@ -400,6 +400,80 @@ def test_one_stop_traffic_is_the_smallest_float_root():
             assert np.max(np.abs(m.demand(p) - q)) <= 1e-12, m.cdf.family
 
 
+def _halving_traffic_share(model, k):
+    """The traffic solve by plain halving of [0, 1] down to adjacent floats:
+    the reference OneStopDemand._traffic_share must match bit for bit."""
+
+    def residual(theta):
+        return theta - model.cdf(k / (theta * theta))
+
+    if residual(1.0) < 0:
+        raise ConvergenceError("traffic equation has no root at theta = 1")
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if mid < 2.0**-80:
+            raise ConvergenceError("required store traffic is unattainable under this CDF")
+        if residual(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    if residual(hi) > 1e-9:
+        raise ConvergenceError("traffic equation residual too large (discontinuous CDF?)")
+    return hi
+
+
+def _traffic_outcome(solve, *args):
+    try:
+        return solve(*args)
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "cdfs",
+    [
+        [ExponentialCdf(0.26), ExponentialCdf(3.0)],
+        [AffineClampedCdf(0.0, 2.0), AffineClampedCdf(0.2, 1.5)],
+        [PowerCdf(2.0, 1.5), PowerCdf(0.5, 2.0)],
+        [TableCdf([(0.0, 0.0), (0.5, 0.4), (1.5, 1.0)]), TableCdf([(0.1, 0.0), (0.3, 0.2), (0.9, 0.7), (2.0, 1.0)])],
+        [StepCdf([0.05, 0.3], [0.5, 0.5]), StepCdf([0.0, 10.0])],
+    ],
+    ids=["exponential", "affine", "power", "table", "step"],
+)
+def test_one_stop_traffic_share_is_the_halving_float(cdfs):
+    # the solve narrows its bracket by other points than halving; the float it
+    # ends on, or the error it raises, must be halving's at every sub-demand mass
+    rng = np.random.default_rng(23)
+    seen = set()
+    for cdf in cdfs:
+        model = OneStopDemand([1.0, 1.0], [1.0, 1.0], cdf)
+        for k in (10.0 ** rng.uniform(-7.0, 3.0, 2500)).tolist():
+            want = _traffic_outcome(_halving_traffic_share, model, k)
+            assert _traffic_outcome(model._traffic_share, k) == want, (cdf, k)
+            seen.add(type(want))
+    assert float in seen
+
+
+def test_one_stop_hooks_under_a_table_cdf_give_a_nan_row_for_a_nan_row():
+    # TableCdf placed NaN past its last breakpoint and raised IndexError, which
+    # escaped the stacked hooks' per-row catch
+    cdf = TableCdf([(0.0, 0.0), (0.5, 0.4), (1.5, 1.0)])
+    assert math.isnan(cdf(math.nan))
+    model = OneStopDemand([1.1, 1.4, 1.9], [1.8, 1.2, 1.9], cdf)
+    every = (1, 2, 3)
+    q = np.array([[0.2, 0.3, 0.4], [math.nan, 0.3, 0.4]])
+    p = model.portfolio_inverses(q, every)
+    assert np.isfinite(p[0]).all() and np.isnan(p[1]).all()
+    p[1] = [math.nan, 0.4, 0.5]
+    jac, ok = model.portfolio_inverse_jacobians(q, p, every)
+    assert ok.tolist() == [True, False] and np.isnan(jac[1]).all()
+    hess, exact = model.demand_hessians(p, every)
+    assert not exact[1] and np.isnan(hess[1]).all()
+    slopes, failures = model.demand_jacobians(p)
+    assert np.isfinite(slopes[0]).all() and np.isnan(slopes[1]).all()
+    assert np.isnan(model.demand(p[1])).all()
+
+
 class _AboveOneCdf(ShoppingCostCdf):
     family = "above_one"
 

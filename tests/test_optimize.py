@@ -247,7 +247,7 @@ class _NanJacobianDemand(LinearDemand):
 
 def test_max_profit_reports_a_nan_gradient_as_maxiter():
     m = _NanJacobianDemand([1.0, 1.0], np.eye(2))
-    res = max_profit(m, Portfolio.full(2), FAST)
+    res = optimize._multistart(m, Portfolio.full(2), FAST)
     assert res.status is OptStatus.MAXITER
     assert math.isnan(res.gradient_norm)
     assert res.starts_used == 2
@@ -275,7 +275,7 @@ def test_max_profit_computes_no_gradient_outside_polish(monkeypatch):
     monkeypatch.setattr(optimize, "_polish", tracked_polish)
     for model in (Eq7Demand(0.15, 0.5), LinearDemand([1.0, 1.0], [[1.0, 0.2], [0.2, 1.0]])):
         for mask in range(1, 2**model.n):
-            max_profit(model, Portfolio(model.n, mask), CFG)
+            optimize._multistart(model, Portfolio(model.n, mask), CFG)
     assert outside == []
 
 
@@ -299,7 +299,7 @@ def test_max_profit_values_each_start_once_before_polish(monkeypatch):
     monkeypatch.setattr(optimize._PortfolioObjective, "values", counted_values)
     monkeypatch.setattr(optimize, "_polish", tracked_polish)
     model = LinearDemand([1.0, 1.0], [[1.0, 0.2], [0.2, 1.0]])
-    res = max_profit(model, Portfolio.full(2), OptimizerConfig(multistart=4))
+    res = optimize._multistart(model, Portfolio.full(2), OptimizerConfig(multistart=4))
     assert res.starts_used == 4
     assert before_polish == [1]
 
@@ -524,14 +524,20 @@ def _reference_inner_optimum(model, q1, q2, cfg):
 
 def _reference_mixed_partials(model, lo, hi, resolution, cfg):
     """mixed_partial_grid's values node by node: one inner solve and one
-    Hessian at each node, in grid order."""
-    values = np.zeros((resolution, resolution))
+    Hessian at each node, in grid order. A node whose inner solve fails is
+    NaN; the second result lists their errors in grid order."""
+    values = np.full((resolution, resolution), np.nan)
+    failures = []
     for r, a in enumerate(np.linspace(lo[0], hi[0], resolution)):
         for c, b in enumerate(np.linspace(lo[1], hi[1], resolution)):
-            _, z, obj = _reference_inner_optimum(model, a, b, cfg)
+            try:
+                _, z, obj = _reference_inner_optimum(model, a, b, cfg)
+            except ConvergenceError as exc:
+                failures.append(str(exc))
+                continue
             hess = obj.hessians(z[None], np.zeros(1, int), np.ones((1, len(z)), bool))[0]
             values[r, c] = hess[0, 1] - hess[0, 2:] @ np.linalg.solve(hess[2:, 2:], hess[2:, 1])
-    return values
+    return values, failures
 
 
 _GRID_CASES = [
@@ -547,8 +553,9 @@ _GRID_CASES = [
 def test_mixed_partial_grid_is_the_per_node_loop_bit_for_bit(name, model, lo, hi):
     for cfg in (DEFAULT_CONFIG, OptimizerConfig(seed=3)):
         grid = mixed_partial_grid(model, lo, hi, 5, cfg)
-        want = _reference_mixed_partials(model, lo, hi, 5, cfg)
+        want, failures = _reference_mixed_partials(model, lo, hi, 5, cfg)
         assert np.array_equal(np.array(grid["values"]), want, equal_nan=True)
+        assert grid["failures"] == failures == []
     for a, b in ((lo[0], hi[1]), (0.5 * (lo[0] + hi[0]), hi[1])):
         assert partial_max(model, a, b) == _reference_inner_optimum(model, a, b, DEFAULT_CONFIG)[0]
 
@@ -556,20 +563,38 @@ def test_mixed_partial_grid_is_the_per_node_loop_bit_for_bit(name, model, lo, hi
 def test_partial_max_is_the_one_node_case_of_a_stacked_solve():
     model = AppendixBDemand(-0.3, -0.4, -0.1)
     fixed = np.array([[0.1, 0.7], [0.4, 0.2], [0.9, 0.9]])
-    values, points = optimize._inner_optima(model, fixed, DEFAULT_CONFIG)
+    values, points, failures = optimize._inner_optima(model, fixed, DEFAULT_CONFIG)
+    assert failures == []
     for (a, b), value, point in zip(fixed, values, points):
         assert partial_max(model, a, b) == value
         assert np.array_equal(point, _reference_inner_optimum(model, a, b, DEFAULT_CONFIG)[1])
 
 
 def test_mixed_partial_grid_names_the_first_failing_node_in_grid_order():
-    # the inner solve fails at the third node, (0.1, 0.55), of this step-CDF grid
+    # the inner solve fails at 16 of the 25 nodes of this step-CDF grid, first at
+    # the third, (0.1, 0.55); those nodes read NaN, and the others their values
     model = OneStopDemand([1.1, 1.4, 1.9], [1.8, 1.2, 1.9], StepCdf([0.3, 0.6], [0.5, 0.5]))
-    with pytest.raises(ConvergenceError) as want:
-        _reference_mixed_partials(model, (0.1, 0.2), (0.6, 0.9), 5, DEFAULT_CONFIG)
-    with pytest.raises(ConvergenceError) as got:
-        mixed_partial_grid(model, (0.1, 0.2), (0.6, 0.9), 5)
-    assert str(got.value) == str(want.value) == "inner maximization failed at fixed quantities (0.1, 0.55)"
+    want, failures = _reference_mixed_partials(model, (0.1, 0.2), (0.6, 0.9), 5, DEFAULT_CONFIG)
+    grid = mixed_partial_grid(model, (0.1, 0.2), (0.6, 0.9), 5)
+    assert np.array_equal(np.array(grid["values"]), want, equal_nan=True)
+    assert grid["failures"] == failures and len(failures) == 16
+    assert failures[0] == "inner maximization failed at fixed quantities (0.1, 0.55)"
+    assert np.isnan(want[0, 2]) and np.isfinite(want).sum() == 9
+    with pytest.raises(ConvergenceError, match=r"^inner maximization failed at fixed quantities \(0\.1, 0\.55\)$"):
+        partial_max(model, 0.1, 0.55)
+
+
+def test_mixed_partial_grid_reads_a_node_whose_inner_solve_fails_as_nan():
+    # no start of the inner solve converges at q1 = q2 = 0; the other 24 nodes
+    # are the per-node loop's values bit for bit
+    model = Eq7Demand(0.2, 0.5)
+    grid = mixed_partial_grid(model)
+    want, failures = _reference_mixed_partials(model, (0.0, 0.0), (1.0, 1.0), 5, DEFAULT_CONFIG)
+    values = np.array(grid["values"])
+    assert grid["failures"] == failures == ["inner maximization failed at fixed quantities (0.0, 0.0)"]
+    assert np.isnan(values[0, 0]) and np.isfinite(np.delete(values.ravel(), 0)).all()
+    assert np.array_equal(values, want, equal_nan=True)
+    assert grid["min"] == np.nanmin(values)
 
 
 def test_mixed_partial_grid_minimum_passes_over_nodes_without_a_hessian():

@@ -5,7 +5,9 @@ before the starts of a portfolio were stepped together: one start at a time,
 on 1-D arrays and the one-point model hooks, with a rejected point raising.
 Seeded draws of every demand family must give the same status and starts
 used, the same value to 1e-12 relative and the same q to 1e-9, and each
-stacked family hook must return the rows of its per-row default.
+stacked family hook must return the rows of its per-row default. The
+linear and eq7 b = 0 draws, which max_profit solves exactly, check
+``_multistart``, the optimizer max_profit falls back on.
 """
 
 import math
@@ -192,12 +194,14 @@ def _draws():
 
 
 DRAWS = _draws()
+EXACT_FAMILIES = ("linear", "eq7_b0")  # max_profit answers these without starts
 
 
-def _assert_matches_reference(model, cfg):
+def _assert_matches_reference(family, model, cfg):
+    solve = optimize._multistart if family in EXACT_FAMILIES else max_profit
     for mask in range(1, 2**model.n):
         x = Portfolio(model.n, mask)
-        got, want = max_profit(model, x, cfg), reference_max_profit(model, x, cfg)
+        got, want = solve(model, x, cfg), reference_max_profit(model, x, cfg)
         assert (got.status, got.starts_used) == (want.status, want.starts_used), x.key()
         assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-300), x.key()
         assert np.max(np.abs(got.q - want.q)) <= 1e-9, x.key()
@@ -205,14 +209,14 @@ def _assert_matches_reference(model, cfg):
 
 @pytest.mark.parametrize("family,model", DRAWS, ids=[f for f, _ in DRAWS])
 def test_stacked_optimizer_matches_the_per_start_reference(family, model):
-    _assert_matches_reference(model, DEFAULT_CONFIG)
+    _assert_matches_reference(family, model, DEFAULT_CONFIG)
 
 
 @pytest.mark.parametrize("family,model", [DRAWS[3], DRAWS[5]], ids=[DRAWS[3][0], DRAWS[5][0]])
 def test_starts_beyond_one_stack_match_the_reference(family, model):
     # two blocks of starts, and a step budget that ends most starts early
-    _assert_matches_reference(model, OptimizerConfig(multistart=optimize.STACK_ROWS + 6, seed=3))
-    _assert_matches_reference(model, OptimizerConfig(multistart=3, max_iter=2))
+    _assert_matches_reference(family, model, OptimizerConfig(multistart=optimize.STACK_ROWS + 6, seed=3))
+    _assert_matches_reference(family, model, OptimizerConfig(multistart=3, max_iter=2))
 
 
 def test_reference_draws_cover_every_family():
