@@ -1091,7 +1091,7 @@ class OneStopDemand(DemandModel):
         r_lo, r_hi = math.nan, residual(1.0)
         if r_hi < 0:  # cannot happen for a true CDF; guards bad tables
             raise ConvergenceError("traffic equation has no root at theta = 1")
-        lo, hi, kept = 0.0, 1.0, 0
+        lo, hi, kept = 0.0, 1.0, 0  # kept: 1 or -1 after a step that kept hi or lo
         secant = not isinstance(self.cdf, StepCdf)
         while lo < (mid := 0.5 * (lo + hi)) < hi:
             if mid < 2.0**-80:
@@ -1102,11 +1102,13 @@ class OneStopDemand(DemandModel):
             r = residual(mid)
             if r < 0:
                 lo, r_lo = mid, r
-                r_hi *= 0.5 if kept == 1 else 1.0
+                if kept == 1:
+                    r_hi *= 0.5
                 kept = 1
             else:
                 hi, r_hi = mid, r
-                r_lo *= 0.5 if kept == -1 else 1.0
+                if kept == -1:
+                    r_lo *= 0.5
                 kept = -1
         if residual(hi) > 1e-9:
             raise ConvergenceError("traffic equation residual too large (discontinuous CDF?)")

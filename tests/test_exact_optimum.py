@@ -9,6 +9,7 @@ each model takes is asserted too: exact where the family can certify the
 optimum, the multistart everywhere else.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -101,8 +102,7 @@ def test_linear_without_a_positive_definite_symmetric_part_falls_back(monkeypatc
         for _ in range(4):
             B = np.eye(n) + np.triu(rng.uniform(1.5, 3.0, (n, n)), 1)  # B + B^T indefinite
             model = LinearDemand(rng.uniform(1.0, 2.0, n), B)
-            exact = lambda carried, model=model: _positive_definite_block(model, carried)  # noqa: E731
-            _check_every_portfolio(model, fallbacks, exact)
+            _check_every_portfolio(model, fallbacks, functools.partial(_positive_definite_block, model))
             fell_back += len(fallbacks)
             fallbacks.clear()
     assert fell_back > 0
