@@ -17,11 +17,8 @@ from .portfolios import (
     PairRelation,
     Portfolio,
     SetFunction,
-    additive_function,
-    all_portfolios,
     classify_modularity,
     classify_pair,
-    rest_portfolios,
     second_difference,
 )
 from .reduced_form import (
@@ -35,7 +32,6 @@ from .reduced_form import (
     StepCdf,
     TableCdf,
     hin_step_cdf,
-    saturated_cdf,
 )
 from .demand_systems import (
     AppendixBDemand,

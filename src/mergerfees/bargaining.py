@@ -106,9 +106,7 @@ class BargainingEnv:
 class FeeSchedule:
     """Per-firm fees plus the intermediary's net payoff.
 
-    Fees within a multi-supplier firm are only pinned down in total, so
-    per-supplier attribution is defined (and equal to the firm fee) for
-    singleton firms only.
+    Fees within a multi-supplier firm are only pinned down in total.
     """
 
     protocol: str
@@ -121,16 +119,6 @@ class FeeSchedule:
 
     def fee_of(self, *suppliers: int) -> float:
         return self.fees[frozenset(suppliers)]
-
-    def supplier_attribution(self) -> dict[int, float | None]:
-        out: dict[int, float | None] = {}
-        for firm, fee in self.fees.items():
-            if len(firm) == 1:
-                out[next(iter(firm))] = fee
-            else:
-                for i in firm:
-                    out[i] = None
-        return dict(sorted(out.items()))
 
     def describe(self) -> dict:
         return {
@@ -179,16 +167,6 @@ class MergerReport:
     def sign_identity_residual(self) -> float:
         """gap + (1-beta) * second difference; algebraically zero."""
         return self.gap + (1.0 - self.beta) * self.second_difference
-
-    @property
-    def max_non_merging_change(self) -> float:
-        return max(
-            (
-                abs(self.non_merging_post[f] - v)
-                for f, v in self.non_merging_pre.items()
-            ),
-            default=0.0,
-        )
 
 
 def merger_report(env: BargainingEnv, pair: tuple[int, int]) -> MergerReport:

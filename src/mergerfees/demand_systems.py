@@ -12,15 +12,18 @@ inverse at such corners).
 The optimizer steps all starts of a portfolio together, so it asks for
 the restricted inverse, its Jacobian and its Hessian at a stack of points:
 portfolio_inverses, portfolio_inverse_jacobians and
-portfolio_inverse_hessians, one row per point. Their defaults loop over the
-rows with the one-point hooks (portfolio_inverse, portfolio_inverse_jacobian,
-demand_hessian), and a row whose hook raises is NaN and flagged, so the
-other rows go on. Linear, eq7 and appendix_b evaluate the stack in closed
-form, and one_stop stacks its Jacobian (central differences of the demand,
-then one inversion call) and its demand Hessian; there the one-point hook
-is the one-row case, so each formula has one copy. Only one_stop's
-prices, a traffic solve per row, keep the loop. The Jacobian and Hessian
-hooks take the prices already solved, so a point costs one P(q) solve.
+portfolio_inverse_hessians, one row per point. The first two default to a
+loop over the rows with the one-point hooks (portfolio_inverse,
+portfolio_inverse_jacobian), and a row whose hook raises is NaN and
+flagged, so the other rows go on. Curvature has stacked hooks only:
+portfolio_inverse_hessians, and demand_hessians, from which its default
+works; by default no row has an exact form. Linear, eq7 and appendix_b
+evaluate the stack in closed form, and one_stop stacks its Jacobian
+(central differences of the demand, then one inversion call) and its
+demand Hessian; there the one-point Jacobian hook is the one-row case, so
+each formula has one copy. Only one_stop's prices, a traffic solve per
+row, keep the loop. The Jacobian and Hessian hooks take the prices
+already solved, so a point costs one P(q) solve.
 The Hessian of the restricted inverse is zero for linear demand, explicit
 for appendix_b, and for eq7 and one_stop the implicit-function theorem on
 D(P(q)) = q applied to the family's demand Hessian (one_stop's needs G'
@@ -196,27 +199,6 @@ class DemandModel:
         ``p`` is portfolio_inverse at q."""
         return _block(self.inverse_jacobian(q), carried)
 
-    def demand_hessian(self, p: np.ndarray, carried: tuple[int, ...]) -> np.ndarray | None:
-        """d2D_m/dp_k dp_l of the carried subsystem at the full-length prices p.
-
-        A (k, k, k) array indexed [m, k, l] in carried order, or None where
-        the family has no exact form there. Default: None.
-        """
-        return None
-
-    def portfolio_inverse_hessian(
-        self, q: np.ndarray, p: np.ndarray, jac: np.ndarray, carried: tuple[int, ...]
-    ) -> np.ndarray | None:
-        """d2P_i/dq_k dq_l over the carried coordinates at the zero-padded q.
-
-        A (k, k, k) array indexed [i, k, l] in carried order, or None where
-        the family has no exact form. ``p`` and ``jac`` are
-        portfolio_inverse and portfolio_inverse_jacobian at q. The one-row
-        case of portfolio_inverse_hessians.
-        """
-        curvature, exact = self.portfolio_inverse_hessians(q[None], p[None], jac[None], carried)
-        return curvature[0] if exact[0] else None
-
     def portfolio_inverses(self, q: np.ndarray, carried: tuple[int, ...]) -> np.ndarray:
         """portfolio_inverse at every row of q (S, n), NaN in each row where
         it raises. Default: one portfolio_inverse call per row."""
@@ -235,18 +217,20 @@ class DemandModel:
     def demand_hessians(
         self, p: np.ndarray, carried: tuple[int, ...]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """demand_hessian at every row of the prices p (S, n). Returns the
-        (S, k, k, k) stack and the rows where the family has an exact form;
-        the others, where it returns None or raises, are NaN. Default: one
-        call per row."""
+        """d2D_m/dp_k dp_l of the carried subsystem at every row of the
+        full-length prices p (S, n): the (S, k, k, k) stack indexed
+        [s, m, k, l] in carried order, and the rows where the family has an
+        exact form; the others are NaN. Default: no row has one."""
         k = len(carried)
-        return _each_row(lambda r: self.demand_hessian(p[r], carried), len(p), (k, k, k))
+        return np.full((len(p), k, k, k), np.nan), np.zeros(len(p), bool)
 
     def portfolio_inverse_hessians(
         self, q: np.ndarray, p: np.ndarray, jac: np.ndarray, carried: tuple[int, ...]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """portfolio_inverse_hessian at every row of q (S, n), with the rows
-        of p and jac (S, k, k). Returns the (S, k, k, k) stack and the rows
+        """d2P_i/dq_k dq_l over the carried coordinates at every zero-padded
+        row of q (S, n), with the rows of p and jac (S, k, k), which are
+        portfolio_inverses and portfolio_inverse_jacobians at q. Returns the
+        (S, k, k, k) stack indexed [s, i, k, l] in carried order and the rows
         that have an exact form; the others are NaN and the optimizer
         differences its gradient there.
 
@@ -417,11 +401,11 @@ def _linalg_rows(fn: Callable, use: np.ndarray, *stacks: np.ndarray) -> tuple[np
 
 
 def _each_row(
-    fn: Callable[[int], np.ndarray | None], count: int, shape: tuple[int, ...]
+    fn: Callable[[int], np.ndarray], count: int, shape: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """fn(r) for each row r < count, stacked as (count, *shape), and the rows
-    that have a value; the others, where fn raises one of ROW_ERRORS or
-    returns None, are NaN."""
+    that have a value; the others, where fn raises one of ROW_ERRORS, are
+    NaN."""
     stack = np.full((count,) + shape, np.nan)
     ok = np.zeros(count, bool)
     for r in range(count):
@@ -429,8 +413,7 @@ def _each_row(
             row = fn(r)
         except ROW_ERRORS:
             continue
-        if row is not None:
-            stack[r], ok[r] = row, True
+        stack[r], ok[r] = row, True
     return stack, ok
 
 
@@ -747,10 +730,6 @@ class Eq7Demand(DemandModel):
         slopes, bad = self._slopes(p, carried)
         return _linalg_rows(np.linalg.inv, ~bad, slopes)
 
-    def demand_hessian(self, p, carried):
-        hessians, exact = self.demand_hessians(p[None], carried)
-        return _first_row(hessians, ~exact, _EQ7_SLOPE_DOMAIN)
-
     def demand_hessians(self, p, carried):
         # D3's gamma sqrt(u), u = (1-p1) + (1-p2) over the carried pair, is the
         # only curvature: -gamma / (4 u^1.5) on the pair's block of D3, in
@@ -1053,8 +1032,8 @@ class OneStopDemand(DemandModel):
 
     def inverse_demand(self, q):
         q = _as_vector(q, self.n, "q")
-        if np.any(q < 0):
-            raise DomainError("quantities must be nonnegative")
+        if not np.all((q >= 0) & np.isfinite(q)):  # a NaN would reach the traffic solve
+            raise DomainError("quantities must be finite and nonnegative")
         choke = self.alpha / self.beta
         if not np.any(q > 0):
             return choke.copy()
@@ -1113,10 +1092,6 @@ class OneStopDemand(DemandModel):
         if residual(hi) > 1e-9:
             raise ConvergenceError("traffic equation residual too large (discontinuous CDF?)")
         return hi
-
-    def demand_hessian(self, p, carried):
-        hessians, exact = self.demand_hessians(p[None], carried)
-        return hessians[0] if exact[0] else None
 
     def demand_hessians(self, p, carried):
         # D_m = s_m G(V), s_m = alpha_m - beta_m p_m, dV/dp_k = -s_k:
@@ -1279,10 +1254,6 @@ class InverseModularityReport:
     most_positive: ModularitySample
     region: EvaluationRegion
     skipped: tuple[str, ...] = ()
-
-    @property
-    def weakly_supermodular(self) -> bool:
-        return self.kind in (InverseModularityKind.WEAKLY_SUPERMODULAR, InverseModularityKind.BOTH)
 
     @property
     def weakly_submodular(self) -> bool:

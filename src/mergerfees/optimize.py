@@ -302,10 +302,11 @@ def max_profit(
     carried = x.indices()
     if not carried:
         return OptResult(np.zeros(model.n), 0.0, 0.0, OptStatus.CONVERGED, 0)
-    _, lb, ub = _box(model, carried, cfg)
+    box = _box(model, carried, cfg)
+    _, lb, ub = box
     exact = model.exact_optimum(carried, lb, ub)
     if exact is None:
-        return _multistart(model, x, cfg)
+        return _multistart(model, x, cfg, box)
     z, value = exact
     q = np.zeros(model.n)
     q[[i - 1 for i in carried]] = z
@@ -319,8 +320,11 @@ def _box(model: DemandModel, carried: tuple[int, ...], cfg: OptimizerConfig) -> 
     return choke, np.full(len(carried), floor), 10.0 * choke
 
 
-def _multistart(model: DemandModel, x: Portfolio, cfg: OptimizerConfig) -> OptResult:
-    """max_profit by damped Newton ascent from several starts.
+def _multistart(
+    model: DemandModel, x: Portfolio, cfg: OptimizerConfig, box: tuple[np.ndarray, ...]
+) -> OptResult:
+    """max_profit by damped Newton ascent from several starts, in the
+    portfolio's ``_box`` (its choke scale, lb and ub).
 
     The best of ``cfg.multistart`` starts is returned. The starts are
     valued and stepped as one stack, or as blocks of STACK_ROWS. When
@@ -331,7 +335,7 @@ def _multistart(model: DemandModel, x: Portfolio, cfg: OptimizerConfig) -> OptRe
     """
     carried = x.indices()
     obj = _PortfolioObjective(model, carried, min(cfg.multistart, STACK_ROWS))
-    choke, lb, ub = _box(model, carried, cfg)
+    choke, lb, ub = box
     rng = np.random.default_rng(cfg.seed)
 
     anchor = 0.5 * choke

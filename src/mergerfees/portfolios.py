@@ -14,7 +14,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -125,15 +125,6 @@ class Portfolio:
             mask |= 1 << (i - 1)
         return cls(n, mask)
 
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "Portfolio":
-        mask = 0
-        for k, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError(f"bit {k} must be 0 or 1, got {b!r}")
-            mask |= b << k
-        return cls(len(bits), mask)
-
     def contains(self, i: int) -> bool:
         self._check_index(i)
         return bool(self.mask >> (i - 1) & 1)
@@ -142,9 +133,6 @@ class Portfolio:
         self._check_index(i)
         bit = 1 << (i - 1)
         return Portfolio(self.n, self.mask | bit if on else self.mask & ~bit)
-
-    def bits(self) -> tuple[int, ...]:
-        return tuple(self.mask >> k & 1 for k in range(self.n))
 
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.n + 1) if self.mask >> (i - 1) & 1)
@@ -170,23 +158,9 @@ class Portfolio:
         return "{" + ",".join(map(str, self.indices())) + "}"
 
 
-def all_portfolios(n: int) -> Iterator[Portfolio]:
-    for mask in range(1 << n):
-        yield Portfolio(n, mask)
-
-
-def rest_portfolios(n: int, i: int, j: int) -> Iterator[Portfolio]:
-    """All 2^(n-2) portfolios over the products other than i and j.
-
-    Yielded portfolios live on the same n-product index space with bits
-    i and j forced off.
-    """
-    for mask in _rest_masks(n, i, j):
-        yield Portfolio(n, mask)
-
-
 def _rest_masks(n: int, i: int, j: int) -> list[int]:
-    """Bitmasks of ``rest_portfolios(n, i, j)``, in its order: by size, then lexicographically."""
+    """Bitmasks of the 2^(n-2) portfolios over the products other than i and j
+    (bits i and j off), by size, then lexicographically."""
     bits = [1 << (k - 1) for k in range(1, n + 1) if k not in (i, j)]
     return [
         sum(combo)
@@ -276,14 +250,6 @@ class SetFunction:
             return self(Portfolio(self.n, mask))
 
         return SetFunction(len(free), fn, name=f"{self.name}|restricted")
-
-    def negated(self) -> "SetFunction":
-        return SetFunction(self.n, lambda x: -self(x), name=f"-{self.name}")
-
-
-def additive_function(weights: Sequence[float]) -> SetFunction:
-    w = tuple(float(x) for x in weights)
-    return SetFunction(len(w), lambda x: x.dot(w), name="additive")
 
 
 def second_difference(f: SetFunction, i: int, j: int, rest: Portfolio) -> float:

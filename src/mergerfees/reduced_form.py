@@ -207,11 +207,6 @@ class TableCdf(ShoppingCostCdf):
         return {"points": [list(p) for p in self.points]}
 
 
-def saturated_cdf() -> StepCdf:
-    """G = 1 everywhere: every consumer shops regardless of portfolio."""
-    return StepCdf([0.0])
-
-
 def hin_step_cdf(v: Sequence[float]) -> StepCdf:
     """Single-step CDF under which products 1 and 2 are perfect substitutes
     in the spillovers they create for product 3.
@@ -372,12 +367,6 @@ class ReducedFormMarket:
         the profit oracle's cache from this table.
         """
         return np.array([self.cdf(s) for s in _subset_sums(self.v).tolist()])
-
-    def consumer_utility(self, x: Portfolio, xi: float) -> float:
-        """max(x . v - xi, 0) for a consumer with shopping cost xi >= 0."""
-        if xi < 0:
-            raise ValueError("shopping cost must be >= 0")
-        return max(x.dot(self.v) - xi, 0.0)
 
     def spillover(
         self,

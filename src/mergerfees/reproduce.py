@@ -27,6 +27,7 @@ from .demand_systems import AppendixBDemand, Eq7Demand, gross_relation, inverse_
 from .optimize import (
     DEFAULT_CONFIG,
     FocVariant,
+    _box,
     _multistart,
     merger_delta,
     mixed_partial_grid,
@@ -98,8 +99,10 @@ def suite_appendix_a() -> list[Row]:
         # with solve_foc_eq7, so the stationarity condition is checked against multistart
         foc_full = solve_foc_eq7(gamma, FocVariant.TWO_PLUS_THREE)
         foc_one = solve_foc_eq7(gamma, FocVariant.ONE_PLUS_THREE)
-        newton_full = _multistart(model, Portfolio.full(3), DEFAULT_CONFIG)
-        newton_one = _multistart(model, Portfolio.from_indices(3, (1, 3)), DEFAULT_CONFIG)
+        newton_full, newton_one = (
+            _multistart(model, x, DEFAULT_CONFIG, _box(model, x.indices(), DEFAULT_CONFIG))
+            for x in (Portfolio.full(3), Portfolio.from_indices(3, (1, 3)))
+        )
         rows += [
             Row(f"foc_vs_opt_full[{tag}]", abs(foc_full.value - newton_full.value), 0.0, 1e-3,
                 note="scalar stationarity condition agrees with the multistart optimizer"),

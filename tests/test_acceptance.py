@@ -42,7 +42,6 @@ from mergerfees.portfolios import (
     PairKind,
     Portfolio,
     SetFunction,
-    additive_function,
     classify_modularity,
     classify_pair,
     second_difference,
@@ -52,12 +51,13 @@ from mergerfees.reduced_form import (
     ReducedFormMarket,
     hin_step_cdf,
 )
-from mergerfees.sampling import (
-    STRICT_FAMILIES,
+from mergerfees.sampling import STRICT_FAMILIES, random_reduced_form_market
+from support import (
     ALL_FAMILIES,
+    additive_function,
+    max_non_merging_change,
     random_linear_demand,
     random_monotone_set_function,
-    random_reduced_form_market,
 )
 
 CFG = OptimizerConfig()
@@ -228,7 +228,7 @@ def test_criterion_7_bargaining_sign_identity():
         rest = Portfolio.from_indices(n, [m for m in range(1, n + 1) if m not in (i, j)])
         sd = second_difference(oracle, i, j, rest)
         worst_identity = max(worst_identity, abs(rep.gap + (1 - beta) * sd))
-        worst_nonmerging = max(worst_nonmerging, rep.max_non_merging_change)
+        worst_nonmerging = max(worst_nonmerging, max_non_merging_change(rep))
     assert worst_identity <= 1e-9, f"identity residual {worst_identity}"
     assert worst_nonmerging <= 1e-9, f"non-merging fee drift {worst_nonmerging}"
     report(

@@ -29,9 +29,8 @@ from mergerfees.reduced_form import (
     ShoppingCostCdf,
     StepCdf,
     TableCdf,
-    saturated_cdf,
 )
-from mergerfees.sampling import random_linear_demand
+from support import random_linear_demand, saturated_cdf
 
 
 def fd_jacobian(fn, x, h=1e-6):
@@ -474,6 +473,28 @@ def test_one_stop_hooks_under_a_table_cdf_give_a_nan_row_for_a_nan_row():
     assert np.isnan(model.demand(p[1])).all()
 
 
+class _CountingTableCdf(TableCdf):
+    def __init__(self, points):
+        super().__init__(points)
+        self.calls = 0
+
+    def __call__(self, s):
+        self.calls += 1
+        return super().__call__(s)
+
+
+def test_one_stop_rejects_a_quantity_that_is_not_finite_before_the_traffic_solve():
+    # a NaN quantity ran the traffic solve (81 CDF calls) into "unattainable traffic"
+    cdf = _CountingTableCdf([(0.0, 0.0), (0.5, 0.4), (1.5, 1.0)])
+    model = OneStopDemand([1.1, 1.4, 1.9], [1.8, 1.2, 1.9], cdf)
+    for q in ([math.nan, 0.3, 0.4], [math.inf, 0.3, 0.4]):
+        with pytest.raises(DomainError, match="finite and nonnegative"):
+            model.inverse_demand(q)
+    assert cdf.calls == 0
+    p = model.portfolio_inverses(np.array([[math.nan, 0.3, 0.4]]), (1, 2, 3))
+    assert np.isnan(p).all() and cdf.calls == 0
+
+
 class _AboveOneCdf(ShoppingCostCdf):
     family = "above_one"
 
@@ -588,8 +609,9 @@ def test_exact_inverse_hessians_match_second_differences():
             q[idx] = z
             p = model.portfolio_inverse(q, carried)
             jac = model.portfolio_inverse_jacobian(q, p, carried)
-            exact = model.portfolio_inverse_hessian(q, p, jac, carried)
-            assert exact is not None, (model.describe(), carried)
+            curvature, has = model.portfolio_inverse_hessians(q[None], p[None], jac[None], carried)
+            assert has[0], (model.describe(), carried)
+            exact = curvature[0]
             assert exact.shape == (len(carried),) * 3
             reference = _second_differences(prices, z)
             err = np.max(np.abs(exact - reference)) / max(1.0, np.max(np.abs(reference)))
@@ -611,19 +633,19 @@ def test_families_without_an_exact_form_have_no_inverse_hessian(model):
     q = np.array([0.2, 0.3])
     p = model.portfolio_inverse(q, (1, 2))
     jac = model.portfolio_inverse_jacobian(q, p, (1, 2))
-    assert model.portfolio_inverse_hessian(q, p, jac, (1, 2)) is None
+    assert not model.portfolio_inverse_hessians(q[None], p[None], jac[None], (1, 2))[1][0]
 
 
 def test_one_stop_has_no_inverse_hessian_on_a_kink():
     m = OneStopDemand([1.0, 1.2], [1.0, 0.8], AffineClampedCdf(0.0, 2.0))
     for q in ([0.0, 0.3], [0.0, 0.0]):  # a carried product at its choke price
         q = np.array(q)
-        assert m.demand_hessian(m.portfolio_inverse(q, (1, 2)), (1, 2)) is None
+        assert not m.demand_hessians(m.portfolio_inverse(q, (1, 2))[None], (1, 2))[1][0]
     # store traffic exactly on the CDF's corner at s = a
     kinked = OneStopDemand([1.0, 1.2], [1.0, 0.8], AffineClampedCdf(0.5, 2.0))
     p = np.array([0.0, 1.2 / 0.8])  # product 2 is not carried
-    assert kinked.demand_hessian(p, (1,)) is None
-    assert kinked.demand_hessian(p + [0.1, 0.0], (1,)) is not None
+    assert not kinked.demand_hessians(p[None], (1,))[1][0]
+    assert kinked.demand_hessians((p + [0.1, 0.0])[None], (1,))[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -1077,7 +1099,7 @@ def test_linear_inverse_modularity_is_both():
     rng = np.random.default_rng(2)
     report = inverse_modularity(random_linear_demand(rng, 3, "complements"))
     assert report.kind is InverseModularityKind.BOTH
-    assert report.weakly_supermodular and report.weakly_submodular
+    assert report.weakly_submodular
 
 
 def test_appendix_b_inverse_modularity_weakly_submodular():
@@ -1092,7 +1114,6 @@ def test_appendix_b_inverse_modularity_weakly_submodular():
 
 def test_eq7_spillover_curvature_blocks_supermodularity():
     report = inverse_modularity(Eq7Demand(0.0, 0.5))
-    assert not report.weakly_supermodular
     assert report.kind is InverseModularityKind.WEAKLY_SUBMODULAR
     node = report.most_negative
     assert node.m == 3 and {node.i, node.j} == {1, 2}
@@ -1111,4 +1132,4 @@ def test_eq7_with_coupling_uses_differences_and_agrees():
     closed = inverse_modularity(Eq7Demand(0.0, 0.5), EvaluationRegion((0.2,) * 3, (0.8,) * 3, 3))
     fd = inverse_modularity(Eq7Demand(1e-9, 0.5), EvaluationRegion((0.2,) * 3, (0.8,) * 3, 3))
     assert fd.most_negative.value == pytest.approx(closed.most_negative.value, rel=1e-3)
-    assert not fd.weakly_supermodular
+    assert fd.kind not in (InverseModularityKind.WEAKLY_SUPERMODULAR, InverseModularityKind.BOTH)

@@ -19,7 +19,7 @@ from mergerfees import optimize
 from mergerfees.demand_systems import Eq7Demand, LinearDemand, _cubic_roots
 from mergerfees.optimize import DEFAULT_CONFIG, OptStatus, max_profit
 from mergerfees.portfolios import Portfolio
-from mergerfees.sampling import random_linear_demand
+from support import random_linear_demand
 
 MULTISTART = optimize._multistart  # the fallback itself, not the counting wrapper below
 
@@ -38,9 +38,9 @@ def _solved_by(monkeypatch):
     """Record, per max_profit call, whether it fell back on _multistart."""
     fallbacks = []
 
-    def counted(model, x, cfg):
+    def counted(model, x, cfg, box):
         fallbacks.append(x.key())
-        return MULTISTART(model, x, cfg)
+        return MULTISTART(model, x, cfg, box)
 
     monkeypatch.setattr(optimize, "_multistart", counted)
     return fallbacks
@@ -61,9 +61,10 @@ def _check_every_portfolio(model, fallbacks, exact_expected):
         if not exact:
             continue
         assert (got.status, got.starts_used, got.gradient_norm) == (OptStatus.CONVERGED, 0, 0.0)
-        best = MULTISTART(model, x, DEFAULT_CONFIG)
+        box = optimize._box(model, carried, DEFAULT_CONFIG)
+        best = MULTISTART(model, x, DEFAULT_CONFIG, box)
         assert got.value >= best.value - 1e-12 * max(1.0, abs(best.value)), (model.describe(), x.key())
-        _, lb, ub = optimize._box(model, carried, DEFAULT_CONFIG)
+        _, lb, ub = box
         z = got.q[idx]
         assert np.all(got.q[[i for i in range(model.n) if i not in idx]] == 0.0)
         assert np.all((lb <= z) & (z <= ub))

@@ -22,7 +22,7 @@ from mergerfees.demand_systems import (
 )
 from mergerfees.errors import ConvergenceError, DomainError
 from mergerfees.reduced_form import ExponentialCdf, StepCdf
-from mergerfees.sampling import random_linear_demand
+from support import random_linear_demand
 
 PARTIALS = [(m, i, j) for m in (1, 2, 3) for i, j in itertools.combinations((1, 2, 3), 2)]
 ALPHA, BETA = [1.1, 1.4, 1.9], [1.8, 1.2, 1.9]

@@ -33,8 +33,8 @@ from mergerfees.optimize import (
 from mergerfees.portfolios import Portfolio, classify_modularity
 from mergerfees.reduced_form import ExponentialCdf, StepCdf, TableCdf
 from mergerfees.reproduce import run_suite
-from mergerfees.sampling import eq7_sampler, random_linear_demand
 from mergerfees.scenario import load_scenario, run_analysis
+from support import eq7_sampler, multistart, random_linear_demand
 
 ROOT = Path(__file__).resolve().parents[1]
 CFG = OptimizerConfig()
@@ -247,7 +247,7 @@ class _NanJacobianDemand(LinearDemand):
 
 def test_max_profit_reports_a_nan_gradient_as_maxiter():
     m = _NanJacobianDemand([1.0, 1.0], np.eye(2))
-    res = optimize._multistart(m, Portfolio.full(2), FAST)
+    res = multistart(m, Portfolio.full(2), FAST)
     assert res.status is OptStatus.MAXITER
     assert math.isnan(res.gradient_norm)
     assert res.starts_used == 2
@@ -275,8 +275,18 @@ def test_max_profit_computes_no_gradient_outside_polish(monkeypatch):
     monkeypatch.setattr(optimize, "_polish", tracked_polish)
     for model in (Eq7Demand(0.15, 0.5), LinearDemand([1.0, 1.0], [[1.0, 0.2], [0.2, 1.0]])):
         for mask in range(1, 2**model.n):
-            optimize._multistart(model, Portfolio(model.n, mask), CFG)
+            multistart(model, Portfolio(model.n, mask), CFG)
     assert outside == []
+
+
+def test_max_profit_computes_the_box_once_per_fallback_portfolio(monkeypatch):
+    model = AppendixBDemand(-0.125, -0.8, -1e-4)  # no exact solve: every portfolio falls back
+    chokes, calls = model.choke_quantities, []
+    monkeypatch.setattr(model, "choke_quantities", lambda: calls.append(1) or chokes())
+    for mask in range(1, 8):
+        before = len(calls)
+        assert max_profit(model, Portfolio(3, mask), FAST).starts_used > 0
+        assert len(calls) - before == 1
 
 
 def test_max_profit_values_each_start_once_before_polish(monkeypatch):
@@ -299,7 +309,7 @@ def test_max_profit_values_each_start_once_before_polish(monkeypatch):
     monkeypatch.setattr(optimize._PortfolioObjective, "values", counted_values)
     monkeypatch.setattr(optimize, "_polish", tracked_polish)
     model = LinearDemand([1.0, 1.0], [[1.0, 0.2], [0.2, 1.0]])
-    res = optimize._multistart(model, Portfolio.full(2), OptimizerConfig(multistart=4))
+    res = multistart(model, Portfolio.full(2), OptimizerConfig(multistart=4))
     assert res.starts_used == 4
     assert before_polish == [1]
 

@@ -29,7 +29,7 @@ from mergerfees.errors import ConvergenceError, DomainError
 from mergerfees.optimize import DEFAULT_CONFIG, OptimizerConfig, OptResult, OptStatus, max_profit
 from mergerfees.portfolios import Portfolio
 from mergerfees.reduced_form import AffineClampedCdf, ExponentialCdf, PowerCdf, StepCdf, TableCdf
-from mergerfees.sampling import random_linear_demand
+from support import multistart, random_linear_demand
 
 EVAL_ERRORS = (DomainError, ConvergenceError, np.linalg.LinAlgError)
 
@@ -63,10 +63,10 @@ class ReferenceObjective:
 
     def hessian(self, z, free):
         q, p, jac = self._solve(z)
-        curvature = self.model.portfolio_inverse_hessian(q, p, jac, self.carried)
-        if curvature is None:
+        curvature, exact = self.model.portfolio_inverse_hessians(q[None], p[None], jac[None], self.carried)
+        if not exact[0]:
             return _fd_jacobian(self.gradient, z, 1e-6, free)[free]
-        return (jac + jac.T + np.tensordot(z, curvature, axes=1))[free][:, free]
+        return (jac + jac.T + np.tensordot(z, curvature[0], axes=1))[free][:, free]
 
 
 def reference_polish(value, gradient, hessian, z, fz, lb, ub, tol, max_steps):
@@ -198,7 +198,7 @@ EXACT_FAMILIES = ("linear", "eq7_b0")  # max_profit answers these without starts
 
 
 def _assert_matches_reference(family, model, cfg):
-    solve = optimize._multistart if family in EXACT_FAMILIES else max_profit
+    solve = multistart if family in EXACT_FAMILIES else max_profit
     for mask in range(1, 2**model.n):
         x = Portfolio(model.n, mask)
         got, want = solve(model, x, cfg), reference_max_profit(model, x, cfg)
@@ -285,9 +285,9 @@ def _hook_rows(model, carried, q):
     exact_rows = np.zeros(len(q), bool)
     for r in range(len(q)):
         if ok_rows[r]:
-            one = model.portfolio_inverse_hessian(q[r], p_rows[r], jac_rows[r], carried)
-            if one is not None:
-                curvature_rows[r], exact_rows[r] = one, True
+            one, has = model.portfolio_inverse_hessians(q[r][None], p_rows[r][None], jac_rows[r][None], carried)
+            if has[0]:
+                curvature_rows[r], exact_rows[r] = one[0], True
     return (p, jac, ok, curvature, exact), (p_rows, jac_rows, ok_rows, curvature_rows, exact_rows)
 
 

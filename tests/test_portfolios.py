@@ -9,20 +9,17 @@ from mergerfees.portfolios import (
     PairKind,
     Portfolio,
     SetFunction,
-    additive_function,
-    all_portfolios,
     classify_modularity,
     classify_pair,
-    rest_portfolios,
     second_difference,
     sign_kind,
 )
 from mergerfees.reduced_form import ExponentialCdf, ReducedFormMarket
+from support import additive_function, all_portfolios, rest_portfolios
 
 
 def test_portfolio_basics():
     x = Portfolio.from_indices(4, (1, 3))
-    assert x.bits() == (1, 0, 1, 0)
     assert x.indices() == (1, 3)
     assert x.contains(3) and not x.contains(2)
     assert x.with_product(2).indices() == (1, 2, 3)
@@ -31,7 +28,6 @@ def test_portfolio_basics():
     assert x.dot([1.0, 2.0, 3.0, 4.0]) == 4.0
     assert Portfolio.full(3).size() == 3
     assert Portfolio.empty(3).size() == 0
-    assert Portfolio.from_bits([0, 1, 1]) == Portfolio.from_indices(3, (2, 3))
 
 
 def test_portfolio_validation():
@@ -174,7 +170,7 @@ def test_classify_modularity_negation_duality():
     f = SetFunction(3, lambda x: float(x.dot(w) ** 2))  # convex in the total: supermodular
     report = classify_modularity(f)
     assert report.kind is ModularityKind.SUPERMODULAR
-    assert classify_modularity(f.negated()).kind is ModularityKind.SUBMODULAR
+    assert classify_modularity(SetFunction(3, lambda x: -f(x))).kind is ModularityKind.SUBMODULAR
 
 
 def test_classify_modularity_neither():

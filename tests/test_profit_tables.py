@@ -20,13 +20,12 @@ from mergerfees.optimize import OptimizerConfig, profit_oracle
 from mergerfees.portfolios import (
     Portfolio,
     SetFunction,
-    all_portfolios,
     classify_pair,
-    rest_portfolios,
     second_difference,
 )
 from mergerfees.reduced_form import ExponentialCdf, ReducedFormMarket
-from mergerfees.sampling import ALL_FAMILIES, random_reduced_form_market
+from mergerfees.sampling import random_reduced_form_market
+from support import ALL_FAMILIES, all_portfolios, rest_portfolios
 
 
 def _outcome(f: SetFunction, x: Portfolio):

@@ -7,8 +7,6 @@ from mergerfees.portfolios import (
     GrossKind,
     PairKind,
     Portfolio,
-    all_portfolios,
-    rest_portfolios,
     second_difference,
 )
 from mergerfees.reduced_form import (
@@ -21,9 +19,9 @@ from mergerfees.reduced_form import (
     TableCdf,
     gross_relations,
     hin_step_cdf,
-    saturated_cdf,
 )
-from mergerfees.sampling import ALL_FAMILIES, random_reduced_form_market
+from mergerfees.sampling import random_reduced_form_market
+from support import ALL_FAMILIES, all_portfolios, rest_portfolios, saturated_cdf
 
 
 def exp_market(pi3=10.0):
@@ -171,32 +169,6 @@ def test_demand_monotone_in_partner_inclusion():
                 for rest in rest_portfolios(3, i, j):
                     base = rest.with_product(i)
                     assert m.demand(i, base.with_product(j)) >= m.demand(i, base) - 1e-15
-
-
-def test_consumer_utility():
-    m = exp_market()
-    assert m.consumer_utility(Portfolio.empty(3), 5.0) == 0.0
-    assert m.consumer_utility(Portfolio.full(3), 0.0) == 3.0
-    assert m.consumer_utility(Portfolio.from_indices(3, (1, 2)), 3.0) == 0.0
-    with pytest.raises(ValueError):
-        m.consumer_utility(Portfolio.full(3), -1.0)
-
-
-def test_consumer_utility_supermodular():
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        m = random_reduced_form_market(rng, "exponential")
-        xi = rng.uniform(0.0, 1.5 * sum(m.v))
-        for i, j in [(1, 2), (1, 3), (2, 3)]:
-            for rest in rest_portfolios(3, i, j):
-                both = rest.with_product(i).with_product(j)
-                diff = (
-                    m.consumer_utility(both, xi)
-                    - m.consumer_utility(rest.with_product(j), xi)
-                    - m.consumer_utility(rest.with_product(i), xi)
-                    + m.consumer_utility(rest, xi)
-                )
-                assert diff >= -1e-12
 
 
 # ---------------------------------------------------------------------------
