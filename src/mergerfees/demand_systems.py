@@ -33,10 +33,11 @@ none the optimizer differences its gradient.
 Before any of that, the optimizer asks exact_optimum for the portfolio's
 global maximum over its box. Linear demand with a positive definite
 B + B^T answers by an active-set search for its one KKT point (the QP is
-strictly concave), and eq7 at b = 0 by valuing every root of its
-stationarity cubic and every end of the box; both in Python floats, so
-their optima do not depend on the BLAS kernel. Other families, and these
-two where they cannot certify the maximum, return None.
+strictly concave), and eq7 by valuing every root of the stationarity
+cubics of its two coordinates along the interior path and each face of the
+box, the edge of the inverse's branch and the corners; both in Python
+floats, so their optima do not depend on the BLAS kernel. Other families,
+and these two where they cannot certify the maximum, return None.
 
 Two grid diagnostics operate on these families:
 
@@ -509,20 +510,47 @@ def _cubic_roots(p: float, q: float) -> list[float]:
         r = math.sqrt(-p / 3.0)
         phi = math.acos(max(-1.0, min(1.0, -0.5 * q / r**3)))
         roots = sorted(2.0 * r * math.cos((phi - 2.0 * math.pi * j) / 3.0) for j in range(3))
-    polished = []
-    for t in roots:
-        f = (t * t + p) * t + q
-        for _ in range(8):
-            slope = 3.0 * t * t + p
-            if f == 0.0 or slope == 0.0:
-                break
-            step = t - f / slope
-            g = (step * step + p) * step + q
-            if not abs(g) < abs(f):
-                break
-            t, f = step, g
-        polished.append(t)
-    return polished
+    return [_newton_polished(1.0, 0.0, p, q, t) for t in roots]
+
+
+def _newton_polished(c3: float, c2: float, c1: float, c0: float, t: float) -> float:
+    """t after Newton steps on c3 t^3 + c2 t^2 + c1 t + c0, 8 at most, taken
+    while they shrink its residual."""
+    f = ((c3 * t + c2) * t + c1) * t + c0
+    for _ in range(8):
+        slope = (3.0 * c3 * t + 2.0 * c2) * t + c1
+        if f == 0.0 or slope == 0.0:
+            break
+        step = t - f / slope
+        g = ((c3 * step + c2) * step + c1) * step + c0
+        if not abs(g) < abs(f):
+            break
+        t, f = step, g
+    return t
+
+
+def _real_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
+    """The real roots of c3 t^3 + c2 t^2 + c1 t + c0 = 0, each refined by
+    Newton steps on that cubic: from _cubic_roots of its depressed form, or,
+    where c3 is small against the other coefficients (its extra root then
+    lies far out, and depressing it would cancel), from the roots of the
+    quadratic left without c3."""
+    if abs(c3) > 1e-6 * max(abs(c2), abs(c1), abs(c0)):
+        a2, a1, a0 = c2 / c3, c1 / c3, c0 / c3
+        shift = a2 / 3.0  # t = u - shift
+        depressed = a1 - a2 * shift, (2.0 * a2 * a2 / 27.0 - a1 / 3.0) * a2 + a0
+        seeds = [u - shift for u in _cubic_roots(*depressed)]
+    elif c2 != 0.0:
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc < 0:
+            seeds = []
+        else:
+            # the root without cancellation first, then its partner by Vieta
+            w = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+            seeds = [w / c2] + ([c0 / w] if w != 0.0 else [])
+    else:
+        seeds = [-c0 / c1] if c1 != 0.0 else []
+    return [_newton_polished(c3, c2, c1, c0, t) for t in seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -764,9 +792,11 @@ class Eq7Demand(DemandModel):
             else:
                 if pair:
                     u = sum(1.0 - p[:, i - 1] for i in pair)
-                    bad = u <= 0
+                    bad = u <= 0 if g else u < 0  # without a spillover, u = 0 has a slope
                     with np.errstate(divide="ignore", invalid="ignore"):
                         slope = -0.5 * g / np.sqrt(u)
+                    if not g:
+                        slope[u == 0] = -0.0
                     for i in pair:
                         jac_d[:, r, pos[i]] = slope
                 jac_d[:, r, r] = -1.0
@@ -807,44 +837,91 @@ class Eq7Demand(DemandModel):
         return 1.0 - s, bad
 
     def exact_optimum(self, carried, lb, ub):
-        # At b = 0, P_i = 1 - q_i for the pair and P3 = 1 - q3 + gamma sqrt(s), s the
-        # carried pair's total. For fixed s an unequal split of the pair loses
-        # profit, and for fixed pair quantities R is a concave parabola in q3, so
-        # the optimum has one pair quantity q and q3 = clip((1 + gamma sqrt(s)) / 2).
-        # What is left is a function of q alone, whose maximum over [lb, ub] is at
-        # an end or where dR/dq = 0: with t = sqrt(q) and m pair members, a root of
-        #   2 t^3 - (1 + gamma^2 / 4) t - gamma / (4 sqrt(m)) = 0   (q3 inside its box)
-        #   2 t^3 - t - c gamma / (2 sqrt(m)) = 0                   (q3 held at c)
-        # Every such candidate is valued, and the best is the maximum.
-        if self.b != 0.0 or not math.isfinite(self.gamma):
+        # With s = 1 - p, each carried pair member's demand is its s plus b times
+        # the other carried s, and product 3's is s3 + gamma sqrt(the pair's s).
+        # When the carried pair members share their bounds an unequal split of the
+        # pair loses profit, so they share one s, and t = sqrt(the pair's total s)
+        # and s3 are left. With m pair members and k = (1 + b(m - 1)) / m:
+        #   q_p = k t^2 + b s3 (each pair member),  q3 = s3 + gamma t,
+        #   R = (m - t^2) q_p + (1 - s3) q3,
+        # a concave parabola in s3 for fixed t, on the branch t >= t_lo =
+        # max(0, b gamma / 2k) that the inverse takes. Its maximum over the box is
+        # where R is stationary along the interior path s3 = (1 + bm - gamma t -
+        # b t^2) / 2, along a face (q3 or q_p held at a bound), or on the branch
+        # edge t = t_lo, or at a corner. Along each path that is a root of a cubic
+        # in t; the q_p-held one is multiplied by b^2, which keeps small |b| well
+        # scaled, and at b = 0 that face is t fixed, with the interior path's s3
+        # best on it. Every candidate is valued at its q clipped to the box, by
+        # the inverse, and the best is the maximum.
+        b, g = self.b, self.gamma
+        if not math.isfinite(g):
             return None
-        g = self.gamma
         lb, ub = lb.tolist(), ub.tolist()
         pair = [at for at, prod in enumerate(carried) if prod in (1, 2)]
-        if 3 not in carried or not pair or g == 0.0:  # no spillover: each product alone
-            z = [min(max(0.5, lo), hi) for lo, hi in zip(lb, ub)]
-            return z, self._b0_profit(z, carried)
         if len({lb[at] for at in pair}) > 1 or len({ub[at] for at in pair}) > 1:
             return None
-        three, m = carried.index(3), len(pair)
+        m = len(pair)
+        if 3 not in carried or not m:  # one product, or the pair alone: a concave quadratic
+            q = 0.5 * (1.0 + b) if m == 2 else 0.5
+            z = [min(max(q, lo), hi) for lo, hi in zip(lb, ub)]
+            return z, self._profit(z, carried)
+        three = carried.index(3)
         lo, hi, lo3, hi3 = lb[pair[0]], ub[pair[0]], lb[three], ub[three]
-        candidates = [lo, hi]
-        for a, c in ((1.0 + 0.25 * g * g, 0.25 * g), (1.0, 0.5 * lo3 * g), (1.0, 0.5 * hi3 * g)):
-            roots = _cubic_roots(-0.5 * a, -0.5 * c / math.sqrt(m))
-            candidates += [t * t for t in roots if t > 0 and lo <= t * t <= hi]
+        k = (1.0 + b * (m - 1)) / m
+        t_lo = max(0.0, 0.5 * b * g / k)
+
+        def inside(t: float) -> tuple[float, float]:
+            s3 = 0.5 * (1.0 + b * m - g * t - b * t * t)
+            return k * t * t + b * s3, s3 + g * t
+
+        # each path as the roots of its cubic and its point (q_p, q3) at t
+        paths = [(_real_roots(b * b - 4.0 * k, 1.5 * b * g, 2.0 * m * k - b - b * b * m + 0.5 * g * g,
+                              0.5 * g * (1.0 - b * m)), inside)]
+        for c in (lo3, hi3):
+            roots = _real_roots(-4.0 * k, 3.0 * b * g, 2.0 * (m * k - b * c), g * (c - m * b))
+            paths.append((roots, lambda t, c=c: (k * t * t + b * (c - g * t), c)))
+        for c in (lo, hi):
+            if b == 0.0:
+                paths.append(([math.sqrt(c / k)], lambda t, c=c: (c, inside(t)[1])))
+                continue
+            roots = _real_roots(
+                -4.0 * k * k, 3.0 * b * g * k, 2.0 * ((2.0 * c - b) * k - b * b * c), (b - c) * b * g
+            )
+            paths.append((roots, lambda t, c=c: (c, (c - k * t * t) / b + g * t)))
+        points = [(qp, q3) for qp in (lo, hi) for q3 in (lo3, hi3)]  # the corners
+        for roots, point in paths:
+            points += [point(t) for t in [t_lo] + [t for t in roots if t >= t_lo]]
         best = None
-        for q in candidates:
-            z = [q] * len(carried)
-            z[three] = min(max(0.5 * (1.0 + g * math.sqrt(m * q)), lo3), hi3)
-            value = self._b0_profit(z, carried)
-            if best is None or value > best[1]:
+        for qp, q3 in points:
+            z = [min(max(qp, lo), hi)] * len(carried)
+            z[three] = min(max(q3, lo3), hi3)
+            value = self._profit(z, carried)
+            if value is not None and (best is None or value > best[1]):
                 best = z, value
         return best
 
-    def _b0_profit(self, z: list[float], carried: tuple[int, ...]) -> float:
-        """Portfolio profit at b = 0 at the carried quantities z (eq7 has no costs)."""
-        spill = self.gamma * math.sqrt(sum(x for x, prod in zip(z, carried) if prod != 3))
-        return sum((1.0 - x + (spill if prod == 3 else 0.0)) * x for x, prod in zip(z, carried))
+    def _profit(self, z: list[float], carried: tuple[int, ...]) -> float | None:
+        """Portfolio profit at the carried quantities z, whose pair members are
+        equal, by _restricted_inverse's operations in Python floats (eq7 has no
+        costs); None outside the invertible region."""
+        b, g = self.b, self.gamma
+        m = sum(prod != 3 for prod in carried)
+        if 3 in carried and m:
+            qp, q3 = z[0], z[-1]
+            a = 1.0 + b * (m - 1)
+            c = (qp + qp if m == 2 else qp) - m * b * q3
+            disc = (m * b * g) ** 2 + 4.0 * a * c
+            if disc < 0:
+                return None
+            t = (m * b * g + math.sqrt(disc)) / (2.0 * a)
+            if t < 0:
+                return None
+            s = [0.5 * (t * t) if m == 2 else t * t] * m + [q3 - g * t]
+        elif m == 2:
+            s = [z[0] / (1.0 + b)] * 2
+        else:
+            s = z
+        return sum((1.0 - x) * y for x, y in zip(s, z))
 
     def choke_quantities(self):
         return np.abs(self.demand(np.zeros(3)))

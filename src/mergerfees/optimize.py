@@ -6,7 +6,7 @@ For a demand model and a portfolio x, the intermediary's gross profit is
 
 over a box of the carried quantities. Where the model has an exact solve
 (DemandModel.exact_optimum: linear demand with a positive definite B + B^T,
-eq7 at b = 0) it answers in Python floats, with no start. Everywhere else,
+eq7 at every b) it answers in Python floats, with no start. Everywhere else,
 and wherever that solve cannot certify the global maximum, the problem is
 solved by damped Newton ascent from several starts, with coordinates held
 at a bound by their slope kept fixed. The starts are stepped together as
@@ -293,7 +293,7 @@ def max_profit(
     """Maximize portfolio profit over nonnegative carried quantities.
 
     The model's exact solve answers first where it has one (linear demand
-    with a positive definite B + B^T, eq7 at b = 0): converged, with no
+    with a positive definite B + B^T, eq7 at every b): converged, with no
     start used and a zero KKT residual, so cfg.multistart and cfg.seed do
     not act on it. Where it returns None the multistart optimizer runs.
     """

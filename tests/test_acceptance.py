@@ -8,13 +8,11 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from mergerfees.bargaining import (
     BargainingEnv,
     OwnershipStructure,
     merger_report,
-    nash_in_nash,
     shapley_fees,
 )
 from mergerfees.demand_systems import (

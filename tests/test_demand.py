@@ -161,18 +161,21 @@ def test_eq7_inverse_jacobian_matches_differences():
 
 
 def _reference_eq7_demand_jacobian(m, p):
-    """The 3x3 dD/dp literal that Eq7Demand.demand_jacobian once built."""
+    """The 3x3 dD/dp literal that Eq7Demand.demand_jacobian once built, with
+    product 3's slope 0 at p1 + p2 = 2 when there is no spillover."""
     p = np.asarray(p, dtype=float)
     radicand = (1.0 - p[0]) + (1.0 - p[1])
-    if radicand <= 0:
+    if radicand < 0 or radicand == 0 and m.gamma != 0:
         raise DomainError("cross-price slope of product 3 undefined at p1 + p2 >= 2")
     b, g = m.b, m.gamma
-    d3 = -0.5 * g / math.sqrt(radicand)
+    d3 = -0.5 * g / math.sqrt(radicand) if radicand > 0 else -0.0
     return np.array([[-1.0, -b, -b], [-b, -1.0, -b], [d3, d3, -1.0]])
 
 
 def _reference_eq7_portfolio_inverse_jacobian(m, q, carried):
-    """The carried-subsystem loop that portfolio_inverse_jacobian once ran inline."""
+    """The carried-subsystem loop that portfolio_inverse_jacobian once ran
+    inline, with product 3's slope 0 at a zero spillover surplus when there
+    is no spillover."""
     p = m.portfolio_inverse(q, carried)
     pair = [i for i in (1, 2) if i in carried]
     k = len(carried)
@@ -186,9 +189,9 @@ def _reference_eq7_portfolio_inverse_jacobian(m, q, carried):
         else:
             if pair:
                 u = sum(1.0 - p[i - 1] for i in pair)
-                if u <= 0:
+                if u < 0 or u == 0 and m.gamma != 0:
                     raise DomainError("inverse Jacobian singular: zero spillover surplus")
-                slope = -0.5 * m.gamma / math.sqrt(u)
+                slope = -0.5 * m.gamma / math.sqrt(u) if u > 0 else -0.0
                 for i in pair:
                     jac_d[r, pos[i]] = slope
             jac_d[r, r] = -1.0

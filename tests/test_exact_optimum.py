@@ -1,12 +1,13 @@
 """The exact solves that max_profit tries before its multistart.
 
 Linear demand with a positive definite B + B^T is a strictly concave box
-QP, and eq7 at b = 0 reduces to one quantity whose stationary points are
-the roots of a cubic. For seeded draws of both, every portfolio's exact
-optimum must be at least the best multistart value, up to 1e-12 relative,
-and satisfy the KKT conditions on the optimizer's box to 1e-12. The path
-each model takes is asserted too: exact where the family can certify the
-optimum, the multistart everywhere else.
+QP, and eq7 at every |b| < 1 reduces to two coordinates whose candidate
+optima are roots of cubics, edges and corners of the box. For seeded draws
+of both, every portfolio's exact optimum must be at least the best
+multistart value, up to 1e-12 relative, and satisfy the KKT conditions on
+the optimizer's box to 1e-12. The path each model takes is asserted too:
+exact where the family can certify the optimum, the multistart everywhere
+else.
 """
 
 import functools
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from mergerfees import optimize
-from mergerfees.demand_systems import Eq7Demand, LinearDemand, _cubic_roots
+from mergerfees.demand_systems import Eq7Demand, LinearDemand, _cubic_roots, _real_roots
 from mergerfees.optimize import DEFAULT_CONFIG, OptStatus, max_profit
 from mergerfees.portfolios import Portfolio
 from support import random_linear_demand
@@ -119,13 +120,41 @@ def test_eq7_at_b_zero_is_solved_exactly_for_every_gamma(monkeypatch):
     assert fallbacks == []
 
 
-def test_eq7_with_cross_price_coupling_falls_back(monkeypatch):
+def test_every_eq7_portfolio_takes_the_exact_path(monkeypatch):
     fallbacks = _solved_by(monkeypatch)
     for b, gamma in ((0.2, 0.5), (-0.15, -0.5), (1e-4, 0.5)):
         for mask in range(1, 8):
             res = max_profit(Eq7Demand(b, gamma), Portfolio(3, mask), DEFAULT_CONFIG)
-            assert res.starts_used > 0
-    assert len(fallbacks) == 21
+            assert (res.status, res.starts_used) == (OptStatus.CONVERGED, 0)
+    assert fallbacks == []
+
+
+def test_eq7_with_cross_price_coupling_is_solved_exactly(monkeypatch):
+    # 2002 portfolios: seeded (b, gamma) draws, the tiny and near-one |b| of both
+    # signs, and b = 1 - sqrt(3), where the interior path's cubic loses its cube
+    fallbacks = _solved_by(monkeypatch)
+    rng = np.random.default_rng(1414)
+    edges = [s * b for b in (1e-12, 1e-8, 1e-4, 0.99) for s in (1.0, -1.0)] + [1.0 - math.sqrt(3.0)]
+    draws = [(b, gamma) for b in edges for gamma in (0.95, -0.95, 0.0, *rng.uniform(-0.95, 0.95, 3))]
+    while len(draws) < 286:
+        draws.append((float(rng.uniform(-0.99, 0.99)), float(rng.uniform(-0.95, 0.95))))
+    at_bound = sum(_check_every_portfolio(Eq7Demand(b, gamma), fallbacks, lambda c: True) for b, gamma in draws)
+    assert fallbacks == []
+    assert at_bound >= 20  # optima on the floor of the box, not only interior ones
+
+
+def test_eq7_floor_corner_draw_is_converged_at_the_best_value():
+    # perfbench/golden.json's eq7 draw 2: portfolios 101 and 011 also have a
+    # KKT point at the corner q = 1e-6 of the floor, which no multistart start
+    # reaches; the exact solve values it and still reports the interior optimum
+    model = Eq7Demand(-0.01855103399050012, -0.6679741168419536)
+    for mask in (0b101, 0b110):
+        x = Portfolio(3, mask)
+        got = max_profit(model, x, DEFAULT_CONFIG)
+        want = MULTISTART(model, x, DEFAULT_CONFIG, optimize._box(model, x.indices(), DEFAULT_CONFIG))
+        assert got.status is OptStatus.CONVERGED, x.key()
+        assert got.value >= want.value - 1e-15 * want.value, x.key()  # no lower, up to rounding
+        assert got.value == pytest.approx(0.316496795824216, abs=1e-15)
 
 
 def test_exact_optimum_stays_in_the_box_it_is_given():
@@ -136,7 +165,11 @@ def test_exact_optimum_stays_in_the_box_it_is_given():
     z, value = Eq7Demand(0.0, 0.5).exact_optimum((1, 2, 3), np.full(3, 0.7), np.full(3, 10.0))
     assert z[:2] == [0.7, 0.7] and z[2] == pytest.approx(0.5 * (1 + 0.5 * math.sqrt(1.4)), abs=1e-15)
     # unequal bounds on the pair break the symmetric reduction: no certified answer
-    assert Eq7Demand(0.0, 0.5).exact_optimum((1, 2, 3), np.array([0.0, 0.1, 0.0]), np.full(3, 10.0)) is None
+    for b in (0.0, 0.3):
+        assert Eq7Demand(b, 0.5).exact_optimum((1, 2, 3), np.array([0.0, 0.1, 0.0]), np.full(3, 10.0)) is None
+        assert Eq7Demand(b, 0.5).exact_optimum((1, 2), np.zeros(2), np.array([10.0, 9.0])) is None
+    # nor has a non-finite spillover
+    assert Eq7Demand(0.3, math.inf).exact_optimum((1, 3), np.zeros(2), np.full(2, 10.0)) is None
 
 
 def test_linear_exact_optimum_meets_the_kkt_conditions_on_tight_boxes():
@@ -190,3 +223,21 @@ def test_cubic_roots(p, q, roots):
     assert got == pytest.approx(roots, abs=1e-7)
     for t in got:
         assert abs((t * t + p) * t + q) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "coefficients,roots",
+    [
+        ((2.0, -6.0, 4.0, 0.0), [0.0, 1.0, 2.0]),  # 2 t (t - 1)(t - 2)
+        ((1e-9, 1.0 - 3e-9, 2e-9 - 3.0, 2.0), [1.0, 2.0]),  # (1e-9 t + 1)(t - 1)(t - 2): a root far out
+        ((0.0, 1.0, -3.0, 2.0), [1.0, 2.0]),
+        ((0.0, 0.0, 2.0, -1.0), [0.5]),
+        ((0.0, 1.0, 0.0, 1.0), []),
+    ],
+)
+def test_real_roots(coefficients, roots):
+    got = sorted(t for t in _real_roots(*coefficients) if abs(t) < 1e6)
+    assert got == pytest.approx(roots, abs=1e-12)
+    c3, c2, c1, c0 = coefficients
+    for t in got:
+        assert abs(((c3 * t + c2) * t + c1) * t + c0) <= 1e-14

@@ -5,8 +5,8 @@ Refactors must leave every answer unchanged, so the reports under
 bytes. The analyze inputs are ``scenarios/*.json`` plus the scenarios in
 ``golden/`` (one per model kind that the shipped examples miss). Re-record
 one only when an answer is meant to change, from the root of the
-repository. The linear and eq7 b = 0 optima come from scalar arithmetic,
-and those two reports must read the same under every BLAS kernel:
+repository. The linear and eq7 optima come from scalar arithmetic, and
+those reports must read the same under every BLAS kernel:
 
     PYTHONPATH=src python -m mergerfees.cli analyze SCENARIO --shapley \
         --out tests/golden/reports/STEM.json
@@ -46,12 +46,16 @@ def test_reproduce_rows_are_byte_identical(suite, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
-@pytest.mark.parametrize("stem", ["linear_n3", "eq7_b0"])
-def test_exact_family_reports_do_not_depend_on_the_blas_kernel(stem, coretype, tmp_path):
+@pytest.mark.parametrize(
+    "scenario",
+    [GOLDEN / "linear_n3.json", GOLDEN / "eq7_b0.json", ROOT / "scenarios" / "eq7_small_coupling.json"],
+    ids=lambda p: p.stem,
+)
+def test_exact_family_reports_do_not_depend_on_the_blas_kernel(scenario, coretype, tmp_path):
     # OPENBLAS_CORETYPE picks OpenBLAS's kernel at load time, so it is set for a child process only
     out = tmp_path / "report.json"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": path}
-    command = [sys.executable, "-m", "mergerfees.cli", "analyze", str(GOLDEN / f"{stem}.json"), "--shapley"]
+    command = [sys.executable, "-m", "mergerfees.cli", "analyze", str(scenario), "--shapley"]
     subprocess.run(command + ["--out", str(out)], env=env, check=True, capture_output=True)
-    assert out.read_bytes() == (GOLDEN / "reports" / f"{stem}.json").read_bytes()
+    assert out.read_bytes() == (GOLDEN / "reports" / f"{scenario.stem}.json").read_bytes()

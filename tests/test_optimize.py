@@ -168,8 +168,9 @@ def test_degenerate_status_surfaces_multiple_optima():
     "max_iter,status", [(1, OptStatus.MAXITER), (2, OptStatus.MAXITER), (3, OptStatus.CONVERGED)]
 )
 def test_max_iter_bounds_the_newton_steps_of_each_start(max_iter, status):
+    # appendix_b has no exact solve, so every portfolio takes the multistart
     cfg = OptimizerConfig(multistart=1, max_iter=max_iter)
-    res = max_profit(Eq7Demand(0.15, 0.5), Portfolio.full(3), cfg)
+    res = max_profit(AppendixBDemand(0.15, 0.5, 0.0), Portfolio.full(3), cfg)
     assert res.status is status
     if status is OptStatus.CONVERGED:
         assert res.gradient_norm <= cfg.gradient_tol
@@ -324,7 +325,8 @@ def test_max_profit_values_each_start_once_before_polish(monkeypatch):
 )
 def test_max_profit_solves_prices_once_per_point(monkeypatch, model, solve):
     # the Jacobian and Hessian hooks take the prices the objective holds; one
-    # start, since several starts may reach the same point
+    # start, since several starts may reach the same point, and the multistart
+    # itself, since max_profit answers eq7 by its exact solve
     points, solves = [], [0]
     prices, solver = type(model).portfolio_inverses, getattr(type(model), solve)
 
@@ -340,7 +342,7 @@ def test_max_profit_solves_prices_once_per_point(monkeypatch, model, solve):
     monkeypatch.setattr(type(model), "portfolio_inverses", recorded)
     monkeypatch.setattr(type(model), solve, counted)
     for mask in range(1, 8):
-        max_profit(model, Portfolio(3, mask), OptimizerConfig(multistart=1))
+        multistart(model, Portfolio(3, mask), OptimizerConfig(multistart=1))
     assert len(points) == len(set(points))
     if solve == "_traffic_share":  # q = 0 needs no traffic solve, and q < 0 is rejected first
         points = [row for _, row in points if min(row) >= 0 and max(row) > 0]

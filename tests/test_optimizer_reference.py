@@ -6,7 +6,7 @@ on 1-D arrays and the one-point model hooks, with a rejected point raising.
 Seeded draws of every demand family must give the same status and starts
 used, the same value to 1e-12 relative and the same q to 1e-9, and each
 stacked family hook must return the rows of its per-row default. The
-linear and eq7 b = 0 draws, which max_profit solves exactly, check
+linear and eq7 draws, which max_profit solves exactly, check
 ``_multistart``, the optimizer max_profit falls back on.
 """
 
@@ -194,7 +194,7 @@ def _draws():
 
 
 DRAWS = _draws()
-EXACT_FAMILIES = ("linear", "eq7_b0")  # max_profit answers these without starts
+EXACT_FAMILIES = ("linear", "eq7_b0", "eq7")  # max_profit answers these without starts
 
 
 def _assert_matches_reference(family, model, cfg):

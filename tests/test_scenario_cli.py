@@ -22,7 +22,6 @@ from mergerfees.scenario import (
     REGION_BLOCK,
     Scenario,
     canonical_json,
-    load_scenario,
     parse_scenario,
     render_human,
     run_analysis,
@@ -332,7 +331,9 @@ def test_cli_analyze_validation_exit_code(tmp_path, capsys):
 
 
 def test_cli_analyze_warns_when_the_optimizer_hits_max_iterations(tmp_path, capsys):
+    # appendix_b has no exact solve, so its portfolios take the multistart
     raw = eq7_scenario()
+    raw["model"] = {"kind": "appendix_b", "b": 0.15, "gamma": 0.5, "alpha": 0.0}
     raw["optimizer"] = {"max_iter": 1}
     out = tmp_path / "report.json"
     assert main(["analyze", write_scenario(tmp_path, raw), "--out", str(out)]) == 0
