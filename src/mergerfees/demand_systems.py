@@ -1,34 +1,36 @@
 """Parametric demand / inverse-demand systems for the priced general model.
 
-Each family exposes the demand map D(p), the inverse demand P(q), their
-Jacobians, and a portfolio-restricted inverse used by the profit optimizer:
-products the retailer does not carry are removed from the system and their
-quantities pinned at zero. For families whose inverse demand is an explicit
-formula this is just evaluation at the zero-padded quantity vector; for the
-square-root-spillover family with cross-price coupling the restricted
-subsystem is inverted in closed form instead (the full system has no real
-inverse at such corners).
+Each family gives the demand map D(p), the inverse demand P(q) of a
+portfolio and the Jacobians of both. The profit optimizer uses the
+portfolio-restricted inverse: products the retailer does not carry are
+removed from the system and their quantities pinned at zero, and the full
+system's inverse is the case that carries every product. For families
+whose inverse demand is an explicit formula this is just evaluation at the
+zero-padded quantity vector; for the square-root-spillover family with
+cross-price coupling the restricted subsystem is inverted in closed form
+instead (the full system has no real inverse at such corners).
 
 The optimizer steps all starts of a portfolio together, so it asks for
 the restricted inverse, its Jacobian and its Hessian at a stack of points:
 portfolio_inverses, portfolio_inverse_jacobians and
-portfolio_inverse_hessians, one row per point. The first two default to a
-loop over the rows with the one-point hooks (portfolio_inverse,
-portfolio_inverse_jacobian), and a row whose hook raises is NaN and
-flagged, so the other rows go on. Curvature has stacked hooks only:
-portfolio_inverse_hessians, and demand_hessians, from which its default
-works; by default no row has an exact form. Linear, eq7 and appendix_b
-evaluate the stack in closed form, and one_stop stacks its Jacobian
-(central differences of the demand, then one inversion call) and its
-demand Hessian; there the one-point Jacobian hook is the one-row case, so
-each formula has one copy. Only one_stop's prices, a traffic solve per
-row, keep the loop. The Jacobian and Hessian hooks take the prices
-already solved, so a point costs one P(q) solve.
-The Hessian of the restricted inverse is zero for linear demand, explicit
-for appendix_b, and for eq7 and one_stop the implicit-function theorem on
-D(P(q)) = q applied to the family's demand Hessian (one_stop's needs G'
-and G'' from its CDF, so step and table CDFs have none). Where a row has
-none the optimizer differences its gradient.
+portfolio_inverse_hessians, one row per point. These stacked maps, with
+demand_jacobians and demand_hessians, are the only ones a family writes,
+so each formula has one copy; the one-point maps (demand_jacobian,
+portfolio_inverse, portfolio_inverse_jacobian) are their one-row case,
+written once in DemandModel. Linear, eq7 and appendix_b evaluate every
+stack in closed form. one_stop stacks its Jacobian (central differences
+of the demand, then one inversion call) and its demand Hessian, and
+CustomDemand differences its prices over the stack; their prices are a
+solve per row (the store traffic, the callback), which each writes as
+portfolio_inverse and the default portfolio_inverses loops, a row that
+raises being NaN so the other rows go on. The Jacobian and Hessian hooks
+take the prices already solved, so a point costs one P(q) solve.
+Curvature is exact where a family has it: the Hessian of the restricted
+inverse is zero for linear demand, explicit for appendix_b, and for eq7
+and one_stop the implicit-function theorem on D(P(q)) = q applied to the
+family's demand Hessian (one_stop's needs G' and G'' from its CDF, so
+step and table CDFs have none). Where a row has none the optimizer
+differences its gradient.
 
 Before any of that, the optimizer asks exact_optimum for the portfolio's
 global maximum over its box. Linear demand with a positive definite
@@ -44,12 +46,12 @@ Two grid diagnostics operate on these families:
 * gross_relation samples dD_i/dp_j over a price region and classifies each
   product pair as strict gross complements (all sampled cross-price slopes
   negative), strict gross substitutes (all positive), independent, or mixed.
-  The linear, eq7, appendix_b and one_stop families evaluate the slopes of
-  the whole grid in one batched call (demand_jacobians); other models keep
-  the per-node loop. Families without an explicit demand (appendix_b,
-  CustomDemand) invert P(q) = p with one damped Newton solve, _invert,
-  which runs on a stack of rows: a per-node demand is its one-row case and
-  appendix_b's grid is one call.
+  It reads the slopes of the whole grid from one demand_jacobians call: a
+  constant for linear demand, a closed form for eq7, stacked differences of
+  the demand for one_stop. Families without an explicit demand (appendix_b,
+  CustomDemand) invert P(q) = p with one damped Newton solve over the
+  grid, _invert, and take the inverse of dP/dq at each solution; a
+  one-point demand is the one-row case of that solve.
 * inverse_modularity samples the cross partials d2P_m/dq_i dq_j (i != j)
   over a quantity region and reports whether the inverse demands are weakly
   supermodular, weakly submodular, both, or neither. It reads them from the
@@ -127,11 +129,32 @@ def _as_vector(x: Sequence[float], n: int, label: str) -> np.ndarray:
     return v
 
 
+def _finite(x, label: str) -> np.ndarray:
+    """A model parameter as a float array, or a ValueError naming it where
+    an entry is not finite."""
+    v = np.asarray(x, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{label} must be finite, got {v.tolist()}")
+    return v
+
+
 class DemandModel:
-    """Base class: n differentiated products with constant unit costs."""
+    """Base class: n differentiated products with constant unit costs.
+
+    A family writes its maps stacked, at every row of a stack of points:
+    portfolio_inverses, portfolio_inverse_jacobians, demand_jacobians and the
+    curvature hooks, and demand where it has an explicit formula. The
+    one-point maps (demand_jacobian, portfolio_inverse,
+    portfolio_inverse_jacobian, and demand without a formula) are their
+    one-row case, written here once. A family whose prices are a solve per
+    row writes that solve as portfolio_inverse instead, which the default
+    portfolio_inverses loops.
+    """
 
     kind = "base"
     singular_at_zero = False  # True if gradients blow up at zero quantities
+    # portfolio_inverse's error where its row of portfolio_inverses is NaN
+    outside = "quantity vector outside the model's domain"
 
     def __init__(self, n: int, costs: Sequence[float] | None = None):
         self.n = int(n)
@@ -140,80 +163,91 @@ class DemandModel:
         c = np.zeros(self.n) if costs is None else _as_vector(costs, self.n, "costs")
         if np.any(c < 0):
             raise ValueError("costs must be nonnegative")
-        self.costs = c
+        self.costs = _finite(c, "costs")
 
-    # -- core maps ---------------------------------------------------------
+    # -- one-point maps: the one-row case of the stacked ones ---------------
 
     def demand(self, p: Sequence[float]) -> np.ndarray:
         """Quantities at prices p; the one-row case of _invert unless overridden."""
         p = _as_vector(p, self.n, "p")
-        return _one_row(*self._invert(p[None], np.ones((1, self.n))))
-
-    def inverse_demand(self, q: Sequence[float]) -> np.ndarray:
-        raise NotImplementedError
+        return _one_row(*self._quantities(p[None]))
 
     def demand_jacobian(self, p: Sequence[float]) -> np.ndarray:
-        """dD/dp matrix; central finite differences unless overridden."""
+        """dD/dp at p, or the row's error of demand_jacobians raised."""
         p = _as_vector(p, self.n, "p")
-        return _fd_jacobian(self.demand, p)
+        return _one_row(*self.demand_jacobians(p[None]))
 
-    def demand_jacobians(self, nodes: np.ndarray) -> tuple[np.ndarray, list[str]]:
-        """dD/dp at every row of ``nodes`` (N, n).
-
-        Returns the (N_ok, n, n) stack of the usable nodes and a failure
-        line for each other node, both in row order. Default: one
-        demand_jacobian call per node.
-        """
-        jacobians = np.empty((len(nodes), self.n, self.n))
-        ok = np.ones(len(nodes), bool)
-        failures = []
-        for r, node in enumerate(nodes):
-            try:
-                jacobians[r] = self.demand_jacobian(node)
-            except (DomainError, ConvergenceError) as exc:
-                ok[r] = False
-                failures.append(_node_failure(node, exc))
-        return jacobians[ok], failures
-
-    def inverse_jacobian(self, q: Sequence[float]) -> np.ndarray:
-        """dP/dq matrix; defaults to inverting the demand Jacobian at P(q)."""
+    def portfolio_inverse(self, q: Sequence[float], carried: tuple[int, ...]) -> np.ndarray:
+        """Inverse demand of the carried subsystem at the zero-padded q: the
+        full-length price vector, whose entries for absent products are
+        meaningless and must not be used. A DomainError (the family's
+        ``outside``) where portfolio_inverses has no prices for the row."""
         q = _as_vector(q, self.n, "q")
-        p = self.inverse_demand(q)
-        return np.linalg.inv(self.demand_jacobian(p))
-
-    # -- portfolio-restricted system (used by the optimizer) ---------------
-
-    def portfolio_inverse(self, q: np.ndarray, carried: tuple[int, ...]) -> np.ndarray:
-        """Inverse demand of the carried subsystem at the zero-padded q.
-
-        Default: evaluate the full inverse-demand formula at q (absent
-        coordinates are zero, which removes them from formula families).
-        Returns the full-length price vector; entries for absent products
-        are meaningless and must not be used.
-        """
-        return self.inverse_demand(q)
+        for i in range(self.n):
+            if (i + 1) not in carried and q[i] != 0.0:
+                raise ValueError(f"quantity of absent product {i + 1} must be 0")
+        p = self.portfolio_inverses(q[None], carried)[0]
+        if np.isnan(p[[i - 1 for i in carried]]).any():
+            raise DomainError(self.outside)
+        return p
 
     def portfolio_inverse_jacobian(
         self, q: np.ndarray, p: np.ndarray, carried: tuple[int, ...]
     ) -> np.ndarray:
         """dP_c/dq_c over the carried coordinates at the zero-padded q, where
-        ``p`` is portfolio_inverse at q."""
-        return _block(self.inverse_jacobian(q), carried)
+        ``p`` is portfolio_inverse at q: the one-row case of
+        portfolio_inverse_jacobians, a DomainError where it has none."""
+        jac, ok = self.portfolio_inverse_jacobians(
+            np.asarray(q, dtype=float)[None], np.asarray(p, dtype=float)[None], carried
+        )
+        if not ok[0]:
+            raise DomainError("dP/dq undefined or singular at q")
+        return jac[0]
+
+    # -- stacked maps ---------------------------------------------------------
+
+    def demand_jacobians(self, nodes: np.ndarray) -> tuple[np.ndarray, dict]:
+        """dD/dp at every row of ``nodes`` (N, n): the (N, n, n) stack, NaN
+        at each row without slopes, and the error of each such row, by row.
+
+        Default: one _invert of P(q) = p over the stack, then the inverse of
+        dP/dq at each solution, where the target prices stand for P(q).
+        """
+        every = tuple(range(1, self.n + 1))
+        q, errors = self._quantities(nodes)
+        solved = np.ones(len(nodes), bool)
+        solved[list(errors)] = False
+        slopes = np.full((len(nodes), self.n, self.n), np.nan)
+        jac, ok = self.portfolio_inverse_jacobians(q[solved], nodes[solved], every)
+        slopes[solved], inverted = _linalg_rows(np.linalg.inv, ok, jac)
+        for r in np.flatnonzero(solved)[~inverted].tolist():
+            errors[r] = ConvergenceError("dP/dq undefined or singular at the solution")
+        return slopes, errors
 
     def portfolio_inverses(self, q: np.ndarray, carried: tuple[int, ...]) -> np.ndarray:
-        """portfolio_inverse at every row of q (S, n), NaN in each row where
-        it raises. Default: one portfolio_inverse call per row."""
-        return _each_row(lambda r: self.portfolio_inverse(q[r], carried), len(q), q.shape[1:])[0]
+        """Inverse demand of the carried subsystem at every zero-padded row of
+        q (S, n), NaN in each row without prices. Default: one
+        portfolio_inverse call per row, NaN where it raises."""
+        prices = np.full(q.shape, np.nan)
+        for r, row in enumerate(q):
+            try:
+                prices[r] = self.portfolio_inverse(row, carried)
+            except ROW_ERRORS:
+                pass
+        return prices
 
     def portfolio_inverse_jacobians(
         self, q: np.ndarray, p: np.ndarray, carried: tuple[int, ...]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """portfolio_inverse_jacobian at every row of q (S, n), whose prices
-        are the rows of p. Returns the (S, k, k) stack and the rows where
-        the hook did not raise; the others are NaN. Default: one call per
-        row."""
-        k = len(carried)
-        return _each_row(lambda r: self.portfolio_inverse_jacobian(q[r], p[r], carried), len(q), (k, k))
+        """dP_c/dq_c at every row of q (S, n), whose prices are the rows of p.
+        Returns the (S, k, k) stack and the rows that have one; the others
+        are NaN. Default: central differences of portfolio_inverses over the
+        carried coordinates."""
+        idx = [i - 1 for i in carried]
+        jac = _fd_jacobians(lambda x: self.portfolio_inverses(x, carried)[:, idx], q, idx)
+        ok = np.isfinite(jac).all(axis=(1, 2))
+        jac[~ok] = np.nan
+        return jac, ok
 
     def demand_hessians(
         self, p: np.ndarray, carried: tuple[int, ...]
@@ -271,64 +305,69 @@ class DemandModel:
 
     # -- helpers ------------------------------------------------------------
 
-    def _inverse_rows(self, q: np.ndarray) -> np.ndarray:
-        """inverse_demand at every row of q (N, n)."""
-        return np.array([self.inverse_demand(row) for row in q])
+    def _quantities(self, p: np.ndarray) -> tuple[np.ndarray, dict]:
+        """_invert at every row of prices p (N, n), from q = max(1 - p, -0.5)."""
+        return self._invert(p, np.maximum(1.0 - p, -0.5))
 
-    def _inverse_jacobian_rows(self, q: np.ndarray) -> np.ndarray:
-        """dP/dq at every row of q (N, n): central differences of _inverse_rows."""
-        return _fd_jacobians(self._inverse_rows, q)
-
-    def _invert(self, target: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, list]:
+    def _invert(self, target: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, dict]:
         """Damped Newton solve of P(q) = target at every row of target (N, n).
 
         Each row takes the steps it takes alone. Returns the (N, n) rows
-        reached and each row's ConvergenceError, or None where the row
-        converged. A model error at the start or in a Jacobian propagates;
-        a line-search candidate the model rejects (NaN from
+        reached and the error of each row that did not converge, by row. A
+        row without prices at its start has the error that portfolio_inverse
+        raises there; a line-search candidate the model rejects (NaN from
         portfolio_inverses over every product) is halved like one whose
         residual does not fall.
         """
         every = tuple(range(1, self.n + 1))
         q = np.array(start, dtype=float)
-        resid = self._inverse_rows(q) - target
+        prices = self.portfolio_inverses(q, every)
+        errors: dict[int, Exception] = {}
+        for r in np.flatnonzero(np.isnan(prices).any(axis=1)).tolist():
+            try:
+                self.portfolio_inverse(q[r], every)  # raises the row's error
+            except ROW_ERRORS as exc:
+                errors[r] = exc
+        resid = prices - target
         norm = np.max(np.abs(resid), axis=1)
-        errors: list[ConvergenceError | None] = [None] * len(q)
-        live = np.arange(len(q))
+        live = np.array([r for r in range(len(q)) if r not in errors], int)
         for _ in range(INVERSION_STEPS):
             live = live[~(norm[live] <= INVERSION_TOL)]  # a NaN residual is not done
             if not live.size:
                 return q, errors
-            jac = self._inverse_jacobian_rows(q[live])
+            jac = self.portfolio_inverse_jacobians(q[live], prices[live], every)[0]
             try:
                 step = np.linalg.solve(jac, -resid[live, :, None])[:, :, 0]
             except np.linalg.LinAlgError:
                 # the stacked solve fails as a whole: find the singular rows
                 step = np.empty((len(live), self.n))
-                for k, r in enumerate(live):
+                for k, r in enumerate(live.tolist()):
                     try:
                         step[k] = np.linalg.solve(jac[k], -resid[r])
                     except np.linalg.LinAlgError as exc:
                         errors[r] = ConvergenceError(f"singular Jacobian during inversion: {exc}")
-                regular = [errors[r] is None for r in live]
+                regular = [r not in errors for r in live]
                 live, step = live[regular], step[regular]
             rows, scale = live, 1.0
             for _ in range(40):
                 if not rows.size:
                     break
                 cand = q[rows] + scale * step
-                cand_resid = self.portfolio_inverses(cand, every) - target[rows]
+                cand_p = self.portfolio_inverses(cand, every)
+                cand_resid = cand_p - target[rows]
                 cand_norm = np.max(np.abs(cand_resid), axis=1)
                 take = cand_norm < norm[rows]
                 hit = rows[take]
-                q[hit], resid[hit], norm[hit] = cand[take], cand_resid[take], cand_norm[take]
+                q[hit], prices[hit], resid[hit], norm[hit] = (
+                    cand[take], cand_p[take], cand_resid[take], cand_norm[take]
+                )
                 rows, step, scale = rows[~take], step[~take], scale * 0.5
-            for r in rows:
+            for r in rows.tolist():
                 errors[r] = ConvergenceError(
                     f"inversion stalled at residual {norm[r]:.3e} (target {INVERSION_TOL:.1e})"
                 )
-            live = live[[errors[r] is None for r in live]]
-        for r in live:
+            live = live[[r not in errors for r in live]]
+        for r in live.tolist():
             errors[r] = ConvergenceError(f"inversion did not converge: residual {norm[r]:.3e}")
         return q, errors
 
@@ -353,10 +392,13 @@ def _fd_jacobian(
     return np.column_stack(cols)
 
 
-def _fd_jacobians(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """_fd_jacobian at every row of x (N, n) for a row-wise fn, with its steps."""
+def _fd_jacobians(
+    fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, coords: Sequence[int]
+) -> np.ndarray:
+    """_fd_jacobian at every row of x (N, n) for a row-wise fn, with its
+    steps: one column per coordinate in ``coords``."""
     cols = []
-    for k in range(x.shape[1]):
+    for k in coords:
         h = FD_STEP * np.maximum(1.0, np.abs(x[:, k]))
         e = np.zeros_like(x)
         e[:, k] = h
@@ -401,40 +443,12 @@ def _linalg_rows(fn: Callable, use: np.ndarray, *stacks: np.ndarray) -> tuple[np
     return out, ok
 
 
-def _each_row(
-    fn: Callable[[int], np.ndarray], count: int, shape: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """fn(r) for each row r < count, stacked as (count, *shape), and the rows
-    that have a value; the others, where fn raises one of ROW_ERRORS, are
-    NaN."""
-    stack = np.full((count,) + shape, np.nan)
-    ok = np.zeros(count, bool)
-    for r in range(count):
-        try:
-            row = fn(r)
-        except ROW_ERRORS:
-            continue
-        stack[r], ok[r] = row, True
-    return stack, ok
-
-
-def _first_row(stack: np.ndarray, bad: np.ndarray, message: str) -> np.ndarray:
-    """Row 0 of a one-row stack, or a DomainError where that row is outside
-    the family's domain: a one-point hook as the one-row case of a stacked one."""
-    if bad[0]:
-        raise DomainError(message)
-    return stack[0]
-
-
-def _node_failure(node: np.ndarray, reason) -> str:
-    return f"node {tuple(round(float(x), 6) for x in node)}: {reason}"
-
-
-def _one_row(q: np.ndarray, errors: list) -> np.ndarray:
-    """The solution of a one-row _invert, or that row's error raised."""
-    if errors[0] is not None:
+def _one_row(stack: np.ndarray, errors: dict) -> np.ndarray:
+    """Row 0 of a one-row stack, or that row's error raised: the one-point
+    case of _invert and of demand_jacobians."""
+    if 0 in errors:
         raise errors[0]
-    return q[0]
+    return stack[0]
 
 
 def _fd_cross_partial(
@@ -564,8 +578,8 @@ class LinearDemand(DemandModel):
     kind = "linear"
 
     def __init__(self, a: Sequence[float], B: Sequence[Sequence[float]], costs=None):
-        a = np.asarray(a, dtype=float)
-        B = np.asarray(B, dtype=float)
+        a = _finite(a, "a")
+        B = _finite(B, "B")
         n = len(a)
         if B.shape != (n, n):
             raise ValueError(f"B must be {n}x{n}, got {B.shape}")
@@ -585,23 +599,11 @@ class LinearDemand(DemandModel):
         p = _as_vector(p, self.n, "p")
         return np.linalg.solve(self.B, self.a - p)
 
-    def inverse_demand(self, q):
-        return self._inverse_rows(_as_vector(q, self.n, "q")[None])[0]
-
-    def _inverse_rows(self, q):
-        return self.a - (self.B @ q[:, :, None])[:, :, 0]
-
-    def demand_jacobian(self, p):
-        return -np.linalg.inv(self.B)
-
     def demand_jacobians(self, nodes):
-        return np.broadcast_to(-np.linalg.inv(self.B), (len(nodes), self.n, self.n)), []
-
-    def inverse_jacobian(self, q):
-        return -self.B
+        return np.broadcast_to(-np.linalg.inv(self.B), (len(nodes), self.n, self.n)), {}
 
     def portfolio_inverses(self, q, carried):
-        return self._inverse_rows(q)
+        return self.a - (self.B @ q[:, :, None])[:, :, 0]
 
     def portfolio_inverse_jacobians(self, q, p, carried):
         k = len(carried)
@@ -683,9 +685,6 @@ class LinearDemand(DemandModel):
         }
 
 
-_EQ7_SLOPE_DOMAIN = "cross-price slope of product 3 undefined at p1 + p2 >= 2"
-
-
 class Eq7Demand(DemandModel):
     """Three products: linear cross-price coupling b plus a square-root
     spillover of products 1 and 2 onto the demand for product 3.
@@ -701,13 +700,14 @@ class Eq7Demand(DemandModel):
     """
 
     kind = "eq7"
+    outside = "quantity vector outside the invertible region"
 
     def __init__(self, b: float, gamma: float):
         if not abs(b) < 1:
             raise ValueError(f"|b| must be < 1, got {b}")
         super().__init__(3)
         self.b = float(b)
-        self.gamma = float(gamma)
+        self.gamma = float(_finite(gamma, "gamma"))
         self.singular_at_zero = gamma != 0.0
 
     def demand(self, p):
@@ -725,34 +725,16 @@ class Eq7Demand(DemandModel):
             ]
         )
 
-    def demand_jacobian(self, p):
-        return _first_row(*self._slopes(_as_vector(p, 3, "p")[None], (1, 2, 3)), _EQ7_SLOPE_DOMAIN)
-
     def demand_jacobians(self, nodes):
         slopes, bad = self._slopes(nodes, (1, 2, 3))
-        return slopes[~bad], [_node_failure(node, _EQ7_SLOPE_DOMAIN) for node in nodes[bad]]
-
-    def inverse_demand(self, q):
-        return self.portfolio_inverse(_as_vector(q, 3, "q"), (1, 2, 3))
-
-    def portfolio_inverse(self, q, carried):
-        q = np.asarray(q, dtype=float)
-        if q.shape != (3,):
-            raise ValueError(f"q must have shape (3,), got {q.shape}")
-        for i in range(3):
-            if (i + 1) not in carried and q[i] != 0.0:
-                raise ValueError(f"quantity of absent product {i + 1} must be 0")
-        return _first_row(
-            *self._restricted_inverse(q[None], carried), "quantity vector outside the invertible region"
-        )
+        slopes[bad] = np.nan
+        undefined = "cross-price slope of product 3 undefined at p1 + p2 >= 2"
+        return slopes, {r: DomainError(undefined) for r in np.flatnonzero(bad).tolist()}
 
     def portfolio_inverses(self, q, carried):
         prices, bad = self._restricted_inverse(q, carried)
         prices[bad] = np.nan
         return prices
-
-    def portfolio_inverse_jacobian(self, q, p, carried):
-        return np.linalg.inv(_first_row(*self._slopes(p[None], carried), _EQ7_SLOPE_DOMAIN))
 
     def portfolio_inverse_jacobians(self, q, p, carried):
         slopes, bad = self._slopes(p, carried)
@@ -761,7 +743,7 @@ class Eq7Demand(DemandModel):
     def demand_hessians(self, p, carried):
         # D3's gamma sqrt(u), u = (1-p1) + (1-p2) over the carried pair, is the
         # only curvature: -gamma / (4 u^1.5) on the pair's block of D3, in
-        # Python's float power, so that each row is bit for bit the one-point value
+        # Python's float power, so that each row has the bits it has alone
         k = len(carried)
         hess = np.zeros((len(p), k, k, k))
         pair = [carried.index(i) for i in (1, 2) if i in carried]
@@ -854,8 +836,6 @@ class Eq7Demand(DemandModel):
         # best on it. Every candidate is valued at its q clipped to the box, by
         # the inverse, and the best is the maximum.
         b, g = self.b, self.gamma
-        if not math.isfinite(g):
-            return None
         lb, ub = lb.tolist(), ub.tolist()
         pair = [at for at, prod in enumerate(carried) if prod in (1, 2)]
         if len({lb[at] for at in pair}) > 1 or len({ub[at] for at in pair}) > 1:
@@ -951,46 +931,19 @@ class AppendixBDemand(DemandModel):
     """
 
     kind = "appendix_b"
+    outside = "need q1 > -1 and q2 > -1 for the log terms"
 
     def __init__(self, b: float, gamma: float, alpha: float):
         if not abs(b) < 1:
             raise ValueError(f"|b| must be < 1, got {b}")
         super().__init__(3)
         self.b = float(b)
-        self.gamma = float(gamma)
-        self.alpha = float(alpha)
+        self.gamma = float(_finite(gamma, "gamma"))
+        self.alpha = float(_finite(alpha, "alpha"))
 
-    def inverse_demand(self, q):
-        q = _as_vector(q, 3, "q")
-        if q[0] <= -1 or q[1] <= -1:
-            raise DomainError("need q1 > -1 and q2 > -1 for the log terms")
-        return self._inverse_rows(q[None])[0]
-
-    def inverse_jacobian(self, q):
-        return self._inverse_jacobian_rows(_as_vector(q, 3, "q")[None])[0]
-
-    def demand(self, p):
-        p = _as_vector(p, 3, "p")
-        return _one_row(*self._invert(p[None], np.maximum(1.0 - p, -0.5)[None]))
-
-    def demand_jacobian(self, p):
-        p = _as_vector(p, 3, "p")
-        q = self.demand(p)
-        return np.linalg.inv(self.inverse_jacobian(q))
-
-    def demand_jacobians(self, nodes):
-        q, errors = self._invert(nodes, np.maximum(1.0 - nodes, -0.5))
-        ok = np.array([error is None for error in errors], bool)
-        failures = [_node_failure(node, e) for node, e in zip(nodes, errors) if e is not None]
-        return np.linalg.inv(self._inverse_jacobian_rows(q[ok])), failures
-
-    def _inverse_rows(self, q: np.ndarray) -> np.ndarray:
-        """inverse_demand at every row of q (N, 3), NaN in each row where q1 or
-        q2 is <= -1 (where inverse_demand raises), which line searches reject.
-
-        math.log1p, not numpy's, so that each row is the one-point value bit
-        for bit.
-        """
+    def portfolio_inverses(self, q, carried):
+        # NaN in each row where q1 or q2 is <= -1, which line searches reject;
+        # math.log1p, not numpy's, so that each row has the bits it has alone
         b, g, a = self.b, self.gamma, self.alpha
         log1p = np.array(
             [math.log1p(x) if x > -1 else math.nan for x in q[:, :2].ravel().tolist()]
@@ -1005,26 +958,18 @@ class AppendixBDemand(DemandModel):
         prices[(q[:, :2] <= -1).any(axis=1)] = np.nan
         return prices
 
-    def _inverse_jacobian_rows(self, q: np.ndarray) -> np.ndarray:
-        """inverse_jacobian at every row of q (N, 3)."""
+    def portfolio_inverse_jacobians(self, q, p, carried):
         jac = np.empty((len(q), 3, 3))
         jac[:, 0, 1] = self.b / (1.0 + q[:, 1])
         jac[:, 1, 0] = self.b / (1.0 + q[:, 0])
         jac[:, :2, 2] = self.alpha
         jac[:, 2, :2] = self.gamma
         jac[:, [0, 1, 2], [0, 1, 2]] = -1.0
-        return jac
-
-    def portfolio_inverses(self, q, carried):
-        return self._inverse_rows(q)
-
-    def portfolio_inverse_jacobians(self, q, p, carried):
-        idx = [i - 1 for i in carried]
-        return self._inverse_jacobian_rows(q)[:, :, idx][:, idx], np.ones(len(q), bool)
+        return _block(jac, carried), np.ones(len(q), bool)
 
     def portfolio_inverse_hessians(self, q, p, jac, carried):
         # the only curvature: d2P1/dq2^2 = -b/(1+q2)^2 and d2P2/dq1^2 = -b/(1+q1)^2,
-        # in Python's float power, so that each row is the one-point value bit for bit
+        # in Python's float power, so that each row has the bits it has alone
         k = len(carried)
         hess = np.zeros((len(q), k, k, k))
         if 1 in carried and 2 in carried:
@@ -1061,8 +1006,7 @@ class OneStopDemand(DemandModel):
     (2 beta_i), one row at a time: Illinois steps (plain halving under a
     step CDF) that end on the float halving would. The price Jacobian inverts
     central differences of D at the prices held, and the demand Hessian
-    needs G' and G'' from the CDF; both take a stack of rows, and their
-    one-point hooks are the one-row case.
+    needs G' and G'' from the CDF; both take a stack of rows.
     """
 
     kind = "one_stop"
@@ -1074,8 +1018,8 @@ class OneStopDemand(DemandModel):
         cdf: ShoppingCostCdf,
         costs=None,
     ):
-        alpha = np.asarray(alpha, dtype=float)
-        beta = np.asarray(beta, dtype=float)
+        alpha = _finite(alpha, "alpha")
+        beta = _finite(beta, "beta")
         n = len(alpha)
         if beta.shape != (n,):
             raise ValueError("alpha and beta must have equal length")
@@ -1094,20 +1038,20 @@ class OneStopDemand(DemandModel):
         return q * q / (2.0 * self.beta)
 
     def demand(self, p):
-        p = _as_vector(p, self.n, "p")
-        traffic = self.cdf(float(np.sum(self.surplus(p))))
-        return self.sub_demand(p) * traffic
+        return self._demand_rows(_as_vector(p, self.n, "p")[None])[0]
 
     def demand_jacobians(self, nodes):
-        # the shopping-cost CDFs raise nothing, so every node is usable
-        return _fd_jacobians(self._demand_rows, nodes), []
+        # the shopping-cost CDFs raise nothing, so every node has slopes
+        return _fd_jacobians(self._demand_rows, nodes, range(self.n)), {}
 
     def _demand_rows(self, p: np.ndarray) -> np.ndarray:
         """demand at every row of p (N, n); the CDF is called once per row."""
         traffic = [self.cdf(float(s)) for s in np.sum(self.surplus(p), axis=1)]
         return self.sub_demand(p) * np.array(traffic)[:, None]
 
-    def inverse_demand(self, q):
+    def portfolio_inverse(self, q, carried):
+        # the full system's prices: an absent product's zero quantity puts it at
+        # its choke price, which takes it out of the store traffic
         q = _as_vector(q, self.n, "q")
         if not np.all((q >= 0) & np.isfinite(q)):  # a NaN would reach the traffic solve
             raise DomainError("quantities must be finite and nonnegative")
@@ -1118,18 +1062,12 @@ class OneStopDemand(DemandModel):
         theta = self._traffic_share(float(np.sum(q * q / (2.0 * self.beta))))
         return (self.alpha - q / theta) / self.beta
 
-    def portfolio_inverse_jacobian(self, q, p, carried):
-        jac, ok = self.portfolio_inverse_jacobians(q[None], p[None], carried)
-        if not ok[0]:
-            raise np.linalg.LinAlgError("the demand Jacobian at these prices has no inverse")
-        return jac[0]
-
     def portfolio_inverse_jacobians(self, q, p, carried):
         # the demand Jacobians at the prices held, by the grid's stacked central
-        # differences: inverse_jacobian(q) would solve the traffic again
+        # differences: differences of the prices would solve the traffic again
         priced = np.isfinite(p).all(axis=1)
         slopes = np.full((len(p), self.n, self.n), np.nan)
-        slopes[priced] = _fd_jacobians(self._demand_rows, p[priced])
+        slopes[priced] = _fd_jacobians(self._demand_rows, p[priced], range(self.n))
         inverse, ok = _linalg_rows(np.linalg.inv, priced, slopes)
         return _block(inverse, carried), ok
 
@@ -1212,7 +1150,9 @@ class OneStopDemand(DemandModel):
 
 
 class CustomDemand(DemandModel):
-    """Inverse demand supplied as a callback; everything else is numeric."""
+    """Inverse demand supplied as a callback, called one point at a time;
+    everything else is numeric: the demand by the Newton inversion and the
+    Jacobians by central differences, each over a stack of rows."""
 
     kind = "custom"
 
@@ -1228,19 +1168,11 @@ class CustomDemand(DemandModel):
         self._inverse = inverse
         self._price_region = price_region
         self._quantity_region = quantity_region
-        self._choke = None if choke is None else _as_vector(choke, n, "choke")
+        self._choke = None if choke is None else _finite(_as_vector(choke, n, "choke"), "choke")
 
-    def inverse_demand(self, q):
-        q = _as_vector(q, self.n, "q")
-        return np.asarray(self._inverse(q), dtype=float)
-
-    def inverse_jacobian(self, q):
-        return _fd_jacobian(self.inverse_demand, _as_vector(q, self.n, "q"))
-
-    def demand_jacobian(self, p):
-        p = _as_vector(p, self.n, "p")
-        q = self.demand(p)
-        return np.linalg.inv(self.inverse_jacobian(q))
+    def portfolio_inverse(self, q, carried):
+        # the callback's prices for the full system at the zero-padded q
+        return np.asarray(self._inverse(_as_vector(q, self.n, "q")), dtype=float)
 
     def choke_quantities(self):
         if self._choke is not None:
@@ -1271,13 +1203,6 @@ class GrossRelationReport:
     region: EvaluationRegion
     failures: tuple[str, ...] = ()
 
-    @property
-    def tolerance(self) -> float:
-        return self.block["tolerance"]
-
-    def pair(self, i: int, j: int) -> GrossKind:
-        return self.pairs[(min(i, j), max(i, j))]
-
     def describe(self) -> dict:
         return {**self.block, "failures": list(self.failures)}
 
@@ -1298,7 +1223,13 @@ def gross_relation(
         region = model.default_price_region()
     if region.dim != model.n:
         raise ValueError(f"region dimension {region.dim} != product count {model.n}")
-    slopes, failures = model.demand_jacobians(region.nodes())
+    nodes = region.nodes()
+    slopes, errors = model.demand_jacobians(nodes)
+    if errors:
+        slopes = np.delete(slopes, list(errors), axis=0)
+    failures = [
+        f"node {tuple(round(float(x), 6) for x in nodes[r])}: {error}" for r, error in sorted(errors.items())
+    ]
     if not len(slopes):
         raise ConvergenceError(
             "no usable grid node for gross classification; failures: "
@@ -1384,7 +1315,8 @@ def _cross_partials(
     """d2P_m/dq_i dq_j for each (m, i, j) of partials at each row of nodes, as
     an (N, len(partials)) array, and a line for each one the model rejects (NaN).
     One stacked call per hook gives the exact inverse Hessian over all products
-    where the family has one; differences of inverse_demand give the rest."""
+    where the family has one; differences of the one-point portfolio_inverse
+    give the rest."""
     every = tuple(range(1, model.n + 1))
     m_idx, i_idx, j_idx = np.array(partials, int).reshape(-1, 3).T - 1
     prices = model.portfolio_inverses(nodes, every)
@@ -1399,7 +1331,9 @@ def _cross_partials(
     for r in np.setdiff1d(np.arange(len(nodes)), rows[exact]):
         for col, (m, i, j) in enumerate(partials):
             try:
-                samples[r, col] = _fd_cross_partial(model.inverse_demand, nodes[r], m, i, j)
+                samples[r, col] = _fd_cross_partial(
+                    lambda x: model.portfolio_inverse(x, every), nodes[r], m, i, j
+                )
             except (DomainError, ConvergenceError) as exc:
                 skipped.append(f"node {tuple(nodes[r].tolist())} P_{m} d(q{i},q{j}): {exc}")
     return samples, skipped

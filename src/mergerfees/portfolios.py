@@ -109,10 +109,6 @@ class Portfolio:
             raise ValueError(f"mask {self.mask:#x} out of range for n={self.n}")
 
     @classmethod
-    def empty(cls, n: int) -> "Portfolio":
-        return cls(n, 0)
-
-    @classmethod
     def full(cls, n: int) -> "Portfolio":
         return cls(n, (1 << n) - 1)
 
@@ -136,9 +132,6 @@ class Portfolio:
 
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.n + 1) if self.mask >> (i - 1) & 1)
-
-    def size(self) -> int:
-        return bin(self.mask).count("1")
 
     def dot(self, values: Sequence[float]) -> float:
         """Inner product x . values with values indexed by product - 1."""

@@ -1,9 +1,13 @@
+import importlib
 import itertools
 import math
+import pkgutil
+import re
 
 import numpy as np
 import pytest
 
+import mergerfees
 from mergerfees.demand_systems import (
     INVERSION_STEPS,
     INVERSION_TOL,
@@ -33,6 +37,9 @@ from mergerfees.reduced_form import (
 from support import random_linear_demand, saturated_cdf
 
 
+EVERY = (1, 2, 3)
+
+
 def fd_jacobian(fn, x, h=1e-6):
     cols = []
     for k in range(len(x)):
@@ -60,13 +67,47 @@ def test_region_validation_and_nodes():
 
 
 # ---------------------------------------------------------------------------
+# One-point maps
+# ---------------------------------------------------------------------------
+
+
+def _package_families():
+    """Every DemandModel subclass that a module of the package defines."""
+    for module in pkgutil.iter_modules(mergerfees.__path__):
+        importlib.import_module(f"mergerfees.{module.name}")
+    families, todo = [], DemandModel.__subclasses__()
+    while todo:
+        cls = todo.pop()
+        todo += cls.__subclasses__()
+        if cls.__module__.startswith("mergerfees."):
+            families.append(cls)
+    return families
+
+
+def test_families_write_stacked_maps_and_the_base_their_one_point_case():
+    # a one-point map written by a family is a second copy of its formula; only
+    # a per-row solve (one_stop's traffic, CustomDemand's callback) is written
+    # per point, as portfolio_inverse, which the base's portfolio_inverses loops
+    families = _package_families()
+    assert {cls.__name__ for cls in families} >= {
+        "LinearDemand", "Eq7Demand", "AppendixBDemand", "OneStopDemand", "CustomDemand",
+    }
+    one_point = {"inverse_demand", "inverse_jacobian", "demand_jacobian", "portfolio_inverse_jacobian"}
+    for cls in families:
+        assert not one_point & set(vars(cls)), cls.__name__
+        if cls not in (OneStopDemand, CustomDemand):
+            assert "portfolio_inverse" not in vars(cls), cls.__name__
+    assert {"demand", "demand_jacobian", "portfolio_inverse", "portfolio_inverse_jacobian"} <= set(vars(DemandModel))
+
+
+# ---------------------------------------------------------------------------
 # Linear family
 # ---------------------------------------------------------------------------
 
 
 def test_linear_inverse_at_origin():
     m = LinearDemand([1.0, 1.0], np.eye(2))
-    assert np.allclose(m.inverse_demand([0.0, 0.0]), [1.0, 1.0])
+    assert np.allclose(m.portfolio_inverse([0.0, 0.0], (1, 2)), [1.0, 1.0])
     assert np.allclose(m.demand([1.0, 1.0]), [0.0, 0.0])
 
 
@@ -74,9 +115,10 @@ def test_linear_jacobians_consistent():
     rng = np.random.default_rng(1)
     m = random_linear_demand(rng, 3, "substitutes")
     q = np.array([0.2, 0.3, 0.25])
-    assert np.allclose(m.inverse_jacobian(q), -m.B)
-    p = m.inverse_demand(q)
-    assert np.allclose(m.demand_jacobian(p) @ m.inverse_jacobian(q), np.eye(3), atol=1e-12)
+    p = m.portfolio_inverse(q, EVERY)
+    jac = m.portfolio_inverse_jacobian(q, p, EVERY)
+    assert np.allclose(jac, -m.B)
+    assert np.allclose(m.demand_jacobian(p) @ jac, np.eye(3), atol=1e-12)
 
 
 def test_linear_validation():
@@ -84,6 +126,29 @@ def test_linear_validation():
         LinearDemand([1.0], [[-1.0]])
     with pytest.raises(ValueError):
         LinearDemand([0.5, 0.5], np.eye(2), costs=[0.6, 0.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_priced_family_rejects_a_parameter_that_is_not_finite(bad):
+    # a NaN intercept gave a linear optimum of value NaN with status converged
+    cdf = ExponentialCdf(1.0)
+    builds = [
+        ("a", lambda: LinearDemand([1.0, bad], np.eye(2))),
+        ("B", lambda: LinearDemand([1.0, 1.0], [[1.0, bad], [0.0, 1.0]])),
+        ("costs", lambda: LinearDemand([1.0, 1.0], np.eye(2), costs=[0.0, bad])),
+        ("|b|", lambda: Eq7Demand(bad, 0.5)),
+        ("gamma", lambda: Eq7Demand(0.1, bad)),
+        ("|b|", lambda: AppendixBDemand(bad, 0.5, 0.0)),
+        ("gamma", lambda: AppendixBDemand(0.1, bad, 0.0)),
+        ("alpha", lambda: AppendixBDemand(0.1, 0.5, bad)),
+        ("alpha", lambda: OneStopDemand([bad, 1.0], [1.0, 1.0], cdf)),
+        ("beta", lambda: OneStopDemand([1.0, 1.0], [1.0, bad], cdf)),
+        ("costs", lambda: OneStopDemand([1.0, 1.0], [1.0, 1.0], cdf, costs=[bad, 0.0])),
+        ("choke", lambda: CustomDemand(2, lambda q: 1.0 - q, choke=[1.0, bad])),
+    ]
+    for name, build in builds:
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be"):
+            build()
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +180,7 @@ def test_eq7_domain_error():
 def test_eq7_inverse_closed_form_at_b_zero():
     m = Eq7Demand(0.0, 0.5)
     q = np.array([0.589, 0.589, 0.771])
-    p = m.inverse_demand(q)
+    p = m.portfolio_inverse(q, EVERY)
     assert p[0] == pytest.approx(1 - 0.589, abs=1e-12)
     assert p[2] == pytest.approx(1 - 0.771 + 0.5 * math.sqrt(1.178), abs=1e-12)
     assert p[2] == pytest.approx(0.772, abs=1e-3)
@@ -126,7 +191,7 @@ def test_eq7_round_trip_with_coupling():
         m = Eq7Demand(b, 0.4)
         for q in ([0.5, 0.6, 0.7], [0.1, 0.9, 0.3], [0.4, 0.4, 0.01]):
             q = np.array(q)
-            assert np.max(np.abs(m.demand(m.inverse_demand(q)) - q)) < 1e-10
+            assert np.max(np.abs(m.demand(m.portfolio_inverse(q, EVERY)) - q)) < 1e-10
 
 
 def test_eq7_restricted_inverse_drops_absent_products():
@@ -157,7 +222,8 @@ def test_eq7_closed_form_cross_slope_matches_differences():
 def test_eq7_inverse_jacobian_matches_differences():
     m = Eq7Demand(0.2, 0.5)
     q = np.array([0.4, 0.5, 0.6])
-    assert np.max(np.abs(m.inverse_jacobian(q) - fd_jacobian(m.inverse_demand, q))) < 1e-6
+    jac = m.portfolio_inverse_jacobian(q, m.portfolio_inverse(q, EVERY), EVERY)
+    assert np.max(np.abs(jac - fd_jacobian(lambda x: m.portfolio_inverse(x, EVERY), q))) < 1e-6
 
 
 def _reference_eq7_demand_jacobian(m, p):
@@ -205,6 +271,22 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def _slopes_row(m, p):
+    """demand_jacobians at the one row p, or None where it has no slopes."""
+    slopes, errors = m.demand_jacobians(p[None])
+    return None if errors else slopes[0]
+
+
+def _inverse_jacobian_row(m, q, carried):
+    """portfolio_inverse_jacobians at the one row q and its prices, or None
+    where q has no prices or the hook no value."""
+    p = m.portfolio_inverses(q[None], carried)
+    if np.isnan(p[0, [i - 1 for i in carried]]).any():
+        return None
+    jac, ok = m.portfolio_inverse_jacobians(q[None], p, carried)
+    return jac[0] if ok[0] else None
+
+
 def test_eq7_slopes_match_reference_construction_bit_for_bit():
     rng = np.random.default_rng(11)
     subsets = [c for r in (1, 2, 3) for c in itertools.combinations((1, 2, 3), r)]
@@ -214,21 +296,18 @@ def test_eq7_slopes_match_reference_construction_bit_for_bit():
         gamma = 0.0 if draw % 7 == 0 else rng.uniform(-1.0, 1.0)
         m = Eq7Demand(b, gamma)
         p = np.array([1.0, 1.0, 0.5]) if draw % 11 == 0 else rng.uniform(-0.2, 1.4, 3)
-        pairs = [(_outcome(m.demand_jacobian, p), _outcome(_reference_eq7_demand_jacobian, m, p))]
+        pairs = [(_slopes_row(m, p), _outcome(_reference_eq7_demand_jacobian, m, p))]
         carried = subsets[draw % len(subsets)]
         q = np.zeros(3)
         for i in carried:
             q[i - 1] = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 1.2)
         pairs.append(
-            (
-                _outcome(lambda: m.portfolio_inverse_jacobian(q, m.portfolio_inverse(q, carried), carried)),
-                _outcome(_reference_eq7_portfolio_inverse_jacobian, m, q, carried),
-            )
+            (_inverse_jacobian_row(m, q, carried), _outcome(_reference_eq7_portfolio_inverse_jacobian, m, q, carried))
         )
         for k, (got, want) in enumerate(pairs):
             if isinstance(want, type):
                 errors[k] += 1
-                assert got is want
+                assert got is None
             else:
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -311,7 +390,7 @@ def test_eq7_inverse_one_quadratic_matches_the_two_it_replaced_bit_for_bit():
 
 def test_appendix_b_inverse_at_origin():
     m = AppendixBDemand(b=-0.125, gamma=-0.8, alpha=0.0)
-    assert np.allclose(m.inverse_demand([0.0, 0.0, 0.0]), [1.0, 1.0, 1.0])
+    assert np.allclose(m.portfolio_inverse([0.0, 0.0, 0.0], EVERY), [1.0, 1.0, 1.0])
 
 
 def test_appendix_b_round_trip():
@@ -319,7 +398,7 @@ def test_appendix_b_round_trip():
     for p in ([0.5, 0.5, 0.5], [0.2, 0.7, 0.9], [0.05, 0.95, 0.4]):
         p = np.array(p)
         q = m.demand(p)
-        assert np.max(np.abs(m.inverse_demand(q) - p)) < 1e-9
+        assert np.max(np.abs(m.portfolio_inverse(q, EVERY) - p)) < 1e-9
 
 
 def test_appendix_b_demand_jacobian_matches_differences():
@@ -342,13 +421,13 @@ def test_appendix_b_cross_slope_formula():
         1 - b * b + q[0] + q[1] + q[0] * q[1]
         - a * g * (2 * (1 + q[0]) * (1 + q[1]) + b * (2 + q[0] + q[1]))
     )
-    jac = np.linalg.inv(m.inverse_jacobian(q))
+    p = m.portfolio_inverse(q, EVERY)
+    jac = np.linalg.inv(m.portfolio_inverse_jacobian(q, p, EVERY))
     assert jac[0, 1] == pytest.approx(-(1 + q[0]) * (b + a * g * (1 + q[1])) / phi, abs=1e-12)
     assert jac[0, 2] == pytest.approx(-a * (1 + q[0]) * (1 + q[1] + b) / phi, abs=1e-12)
     # the third product's slope pairs (1+q_j) with the *other* product's
     # (1+q_i+b) factor; verified against finite differences of D
     assert jac[2, 0] == pytest.approx(-g * (1 + q[1]) * (1 + q[0] + b) / phi, abs=1e-12)
-    p = m.inverse_demand(q)
     fd = fd_jacobian(m.demand, p)
     assert fd[2, 0] == pytest.approx(jac[2, 0], abs=1e-7)
 
@@ -368,12 +447,12 @@ def test_one_stop_round_trip():
     m = OneStopDemand([1.0, 1.2, 0.9], [1.0, 0.8, 1.1], ExponentialCdf(1.5))
     for p in ([0.3, 0.5, 0.2], [0.6, 0.2, 0.4]):
         q = m.demand(np.array(p))
-        assert np.max(np.abs(m.demand(m.inverse_demand(q)) - q)) < 1e-10
-    assert np.allclose(m.inverse_demand(np.zeros(3)), m.alpha / m.beta)
+        assert np.max(np.abs(m.demand(m.portfolio_inverse(q, EVERY)) - q)) < 1e-10
+    assert np.allclose(m.portfolio_inverse(np.zeros(3), EVERY), m.alpha / m.beta)
 
 
 def test_one_stop_traffic_is_the_smallest_float_root():
-    # residual(theta) = theta - G(k / theta^2) rises in theta; inverse_demand's
+    # residual(theta) = theta - G(k / theta^2) rises in theta; portfolio_inverse's
     # prices must come from the first float at which it is >= 0
     rng = np.random.default_rng(19)
     alpha, beta = rng.uniform(0.5, 2.0, 3), rng.uniform(0.5, 2.0, 3)
@@ -382,7 +461,7 @@ def test_one_stop_traffic_is_the_smallest_float_root():
         region = m.default_quantity_region()
         for _ in range(10):
             q = rng.uniform(region.lower, region.upper)
-            p = m.inverse_demand(q)
+            p = m.portfolio_inverse(q, EVERY)
             k = float(np.sum(q * q / (2.0 * m.beta)))
 
             def residual(theta):
@@ -471,8 +550,8 @@ def test_one_stop_hooks_under_a_table_cdf_give_a_nan_row_for_a_nan_row():
     assert ok.tolist() == [True, False] and np.isnan(jac[1]).all()
     hess, exact = model.demand_hessians(p, every)
     assert not exact[1] and np.isnan(hess[1]).all()
-    slopes, failures = model.demand_jacobians(p)
-    assert np.isfinite(slopes[0]).all() and np.isnan(slopes[1]).all()
+    slopes, errors = model.demand_jacobians(p)
+    assert np.isfinite(slopes[0]).all() and np.isnan(slopes[1]).all() and not errors
     assert np.isnan(model.demand(p[1])).all()
 
 
@@ -492,7 +571,7 @@ def test_one_stop_rejects_a_quantity_that_is_not_finite_before_the_traffic_solve
     model = OneStopDemand([1.1, 1.4, 1.9], [1.8, 1.2, 1.9], cdf)
     for q in ([math.nan, 0.3, 0.4], [math.inf, 0.3, 0.4]):
         with pytest.raises(DomainError, match="finite and nonnegative"):
-            model.inverse_demand(q)
+            model.portfolio_inverse(q, EVERY)
     assert cdf.calls == 0
     p = model.portfolio_inverses(np.array([[math.nan, 0.3, 0.4]]), (1, 2, 3))
     assert np.isnan(p).all() and cdf.calls == 0
@@ -517,7 +596,7 @@ class _AboveOneCdf(ShoppingCostCdf):
 )
 def test_one_stop_traffic_failures_are_convergence_errors(cdf, q, message):
     with pytest.raises(ConvergenceError, match=message):
-        OneStopDemand([3.0, 3.0], [1.0, 1.0], cdf).inverse_demand(q)
+        OneStopDemand([3.0, 3.0], [1.0, 1.0], cdf).portfolio_inverse(q, (1, 2))
 
 
 def test_custom_demand_inverts_numerically():
@@ -528,7 +607,7 @@ def test_custom_demand_inverts_numerically():
         price_region=EvaluationRegion((0.1, 0.1), (0.9, 0.9)),
     )
     q = m.demand(np.array([0.4, 0.5]))
-    assert np.max(np.abs(m.inverse_demand(q) - [0.4, 0.5])) < 1e-9
+    assert np.max(np.abs(m.portfolio_inverse(q, (1, 2)) - [0.4, 0.5])) < 1e-9
 
 
 def test_round_trip_every_family_on_interior_points():
@@ -546,7 +625,7 @@ def test_round_trip_every_family_on_interior_points():
             q = np.array(
                 [rng.uniform(lo, hi) for lo, hi in zip(region.lower, region.upper)]
             )
-            err = np.max(np.abs(m.demand(m.inverse_demand(q)) - q))
+            err = np.max(np.abs(m.demand(m.portfolio_inverse(q, EVERY)) - q))
             assert err <= 1e-7, f"{m.kind}: round-trip error {err}"
 
 
@@ -680,8 +759,8 @@ class FixedSlopes(DemandModel):
         super().__init__(2)
         self.jac = np.array([[-1.0, d12], [d21, -1.0]])
 
-    def demand_jacobian(self, p):
-        return self.jac
+    def demand_jacobians(self, nodes):
+        return np.broadcast_to(self.jac, (len(nodes), 2, 2)), {}
 
     def default_price_region(self):
         return EvaluationRegion((0.1, 0.1), (0.9, 0.9), resolution=3)
@@ -701,8 +780,8 @@ class FixedSlopes(DemandModel):
 )
 def test_gross_relation_reads_negative_slopes_as_complements(d12, d21, expected):
     report = gross_relation(FixedSlopes(d12, d21))
-    assert report.tolerance == 1e-10
-    assert report.pair(1, 2) is expected
+    assert report.block["tolerance"] == 1e-10
+    assert report.pairs[(1, 2)] is expected
     assert report.overall is expected
 
 
@@ -732,7 +811,7 @@ def test_gross_complements_imply_nonnegative_price_cross_slopes():
         region = model.default_quantity_region()
         for _ in range(10):
             q = np.array([rng.uniform(lo, hi) for lo, hi in zip(region.lower, region.upper)])
-            jac = model.inverse_jacobian(q)
+            jac = model.portfolio_inverse_jacobian(q, model.portfolio_inverse(q, EVERY), EVERY)
             off = jac[~np.eye(model.n, dtype=bool)]
             assert np.all(off >= -1e-10)
 
@@ -745,9 +824,13 @@ def test_gross_substitutes_imply_nonpositive_price_cross_slopes():
         region = model.default_quantity_region()
         for _ in range(10):
             q = np.array([rng.uniform(lo, hi) for lo, hi in zip(region.lower, region.upper)])
-            jac = model.inverse_jacobian(q)
+            jac = model.portfolio_inverse_jacobian(q, model.portfolio_inverse(q, EVERY), EVERY)
             off = jac[~np.eye(model.n, dtype=bool)]
             assert np.all(off <= 1e-10)
+
+
+def _failure_line(node, error):
+    return f"node {tuple(round(float(x), 6) for x in node)}: {error}"
 
 
 def reference_gross_relation(model, region=None, tolerance=1e-10):
@@ -764,7 +847,7 @@ def reference_gross_relation(model, region=None, tolerance=1e-10):
         try:
             jac = model.demand_jacobian(node)
         except (DomainError, ConvergenceError) as exc:
-            failures.append(f"node {tuple(round(float(x), 6) for x in node)}: {exc}")
+            failures.append(_failure_line(node, exc))
             continue
         coords = tuple(float(x) for x in node)
         for (i, j), acc in samples.items():
@@ -801,15 +884,19 @@ class PatchySlopes(DemandModel):
         super().__init__(3)
         self.cutoff = cutoff
 
-    def demand_jacobian(self, p):
-        if p[0] > self.cutoff:
-            raise DomainError(f"first price {p[0]:.3f} above {self.cutoff}")
-        if p[1] == 0.5:
-            raise ConvergenceError("no root at the middle second price")
-        jac = np.outer(p - 0.45, p[::-1] - 0.35) - np.eye(3)
-        if p[2] > 0.6:
-            jac[0, 2] = math.nan
-        return jac
+    def demand_jacobians(self, nodes):
+        slopes = np.full((len(nodes), 3, 3), np.nan)
+        errors = {}
+        for r, p in enumerate(nodes):
+            if p[0] > self.cutoff:
+                errors[r] = DomainError(f"first price {p[0]:.3f} above {self.cutoff}")
+            elif p[1] == 0.5:
+                errors[r] = ConvergenceError("no root at the middle second price")
+            else:
+                slopes[r] = np.outer(p - 0.45, p[::-1] - 0.35) - np.eye(3)
+                if p[2] > 0.6:
+                    slopes[r, 0, 2] = math.nan
+        return slopes, errors
 
     def default_price_region(self):
         return EvaluationRegion((0.1,) * 3, (0.9,) * 3, resolution=5)
@@ -852,15 +939,23 @@ def test_gross_relation_without_usable_node_raises_like_reference():
 
 
 def per_node_jacobians(model, nodes):
-    """``demand_jacobians`` by one ``demand_jacobian`` call per node, as
-    gross_relation once scanned the grid."""
+    """``demand_jacobians`` one row at a time (``demand_jacobian`` at each
+    node), as gross_relation once scanned the grid: the slopes of the usable
+    nodes and a failure line for each other node."""
     jacobians, failures = [], []
     for node in nodes:
         try:
             jacobians.append(model.demand_jacobian(node))
         except (DomainError, ConvergenceError) as exc:
-            failures.append(f"node {tuple(round(float(x), 6) for x in node)}: {exc}")
+            failures.append(_failure_line(node, exc))
     return np.array(jacobians, dtype=float).reshape(-1, model.n, model.n), failures
+
+
+def stacked_jacobians(model, nodes):
+    """``demand_jacobians`` over the whole stack, in per_node_jacobians' form."""
+    slopes, errors = model.demand_jacobians(nodes)
+    failures = [_failure_line(nodes[r], error) for r, error in sorted(errors.items())]
+    return np.delete(slopes, list(errors), axis=0), failures
 
 
 def _one_stop_models(alpha, beta):
@@ -904,7 +999,7 @@ def _batched_jacobian_cases():
 )
 def test_demand_jacobians_match_per_node_path(model, region):
     nodes = (region or model.default_price_region()).nodes()
-    got, got_failures = model.demand_jacobians(nodes)
+    got, got_failures = stacked_jacobians(model, nodes)
     want, want_failures = per_node_jacobians(model, nodes)
     assert got_failures == want_failures
     assert got.shape == want.shape
@@ -912,7 +1007,7 @@ def test_demand_jacobians_match_per_node_path(model, region):
     if region is not None and model.kind == "eq7":
         assert len(want_failures) == 1155
     elif region is not None:
-        assert want_failures and len(want) > 0  # the per-node fallback ran, and not only it
+        assert want_failures and len(want) > 0  # some nodes fail, and not all
 
 
 def _default_region_models():
@@ -944,7 +1039,8 @@ def test_gross_relation_makes_no_per_node_calls_on_default_region(model, monkeyp
 def reference_invert(forward, target, start, jacobian=None):
     """Damped Newton solve forward(x) = target for one row, as the per-node
     loop that DemandModel._invert replaced; ``jacobian`` None means central
-    differences of ``forward``."""
+    differences of ``forward``. A forward that raises at a line-search
+    candidate rejects it."""
     x = np.array(start, dtype=float)
     resid = forward(x) - target
     norm = float(np.max(np.abs(resid)))
@@ -980,6 +1076,28 @@ def reference_invert(forward, target, start, jacobian=None):
 FAILING_BOX = (AppendixBDemand(0.5, 0.8, 0.2), EvaluationRegion((-1.0,) * 3, (4.0,) * 3))
 
 
+def _appendix_b_maps(model):
+    """appendix_b's P(q) and dP/dq at one point in Python floats: the
+    reference's own copy of the formulas."""
+    b, g, a = model.b, model.gamma, model.alpha
+
+    def prices(q):
+        if q[0] <= -1 or q[1] <= -1:
+            raise DomainError("need q1 > -1 and q2 > -1 for the log terms")
+        return np.array(
+            [
+                1.0 - q[0] + b * math.log1p(q[1]) + a * q[2],
+                1.0 - q[1] + b * math.log1p(q[0]) + a * q[2],
+                1.0 - q[2] + g * (q[0] + q[1]),
+            ]
+        )
+
+    def jacobian(q):
+        return np.array([[-1.0, b / (1.0 + q[1]), a], [b / (1.0 + q[0]), -1.0, a], [g, g, -1.0]])
+
+    return prices, jacobian
+
+
 def _log_coupled_custom():
     """Two-product log coupling given as a callback: math.log1p raises
     ValueError below -1, so line-search candidates there are halved."""
@@ -996,42 +1114,44 @@ def _kinked_custom():
 
 
 def _invert_cases():
-    """(model, targets, starts, reference Jacobian, failing rows): every
-    appendix_b case of _batched_jacobian_cases and the failing box, with
-    appendix_b's start and closed-form Jacobian, and two CustomDemand grids
-    on the difference path. ``failing rows`` is a count, or a text that
-    some but not all failure lines hold."""
+    """(model, targets, starts, reference P(q), reference Jacobian, failing
+    rows): every appendix_b case of _batched_jacobian_cases and the failing
+    box, with appendix_b's start and its formulas, and two CustomDemand grids
+    on the difference path, with the callback. ``failing rows`` is a count,
+    or a text that some but not all failure lines hold."""
     boxes = [(m, r) for m, r in _batched_jacobian_cases() if m.kind == "appendix_b"]
     cases = []
     for k, (model, region) in enumerate(boxes + [FAILING_BOX]):
         nodes = (region or model.default_price_region()).nodes()
         failing = 533 if region is FAILING_BOX[1] else 0 if region is None else "stalled"
         start = np.maximum(1.0 - nodes, -0.5)
-        cases.append(pytest.param(model, nodes, start, model.inverse_jacobian, failing, id=f"appendix_b-{k}"))
+        cases.append(pytest.param(model, nodes, start, *_appendix_b_maps(model), failing, id=f"appendix_b-{k}"))
     nodes = EvaluationRegion((-3.0, -3.0), (3.0, 3.0), 9).nodes()
     start = np.ones_like(nodes)
-    cases.append(pytest.param(_log_coupled_custom(), nodes, start, None, "stalled", id="custom-log1p"))
+    model = _log_coupled_custom()
+    cases.append(pytest.param(model, nodes, start, model._inverse, None, "stalled", id="custom-log1p"))
     # one stacked solve with singular and regular rows: starts alternate q2 = -1 and q2 = 1
     nodes = EvaluationRegion((-1.0, 0.5), (3.0, 4.0), 5).nodes()
     start = np.column_stack((np.ones(len(nodes)), np.resize([-1.0, 1.0], len(nodes))))
-    cases.append(pytest.param(_kinked_custom(), nodes, start, None, "singular", id="custom-singular"))
+    model = _kinked_custom()
+    cases.append(pytest.param(model, nodes, start, model._inverse, None, "singular", id="custom-singular"))
     return cases
 
 
-@pytest.mark.parametrize("model,targets,starts,jacobian,failing", _invert_cases())
-def test_invert_matches_per_node_reference(model, targets, starts, jacobian, failing):
+@pytest.mark.parametrize("model,targets,starts,forward,jacobian,failing", _invert_cases())
+def test_invert_matches_per_node_reference(model, targets, starts, forward, jacobian, failing):
     got, errors = model._invert(targets, starts)
     want_failures = []
     for r, (target, start) in enumerate(zip(targets, starts)):
         try:
-            want = reference_invert(model.inverse_demand, target, start, jacobian)
+            want = reference_invert(forward, target, start, jacobian)
         except ConvergenceError as exc:
             want_failures.append((r, str(exc)))
             continue
-        assert errors[r] is None
+        assert r not in errors
         assert np.array_equal(got[r], want)
         assert np.array_equal(np.signbit(got[r]), np.signbit(want))
-    assert [(r, str(e)) for r, e in enumerate(errors) if e is not None] == want_failures
+    assert [(r, str(e)) for r, e in sorted(errors.items())] == want_failures
     if isinstance(failing, int):
         assert len(want_failures) == failing
     else:
@@ -1055,28 +1175,30 @@ def test_gross_relation_on_failing_box_makes_no_per_node_calls(monkeypatch):
 
 
 def test_custom_demand_error_at_the_start_propagates():
-    """A model error at the inversion's start is raised as it is, not read
-    as a rejected point: demand raises it and each grid node reports it."""
+    """A model error at the inversion's start, q = max(1 - p, -0.5), is that
+    row's error, not a rejected point: demand raises it and each grid node
+    reports it."""
 
     def inverse(q):
-        if q[0] > 0.9:
-            raise DomainError(f"q1 = {q[0]} is above 0.9")
+        if q[0] > 0.05:
+            raise DomainError(f"q1 = {q[0]} is above 0.05")
         return 1.0 - q
 
     model = CustomDemand(2, inverse, price_region=EvaluationRegion((0.1, 0.1), (0.9, 0.9), 3))
-    with pytest.raises(DomainError, match="q1 = 1.0 is above 0.9"):
+    with pytest.raises(DomainError, match="q1 = 0.5 is above 0.05"):
         model.demand([0.5, 0.5])
-    _, failures = model.demand_jacobians(model.default_price_region().nodes())
-    assert len(failures) == 9
-    assert all(line.endswith("q1 = 1.0 is above 0.9") for line in failures)
-    with pytest.raises(ConvergenceError, match=r"failures: node \(0\.1, 0\.1\): q1 = 1\.0 is above 0\.9"):
+    _, errors = model.demand_jacobians(model.default_price_region().nodes())
+    assert sorted(errors) == list(range(9))
+    assert all(isinstance(error, DomainError) and str(error).endswith("is above 0.05") for error in errors.values())
+    with pytest.raises(ConvergenceError, match=r"failures: node \(0\.1, 0\.1\): q1 = 0\.9 is above 0\.05"):
         gross_relation(model)
 
 
 def test_a_stack_with_a_rejected_row_prices_each_row_once():
     """The per-row default of portfolio_inverses, which _invert's line search
-    also uses, calls inverse_demand once per row and gives the rejected row
-    NaN; it does not price the stack again row by row."""
+    also uses, calls portfolio_inverse (here the callback) once per row and
+    gives the rejected row NaN; it does not price the stack again row by
+    row."""
     calls = []
 
     def inverse(q):

@@ -168,8 +168,9 @@ def test_exact_optimum_stays_in_the_box_it_is_given():
     for b in (0.0, 0.3):
         assert Eq7Demand(b, 0.5).exact_optimum((1, 2, 3), np.array([0.0, 0.1, 0.0]), np.full(3, 10.0)) is None
         assert Eq7Demand(b, 0.5).exact_optimum((1, 2), np.zeros(2), np.array([10.0, 9.0])) is None
-    # nor has a non-finite spillover
-    assert Eq7Demand(0.3, math.inf).exact_optimum((1, 3), np.zeros(2), np.full(2, 10.0)) is None
+    # a non-finite spillover never reaches the solve: the model rejects it
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        Eq7Demand(0.3, math.inf)
 
 
 def test_linear_exact_optimum_meets_the_kkt_conditions_on_tight_boxes():

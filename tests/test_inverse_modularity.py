@@ -24,7 +24,8 @@ from mergerfees.errors import ConvergenceError, DomainError
 from mergerfees.reduced_form import ExponentialCdf, StepCdf
 from support import random_linear_demand
 
-PARTIALS = [(m, i, j) for m in (1, 2, 3) for i, j in itertools.combinations((1, 2, 3), 2)]
+EVERY = (1, 2, 3)
+PARTIALS = [(m, i, j) for m in EVERY for i, j in itertools.combinations(EVERY, 2)]
 ALPHA, BETA = [1.1, 1.4, 1.9], [1.8, 1.2, 1.9]
 TOTAL = float(np.sum(np.square(ALPHA) / (2.0 * np.asarray(BETA))))
 
@@ -47,7 +48,7 @@ def differenced(model, nodes):
     for r, node in enumerate(nodes):
         for c, (m, i, j) in enumerate(PARTIALS):
             try:
-                samples[r, c] = _fd_cross_partial(model.inverse_demand, node, m, i, j)
+                samples[r, c] = _fd_cross_partial(lambda x: model.portfolio_inverse(x, EVERY), node, m, i, j)
             except (DomainError, ConvergenceError) as exc:
                 skipped.append(f"node {tuple(node.tolist())} P_{m} d(q{i},q{j}): {exc}")
     return samples, skipped
@@ -60,7 +61,7 @@ def richardson(model, node, m, i, j):
     def mixed(h):
         e_i, e_j = h * np.eye(model.n)[i - 1], h * np.eye(model.n)[j - 1]
         corners = [(1, e_i + e_j), (-1, e_i - e_j), (-1, e_j - e_i), (1, -e_i - e_j)]
-        return sum(sign * model.inverse_demand(node + step)[m - 1] for sign, step in corners) / (4 * h * h)
+        return sum(sign * model.portfolio_inverse(node + step, EVERY)[m - 1] for sign, step in corners) / (4 * h * h)
 
     return (4.0 * mixed(1e-4) - mixed(2e-4)) / 3.0
 
@@ -169,20 +170,28 @@ def test_one_stacked_call_per_hook_and_differences_only_without_an_exact_form(mo
     base = model.default_quantity_region()
     region = EvaluationRegion(base.lower, base.upper, 5)
     nodes = region.nodes()
-    priced = np.isfinite(model.portfolio_inverses(nodes, (1, 2, 3))).all(axis=1)
+    priced = np.isfinite(model.portfolio_inverses(nodes, EVERY)).all(axis=1)
     rows = collections.defaultdict(list)
     for name in ("portfolio_inverses", "portfolio_inverse_jacobians", "portfolio_inverse_hessians"):
         monkeypatch.setattr(model, name, spy(getattr(model, name), rows[name]))
-    differenced_at = []
+    differenced_at, points = [], []
 
     def counted_fd(fn, q, m, i, j):
         differenced_at.append(tuple(q.tolist()))
-        return _fd_cross_partial(fn, q, m, i, j)
+
+        def counted(x):
+            points.append(x)
+            return fn(x)
+
+        return _fd_cross_partial(counted, q, m, i, j)
 
     monkeypatch.setattr(demand_systems, "_fd_cross_partial", counted_fd)
     inverse_modularity(model, region)
-    # Jacobians and Hessians only where the prices exist
-    assert rows["portfolio_inverses"] == [len(nodes)]
+    # Jacobians and Hessians only where the prices exist; a family without a
+    # per-row solve of its own prices each point of the differences as a
+    # one-row stack
+    one_row = [] if "portfolio_inverse" in vars(type(model)) else [1] * len(points)
+    assert rows["portfolio_inverses"] == [len(nodes)] + one_row
     assert rows["portfolio_inverse_jacobians"] == [priced.sum()]
     assert len(rows["portfolio_inverse_hessians"]) == 1
     assert rows["portfolio_inverse_hessians"][0] <= priced.sum()

@@ -56,7 +56,7 @@ def test_monopoly_closed_form(c):
 
 
 def test_empty_portfolio_is_zero():
-    res = max_profit(Eq7Demand(0.0, 0.5), Portfolio.empty(3), CFG)
+    res = max_profit(Eq7Demand(0.0, 0.5), Portfolio(3, 0), CFG)
     assert res.value == 0.0
     assert res.status is OptStatus.CONVERGED
 
@@ -397,12 +397,26 @@ def _exact_hessian_inputs():
 
 @pytest.mark.parametrize("path", _exact_hessian_inputs(), ids=lambda p: p.stem)
 def test_exact_hessian_families_never_difference_the_gradient(monkeypatch, path):
-    # a family with an exact Hessian that drops back to differences fails here
+    # a family with an exact Hessian that drops back to differences fails here;
+    # max_profit solves linear and eq7 without a start, so the multistart runs
+    # on every portfolio too, and it must take Newton steps
     def no_differences(*args):
         raise AssertionError("the optimizer differenced a gradient")
 
+    newton_steps, steps = [], optimize._newton_steps
+
+    def counted(*args):
+        newton_steps.append(len(args[0]))
+        return steps(*args)
+
     monkeypatch.setattr(optimize, "_fd_jacobian", no_differences)
-    run_analysis(load_scenario(str(path)), include_shapley=True)
+    monkeypatch.setattr(optimize, "_newton_steps", counted)
+    scenario = load_scenario(str(path))
+    run_analysis(scenario, include_shapley=True)
+    model = scenario.built
+    for mask in range(1, 2**model.n):
+        multistart(model, Portfolio(model.n, mask), scenario.optimizer)
+    assert newton_steps
 
 
 def test_exact_hessian_guard_covers_every_priced_family():

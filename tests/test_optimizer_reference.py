@@ -5,7 +5,8 @@ before the starts of a portfolio were stepped together: one start at a time,
 on 1-D arrays and the one-point model hooks, with a rejected point raising.
 Seeded draws of every demand family must give the same status and starts
 used, the same value to 1e-12 relative and the same q to 1e-9, and each
-stacked family hook must return the rows of its per-row default. The
+stacked family hook must return over a stack the rows it returns for each
+row alone. The
 linear and eq7 draws, which max_profit solves exactly, check
 ``_multistart``, the optimizer max_profit falls back on.
 """
@@ -19,7 +20,6 @@ from mergerfees import optimize
 from mergerfees.demand_systems import (
     AppendixBDemand,
     CustomDemand,
-    DemandModel,
     Eq7Demand,
     OneStopDemand,
     _fd_jacobian,
@@ -240,8 +240,10 @@ class _ExactSlopes(CustomDemand):
             raise DomainError("quantities must be nonnegative")
         return np.array([1.0 - q[0] - 0.2 * q[1], 1.0 - q[1] - 0.2 * q[0]])
 
-    def inverse_jacobian(self, q):
-        return np.array([[-1.0, -0.2], [-0.2, -1.0]])
+    def portfolio_inverse_jacobians(self, q, p, carried):
+        idx = [i - 1 for i in carried]
+        jac = np.array([[-1.0, -0.2], [-0.2, -1.0]])[idx][:, idx]
+        return np.broadcast_to(jac, (len(q),) + jac.shape), np.ones(len(q), bool)
 
 
 def test_one_row_whose_hessian_raises_takes_a_gradient_step_while_the_others_take_newton_steps():
@@ -274,20 +276,23 @@ def test_one_row_whose_hessian_raises_takes_a_gradient_step_while_the_others_tak
 
 
 def _hook_rows(model, carried, q):
-    """Each stacked hook of model, and the base class's per-row default of it."""
+    """Each stacked hook of model over the stack q, and over each row of q
+    alone."""
     p = model.portfolio_inverses(q, carried)
     jac, ok = model.portfolio_inverse_jacobians(q, p, carried)
     curvature, exact = model.portfolio_inverse_hessians(q, p, jac, carried)
-    base = DemandModel
-    p_rows = base.portfolio_inverses(model, q, carried)
-    jac_rows, ok_rows = base.portfolio_inverse_jacobians(model, q, p_rows, carried)
-    curvature_rows = np.full(curvature.shape, np.nan)
-    exact_rows = np.zeros(len(q), bool)
+    p_rows = np.full(p.shape, np.nan)
+    jac_rows, ok_rows = np.full(jac.shape, np.nan), np.zeros(len(q), bool)
+    curvature_rows, exact_rows = np.full(curvature.shape, np.nan), np.zeros(len(q), bool)
     for r in range(len(q)):
-        if ok_rows[r]:
-            one, has = model.portfolio_inverse_hessians(q[r][None], p_rows[r][None], jac_rows[r][None], carried)
+        one = slice(r, r + 1)
+        p_rows[r] = model.portfolio_inverses(q[one], carried)[0]
+        jac_one, ok_one = model.portfolio_inverse_jacobians(q[one], p_rows[one], carried)
+        if ok_one[0]:
+            jac_rows[r], ok_rows[r] = jac_one[0], True
+            hess_one, has = model.portfolio_inverse_hessians(q[one], p_rows[one], jac_one, carried)
             if has[0]:
-                curvature_rows[r], exact_rows[r] = one[0], True
+                curvature_rows[r], exact_rows[r] = hess_one[0], True
     return (p, jac, ok, curvature, exact), (p_rows, jac_rows, ok_rows, curvature_rows, exact_rows)
 
 

@@ -26,8 +26,8 @@ def test_portfolio_basics():
     assert x.with_product(1, on=False).indices() == (3,)
     assert x.key() == "1010"
     assert x.dot([1.0, 2.0, 3.0, 4.0]) == 4.0
-    assert Portfolio.full(3).size() == 3
-    assert Portfolio.empty(3).size() == 0
+    assert len(Portfolio.full(3).indices()) == 3
+    assert Portfolio(3, 0).indices() == ()
 
 
 def test_portfolio_validation():
@@ -58,7 +58,7 @@ def test_set_function_caches_and_counts_calls():
 
     def fn(x):
         calls.append(x.mask)
-        return float(x.size())
+        return float(len(x.indices()))
 
     f = SetFunction(3, fn)
     x = Portfolio.from_indices(3, (1, 2))
@@ -73,11 +73,11 @@ def test_set_function_concurrent_enumeration():
     # a fresh sequential evaluation
     from concurrent.futures import ThreadPoolExecutor
 
-    f = SetFunction(6, lambda x: float(x.size()) ** 1.5 + x.mask * 1e-6)
+    f = SetFunction(6, lambda x: float(len(x.indices())) ** 1.5 + x.mask * 1e-6)
     xs = list(all_portfolios(6))
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(f, xs))
-    assert results == [float(x.size()) ** 1.5 + x.mask * 1e-6 for x in xs]
+    assert results == [float(len(x.indices())) ** 1.5 + x.mask * 1e-6 for x in xs]
     assert len(f.cache) == 64
 
 
@@ -85,7 +85,7 @@ def test_set_function_restrict_renumbers():
     f = additive_function((1.0, 10.0, 100.0))
     g = f.restrict({3: 1})  # products 1,2 keep labels, product 3 pinned on
     assert g.n == 2
-    assert g(Portfolio.empty(2)) == 100.0
+    assert g(Portfolio(2, 0)) == 100.0
     assert g(Portfolio.from_indices(2, (2,))) == 110.0
     h = f.restrict({1: 0, 2: 0})
     assert h.n == 1
@@ -114,11 +114,11 @@ def test_second_difference_symmetry_and_shift_invariance():
 def test_second_difference_argument_checks():
     f = additive_function((1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
-        second_difference(f, 2, 2, Portfolio.empty(3))
+        second_difference(f, 2, 2, Portfolio(3, 0))
     with pytest.raises(ValueError):
         second_difference(f, 1, 2, Portfolio.from_indices(3, (1,)))
     with pytest.raises(IndexError):
-        second_difference(f, 1, 9, Portfolio.empty(3))
+        second_difference(f, 1, 9, Portfolio(3, 0))
 
 
 def test_classify_pair_additive():

@@ -118,7 +118,7 @@ def test_classify_pair_is_second_difference_at_every_rest():
 def test_classify_pair_rejects_what_second_difference_rejects(i, j, error):
     f = SetFunction(4, lambda x: 0.0)
     with pytest.raises(error):
-        second_difference(f, i, j, Portfolio.empty(4))
+        second_difference(f, i, j, Portfolio(4, 0))
     with pytest.raises(error):
         classify_pair(f, i, j)
 
@@ -140,7 +140,7 @@ def test_mask_reads_evaluate_portfolios_in_the_per_portfolio_order():
 
     def fn(x):
         calls.append(x.mask)
-        return float(x.size()) ** 1.5
+        return float(len(x.indices())) ** 1.5
 
     for n, i, j in ((2, 1, 2), (4, 3, 1), (5, 2, 4)):
         calls.clear()

@@ -137,7 +137,7 @@ def test_market_validation():
 
 def test_profit_examples():
     m = exp_market()
-    assert m.profit(Portfolio.empty(3)) == 0.0
+    assert m.profit(Portfolio(3, 0)) == 0.0
     full = Portfolio.full(3)
     assert m.profit(full) == pytest.approx(12 * (1 - math.exp(-3)), abs=1e-14)
     saturated = ReducedFormMarket((1.0, 2.0), (1.5, 2.5), saturated_cdf())
